@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-smoke bench-alloc vet prof prof-golden server fleet-smoke swizzle-smoke chiplet-smoke calib-smoke cover docs-check
+.PHONY: build test race fuzz bench bench-alloc vet prof prof-golden server fleet-smoke swizzle-smoke chiplet-smoke calib-smoke cover docs-check
 
 build:
 	$(GO) build ./...
@@ -20,15 +20,14 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz smoke of the partition bijection, the swizzle bijectivity,
-# the sharded-engine quantum equivalence, the event-queue pop order and
-# the disk-cache entry codec; CI runs these bounded, `make fuzz
-# FUZZTIME=10m` digs deeper locally. (go test accepts one -fuzz pattern
+# the event-queue pop order, the disk-cache entry codec, the die-block
+# bijectivity and the calibration reference codec; CI runs these
+# bounded, `make fuzz FUZZTIME=10m` digs deeper locally. (go test accepts one -fuzz pattern
 # per run, so each target is its own invocation.)
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPartitionRoundTrip -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSwizzleBijective -fuzztime=$(FUZZTIME) ./internal/swizzle
-	$(GO) test -run='^$$' -fuzz=FuzzEpochQuantum -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzEventQueueOrder -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzDiskCacheEntry -fuzztime=$(FUZZTIME) ./internal/rescache
 	$(GO) test -run='^$$' -fuzz=FuzzDieBlockBijective -fuzztime=$(FUZZTIME) ./internal/swizzle
@@ -37,30 +36,18 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The scaling-benchmark gate the CI enforces: one iteration of every
-# cores=1 BenchmarkRunSharded cell (shards x epoch quantum) under the
-# race detector, so the windowed coordinator, the provisional-seq merge
-# and the token path are exercised on every PR even when no test sweep
-# happens to hit a given (shards, quantum) combination. cores=1 only:
-# the cores=4 cells exist to measure real parallel hardware, and on an
-# oversubscribed CI runner their spin-waits make race timings useless
-# at added minutes of cost. Timings from this target are meaningless
-# anyway (race overhead); BENCH_shard.json records the real curve
-# measured without instrumentation.
-bench-smoke:
-	$(GO) test -race -run='^$$' -bench='BenchmarkRunSharded/cores=1' -benchtime=1x ./internal/engine
-
 # The allocation gate the CI enforces: the pinned allocation budget
 # table (alloc_ext_test.go — every cell within 5% of the post-diet
 # measurement), the zero-alloc queue and coalescing contracts, and a
-# short allocation-reporting pass of the scaling benchmark for the
-# log. Uninstrumented on purpose: race builds change allocation counts,
-# so this gate is the one place the CI runs the engine without -race.
+# short allocation-reporting pass of the serial MM/TeslaK40 run
+# benchmark for the log. Uninstrumented on purpose: race builds change
+# allocation counts, so this gate is the one place the CI runs the
+# engine without -race.
 # Pipe two runs through `benchstat` locally if you want significance
 # on the ns/op column; the alloc columns are deterministic.
 bench-alloc:
 	$(GO) test -run='TestAllocationBudgets|TestEventQueueSchedulePopZeroAlloc|TestAppendTransactionsZeroAlloc|TestAnalyzerZeroAlloc|TestAnalyzerAllocationBudgets' -count=1 -v ./internal/engine ./internal/kernel ./internal/swizzle | grep -v '^=== RUN'
-	$(GO) test -run='^$$' -bench='BenchmarkRunSharded/cores=1/shards=1' -benchtime=3x -benchmem ./internal/engine
+	$(GO) test -run='^$$' -bench='^BenchmarkRun$$' -benchtime=3x -benchmem ./internal/engine
 
 # The daemon gate the CI enforces: the ctad end-to-end suite (cold/warm
 # byte-identity, 16-way request dedup, client-disconnect cancellation,
@@ -81,7 +68,7 @@ fleet-smoke:
 
 # The swizzle gate the CI enforces: the transform-family unit wall
 # (conservation, fuzz-seeded bijectivity, analyzer goldens, zero-alloc
-# contract), the swizzled serial≡sharded byte-identity sweep, and a
+# contract), the swizzled rerun byte-identity sweep, and a
 # 2-app x 2-arch three-way clustering-vs-swizzling-vs-both comparison
 # smoke through the real evaluate binary, all under the race detector.
 swizzle-smoke:
@@ -90,28 +77,28 @@ swizzle-smoke:
 	$(GO) run -race ./cmd/evaluate -swizzle-compare -apps MM,SGM -arch GTX980 -quick -json > /dev/null
 
 # The chiplet gate the CI enforces: the monolithic-equivalence matrix
-# (Chiplets=0 byte-identical to the seed descriptor at shards 1/2/4/7),
-# the die-aware swizzle and slice/interposer unit walls, and a real
-# 2-die clustering-vs-dieblock comparison smoke through the evaluate
-# binary, all under the race detector.
+# (Chiplets=0 byte-identical to the seed descriptor), the 2-die
+# calendar-queue vs reference-heap matrix, the die-aware swizzle and
+# slice/interposer unit walls, and a real 2-die clustering-vs-dieblock
+# comparison smoke through the evaluate binary, all under the race
+# detector.
 chiplet-smoke:
 	$(GO) test -race -run 'Chiplet|DieBlock|DieOf' ./internal/arch ./internal/mem ./internal/swizzle ./internal/engine
 	$(GO) run -race ./cmd/evaluate -chiplet 2 -chiplet-compare -apps MM,NW -arch TeslaK40 > /dev/null
 	$(GO) run -race ./cmd/evaluate -chiplet 2 -chiplet-compare -apps MM -arch GTX980 -json > /dev/null
 
 # The calibration gate the CI enforces: the calib package wall (codec
-# canonical-form goldens, fitter determinism and recovery, fitted-arch
-# shard/quantum byte-identity) under the race detector, a fit smoke
-# through the real ctacalib binary, a serial-vs-parallel/sharded
-# byte-identity check of the rendered report, and a byte-exact
-# regeneration of the committed BENCH_calib.json accuracy ledger (the
-# file is dateless on purpose so cmp can gate it).
+# canonical-form goldens, fitter determinism and recovery) under the
+# race detector, a fit smoke through the real ctacalib binary, a
+# serial-vs-parallel byte-identity check of the rendered report, and a
+# byte-exact regeneration of the committed BENCH_calib.json accuracy
+# ledger (the file is dateless on purpose so cmp can gate it).
 calib-smoke:
 	$(GO) test -race ./internal/calib
 	$(GO) run -race ./cmd/ctacalib fit -arch TeslaK40 > /dev/null
 	$(GO) run ./cmd/ctacalib report -arch GTX570 -apps MM,SGM,NW -parallel 1 > /tmp/ctacalib-serial.txt
-	$(GO) run ./cmd/ctacalib report -arch GTX570 -apps MM,SGM,NW -parallel 4 -shards 2 -quantum 1 > /tmp/ctacalib-knobs.txt
-	cmp /tmp/ctacalib-serial.txt /tmp/ctacalib-knobs.txt
+	$(GO) run ./cmd/ctacalib report -arch GTX570 -apps MM,SGM,NW -parallel 4 > /tmp/ctacalib-parallel.txt
+	cmp /tmp/ctacalib-serial.txt /tmp/ctacalib-parallel.txt
 	$(GO) run ./cmd/ctacalib report -json > /tmp/ctacalib-bench.json
 	cmp /tmp/ctacalib-bench.json BENCH_calib.json
 

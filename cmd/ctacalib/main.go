@@ -6,9 +6,9 @@
 //
 // Usage:
 //
-//	ctacalib seed [-out DIR] [-arch NAME] [-apps CSV] [-parallel N] [-shards N] [-quantum N]
-//	ctacalib fit [-arch NAME] [-chiplet N] [-max-sweeps N] [-shards N] [-quantum N]
-//	ctacalib report [-json] [-arch NAME] [-apps CSV] [-parallel N] [-shards N] [-quantum N]
+//	ctacalib seed [-out DIR] [-arch NAME] [-apps CSV] [-parallel N]
+//	ctacalib fit [-arch NAME] [-chiplet N] [-max-sweeps N]
+//	ctacalib report [-json] [-arch NAME] [-apps CSV] [-parallel N]
 //
 // seed regenerates the committed reference store (internal/calib/
 // testdata) from the simulator at the committed latency tables; fit
@@ -16,7 +16,7 @@
 // curves and prints the fitted table as a diff without touching the
 // registry; report renders the correlation matrix — text by default,
 // canonical JSON (the BENCH_calib.json payload) with -json. Every
-// output is byte-identical at every -parallel/-shards/-quantum setting.
+// output is byte-identical at every -parallel setting.
 package main
 
 import (
@@ -45,11 +45,11 @@ func main() {
 	outDir := flag.String("out", "internal/calib/testdata", "seed: directory to write the reference store into")
 	maxSweeps := flag.Int("max-sweeps", 0, "fit: bound on coordinate-descent sweeps (0 = the package default)")
 	chiplet := cli.RegisterChipletFlag()
-	exec := cli.RegisterSweepFlags()
+	parallelFlag := cli.RegisterParallelFlag()
 	os.Args = append(os.Args[:1:1], rest...)
 	flag.Parse()
 
-	ex, err := exec.Resolve()
+	parallel, err := cli.Parallelism(*parallelFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := calib.ReportOptions{Parallelism: ex.Parallelism, Shards: ex.Shards, Quantum: ex.Quantum}
+	opt := calib.ReportOptions{Parallelism: parallel}
 
 	switch cmd {
 	case "seed":
@@ -74,7 +74,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		runFit(platforms, *maxSweeps, opt)
+		runFit(platforms, *maxSweeps)
 	case "report":
 		platforms, err = cli.Chiplet(*chiplet, platforms)
 		if err != nil {
@@ -100,15 +100,13 @@ func runSeed(dir string, platforms []*arch.Arch, apps []*workloads.App, opt cali
 	log.Printf("wrote %d curve files and %d app targets to %s", len(ref.Curves), len(ref.Apps), dir)
 }
 
-func runFit(platforms []*arch.Arch, maxSweeps int, opt calib.ReportOptions) {
+func runFit(platforms []*arch.Arch, maxSweeps int) {
 	ref, err := calib.Load()
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, ar := range platforms {
-		res, err := calib.Fit(ar, ref, calib.FitOptions{
-			MaxSweeps: maxSweeps, Shards: opt.Shards, Quantum: opt.Quantum,
-		})
+		res, err := calib.Fit(ar, ref, calib.FitOptions{MaxSweeps: maxSweeps})
 		if err != nil {
 			log.Fatal(err)
 		}

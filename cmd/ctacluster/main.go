@@ -9,8 +9,6 @@
 //	ctacluster -app MM -arch TeslaK40
 //	ctacluster -app MM -json
 //	ctacluster -all -parallel 8
-//	ctacluster -app MM -shards 4
-//	ctacluster -app MM -shards 4 -quantum 1
 //	ctacluster -app MM -swizzle xor
 //	ctacluster -app MM -chiplet 2
 //	ctacluster -list
@@ -19,16 +17,12 @@
 // stderr. -parallel fans the -all categorization out over workers.
 // -json emits the analysis as one api.OptimizeResponse document — the
 // exact schema the ctad daemon's POST /v1/optimize returns — and
-// requires -app. -shards parallelizes inside each simulation — probe
-// runs included — (engine.Config.Shards) and -quantum sets the sharded
-// engine's barrier window in cycles (engine.Config.EpochQuantum;
-// 0 = auto-derive); all reported metrics are byte-identical to the
-// serial engine's at every setting. -swizzle applies a CTA tile swizzle
-// (internal/swizzle) under the analysis and both reported runs — the
-// framework then categorizes and transforms the swizzled rasterization;
-// unlike the execution knobs it changes the measured results. -chiplet N
-// runs everything on the N-die chiplet variant of the platform
-// (arch.WithChiplets, DESIGN.md §13); 0 keeps the monolithic model.
+// requires -app. -swizzle applies a CTA tile swizzle (internal/swizzle)
+// under the analysis and both reported runs — the framework then
+// categorizes and transforms the swizzled rasterization; unlike
+// -parallel it changes the measured results. -chiplet N runs everything
+// on the N-die chiplet variant of the platform (arch.WithChiplets,
+// DESIGN.md §13); 0 keeps the monolithic model.
 package main
 
 import (
@@ -54,17 +48,16 @@ func main() {
 	archName := flag.String("arch", "TeslaK40", "target platform")
 	list := flag.Bool("list", false, "list available applications")
 	all := flag.Bool("all", false, "categorize every Table 2 app and score against ground truth")
-	execFlags := cli.RegisterSweepFlags()
+	parallelFlag := cli.RegisterParallelFlag()
 	swizzleFlag := cli.RegisterSwizzleFlag()
 	chipletFlag := cli.RegisterChipletFlag()
 	jsonOut := flag.Bool("json", false, "emit the analysis as JSON (ctad /v1/optimize schema); requires -app")
 	flag.Parse()
 
-	exec, err := execFlags.Resolve()
+	parallel, err := cli.Parallelism(*parallelFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
-	shards, quantum := exec.Shards, exec.Quantum
 	swz, err := cli.Swizzle(*swizzleFlag)
 	if err != nil {
 		log.Fatal(err)
@@ -85,7 +78,7 @@ func main() {
 		if ar, err = cli.ChipletOne(*chipletFlag, ar); err != nil {
 			log.Fatal(err)
 		}
-		acc, err := eval.EvaluateFramework(ar, workloads.Table2(), eval.Options{Parallelism: exec.Parallelism, Shards: shards, EpochQuantum: quantum})
+		acc, err := eval.EvaluateFramework(ar, workloads.Table2(), eval.Options{Parallelism: parallel})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -143,13 +136,11 @@ func main() {
 	if !*jsonOut {
 		fmt.Printf("framework: analyzing %s (%s) on %s...\n", app.Name(), app.LongName(), ar.Name)
 	}
-	plan, err := locality.OptimizeExec(k, ar, locality.Exec{Shards: shards, EpochQuantum: quantum})
+	plan, err := locality.Optimize(k, ar)
 	if err != nil {
 		log.Fatal(err)
 	}
 	runCfg := engine.DefaultConfig(ar)
-	runCfg.Shards = shards
-	runCfg.EpochQuantum = quantum
 	if *jsonOut {
 		base, err := engine.Run(runCfg, k)
 		if err != nil {

@@ -9,27 +9,19 @@
 //	ctad                          # serve on :8321
 //	ctad -addr 127.0.0.1:9000     # explicit listen address
 //	ctad -workers 4 -parallel 8   # 4 concurrent requests, 8 sims each
-//	ctad -shards 4                # shard each simulation across 4 goroutines
-//	ctad -shards 4 -quantum 1     # sharded, barrier every timestamp
 //	ctad -cache-mb 256            # larger result cache
 //	ctad -cache-dir /var/ctad     # persistent result cache (survives restarts)
 //	ctad -swizzle xor             # default CTA tile swizzle for every request
 //	ctad -chiplet 2               # serve the 2-die chiplet model by default
 //
-// -shards sets the default engine.Config.Shards for every simulation
-// the daemon runs (simulate requests may override it per request),
-// trading per-request latency against throughput; -quantum sets the
-// default sharded barrier window in cycles (engine.Config.EpochQuantum;
-// 0 = auto-derive, also overridable per simulate request); results and
-// cache keys are identical at every setting. -swizzle sets the default
-// CTA tile swizzle (internal/swizzle) applied to every kernel the
-// daemon simulates (requests carrying their own swizzle field override
-// it); unlike the execution knobs it is result-affecting, so the
-// resolved value is a full cache-key field. -chiplet sets the default
-// die count of the multi-chiplet architecture model (arch.WithChiplets;
-// requests carrying their own chiplets field override it); also
-// result-affecting — the derived descriptor's fields enter every cache
-// key.
+// -swizzle sets the default CTA tile swizzle (internal/swizzle) applied
+// to every kernel the daemon simulates (requests carrying their own
+// swizzle field override it); unlike -parallel it is result-affecting,
+// so the resolved value is a full cache-key field. -chiplet sets the
+// default die count of the multi-chiplet architecture model
+// (arch.WithChiplets; requests carrying their own chiplets field
+// override it); also result-affecting — the derived descriptor's fields
+// enter every cache key.
 //
 // -cache-dir adds a durable content-addressed tier under the in-memory
 // LRU: every computed response is written atomically (tmp + fsync +
@@ -68,7 +60,7 @@ func main() {
 	addr := flag.String("addr", ":8321", "listen address")
 	workers := flag.Int("workers", 2, "concurrent requests executing simulations")
 	maxQueue := flag.Int("queue", 64, "requests allowed to wait for a worker before 503")
-	execFlags := cli.RegisterSweepFlags()
+	parallelFlag := cli.RegisterParallelFlag()
 	cacheMB := flag.Int64("cache-mb", 64, "result cache size in MiB")
 	cacheEntries := flag.Int("cache-entries", 4096, "result cache entry bound")
 	cacheDir := cli.RegisterCacheDirFlag()
@@ -80,7 +72,7 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress per-request logging")
 	flag.Parse()
 
-	exec, err := execFlags.Resolve()
+	parallel, err := cli.Parallelism(*parallelFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,9 +86,7 @@ func main() {
 	cfg := server.Config{
 		Workers:        *workers,
 		MaxQueue:       *maxQueue,
-		Parallelism:    exec.Parallelism,
-		Shards:         exec.Shards,
-		EpochQuantum:   exec.Quantum,
+		Parallelism:    parallel,
 		Swizzle:        swz,
 		Chiplets:       *chipletFlag,
 		CacheBytes:     *cacheMB << 20,
@@ -133,8 +123,8 @@ func main() {
 	if *cacheDir != "" {
 		diskNote = " cache-dir=" + *cacheDir
 	}
-	log.Printf("serving on %s (workers=%d queue=%d parallel=%d shards=%d quantum=%d cache=%dMiB%s)",
-		*addr, *workers, *maxQueue, exec.Parallelism, exec.Shards, exec.Quantum, *cacheMB, diskNote)
+	log.Printf("serving on %s (workers=%d queue=%d parallel=%d cache=%dMiB%s)",
+		*addr, *workers, *maxQueue, parallel, *cacheMB, diskNote)
 	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

@@ -13,18 +13,13 @@
 //	ctaprof -app ATX -arch GTX570 -scheme CLU -agents 2 -bypass
 //	ctaprof -app mm -arch teslak40 -events all      # every event class
 //	ctaprof -app mm -arch teslak40 -o /tmp/prof -interval 1024
-//	ctaprof -app mm -arch teslak40 -shards 4        # sharded engine, same bytes
 //	ctaprof -app mm -arch teslak40 -swizzle xor     # profile the swizzled kernel
 //	ctaprof -app mm -arch teslak40 -chiplet 2       # profile on the 2-die variant
 //
 // App and platform names match case-insensitively; unknown names are an
-// error (non-zero exit), never a silent skip. -shards parallelizes the
-// simulation itself (engine.Config.Shards) and -quantum sets the
-// sharded engine's barrier window in cycles (engine.Config.EpochQuantum;
-// 0 = auto-derive); the recorded trace and metrics are byte-identical
-// to the serial engine's at every setting. -swizzle applies a CTA tile
-// swizzle (internal/swizzle) under the chosen scheme; unlike the
-// execution knobs it changes the recorded trace and metrics. -chiplet N
+// error (non-zero exit), never a silent skip. -swizzle applies a CTA
+// tile swizzle (internal/swizzle) under the chosen scheme, changing the
+// recorded trace and metrics. -chiplet N
 // profiles on the N-die chiplet variant of the platform
 // (arch.WithChiplets); the trace then marks interposer-crossing L2
 // transactions and the metrics CSV gains the remote_l2_transactions and
@@ -59,7 +54,6 @@ func main() {
 	events := flag.String("events", "cta,stall", "event classes to trace: cta, stall, mem, cache, l2, all")
 	interval := flag.Int64("interval", 4096, "counter-snapshot period in cycles (0 = off)")
 	outDir := flag.String("o", ".", "output directory for the trace and metrics files")
-	execFlags := cli.RegisterEngineFlags()
 	swizzleFlag := cli.RegisterSwizzleFlag()
 	chipletFlag := cli.RegisterChipletFlag()
 	flag.Parse()
@@ -119,14 +113,8 @@ func main() {
 		Kernel: app.Name(), Arch: ar.Name, Label: label, SMs: ar.SMs,
 		Events: mask, SampleInterval: *interval,
 	})
-	exec, err := execFlags.Resolve()
-	if err != nil {
-		log.Fatal(err)
-	}
 	cfg := engine.DefaultConfig(ar)
 	cfg.Profiler = tr
-	cfg.Shards = exec.Shards
-	cfg.EpochQuantum = exec.Quantum
 	res, err := engine.Run(cfg, k)
 	if err != nil {
 		log.Fatal(err)

@@ -11,16 +11,12 @@
 //	ctatrace -app ATX -arch GTX570            # baseline placement
 //	ctatrace -app ATX -arch GTX570 -clustered # agent-based clustering
 //	ctatrace -app ATX -arch GTX570 -sm 0      # one SM's timeline
-//	ctatrace -app ATX -arch GTX570 -shards 4  # sharded engine, same trace
 //	ctatrace -app ATX -arch GTX570 -swizzle xor # trace the swizzled placement
 //	ctatrace -app ATX -arch GTX570 -chiplet 2   # trace on the 2-die variant
 //
-// -shards parallelizes the simulation itself (engine.Config.Shards) and
-// -quantum sets the sharded engine's barrier window in cycles
-// (engine.Config.EpochQuantum; 0 = auto-derive); the printed trace is
-// byte-identical to the serial engine's at every setting. -swizzle
-// applies a CTA tile swizzle (internal/swizzle) under the traced kernel
-// — baseline or clustered — and changes the placement it prints.
+// -swizzle applies a CTA tile swizzle (internal/swizzle) under the
+// traced kernel — baseline or clustered — and changes the placement it
+// prints.
 // -chiplet N traces on the N-die chiplet variant of the platform
 // (arch.WithChiplets); 0 keeps the monolithic model.
 package main
@@ -45,7 +41,6 @@ func main() {
 	clustered := flag.Bool("clustered", false, "trace the agent-clustered kernel instead of the baseline")
 	agents := flag.Int("agents", 0, "active agents per SM when -clustered (0 = max)")
 	smID := flag.Int("sm", -1, "print the per-CTA timeline of one SM (-1: summary of all)")
-	execFlags := cli.RegisterEngineFlags()
 	swizzleFlag := cli.RegisterSwizzleFlag()
 	chipletFlag := cli.RegisterChipletFlag()
 	flag.Parse()
@@ -84,14 +79,7 @@ func main() {
 		k = ag
 	}
 
-	exec, err := execFlags.Resolve()
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := engine.DefaultConfig(ar)
-	cfg.Shards = exec.Shards
-	cfg.EpochQuantum = exec.Quantum
-	res, err := engine.Run(cfg, k)
+	res, err := engine.Run(engine.DefaultConfig(ar), k)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,8 +11,6 @@
 //	evaluate -quick              # skip the throttle sweep
 //	evaluate -csv DIR            # additionally write CSV files to DIR
 //	evaluate -parallel 8         # fan the sweep out over 8 workers
-//	evaluate -shards 4           # shard each simulation across 4 goroutines
-//	evaluate -shards 4 -quantum 1 # sharded, barrier every timestamp
 //	evaluate -swizzle xor        # CTA tile swizzle under every scheme
 //	evaluate -swizzle-compare    # clustering vs swizzling vs both
 //	evaluate -chiplet 2          # sweep on 2-die chiplet variants
@@ -21,16 +19,11 @@
 //
 // Unknown -arch or -apps names are an error (non-zero exit), never a
 // silent skip. -parallel 0 (the default) uses one worker per CPU;
-// -shards parallelizes inside each simulation (engine.Config.Shards;
-// default 1 = serial engine, 0 = one shard per CPU); -quantum sets the
-// sharded engine's barrier window in cycles (engine.Config.EpochQuantum;
-// default 0 = auto-derive from the architecture's latency table);
-// results are byte-identical for every parallelism, shard and quantum
-// setting.
+// results are byte-identical for every parallelism setting.
 //
 // -swizzle applies a CTA tile swizzle (internal/swizzle) to every
-// kernel before any clustering transform; unlike the execution knobs it
-// is result-affecting. -swizzle-compare runs the three-way
+// kernel before any clustering transform; unlike -parallel it is
+// result-affecting. -swizzle-compare runs the three-way
 // clustering-vs-swizzling-vs-both comparison per (app, arch) cell and
 // scores the L2 reuse analyzer's predicted-best swizzle against the
 // measured L2 read transactions; with -json it emits one
@@ -77,7 +70,7 @@ func main() {
 	table2 := flag.Bool("table2", false, "print Table 2 (benchmarks) and exit")
 	quick := flag.Bool("quick", false, "skip the throttle sweep (CLU+TOT = CLU)")
 	csvDir := flag.String("csv", "", "also write CSV files into this directory")
-	execFlags := cli.RegisterSweepFlags()
+	parallelFlag := cli.RegisterParallelFlag()
 	swizzleFlag := cli.RegisterSwizzleFlag()
 	chipletFlag := cli.RegisterChipletFlag()
 	swizzleCompare := flag.Bool("swizzle-compare", false, "run the clustering-vs-swizzling-vs-both comparison instead of the scheme sweep")
@@ -118,7 +111,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	exec, err := execFlags.Resolve()
+	parallel, err := cli.Parallelism(*parallelFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -136,7 +129,7 @@ func main() {
 		progress = func(msg string) { fmt.Fprintf(os.Stderr, "evaluate: %s\n", msg) }
 	}
 
-	opt := eval.Options{Quick: *quick, Parallelism: exec.Parallelism, Shards: exec.Shards, EpochQuantum: exec.Quantum, Swizzle: swz}
+	opt := eval.Options{Quick: *quick, Parallelism: parallel, Swizzle: swz}
 
 	if *chipletCompare {
 		if *chipletFlag == 0 {

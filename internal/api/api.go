@@ -29,24 +29,11 @@ type SimulateRequest struct {
 	// TimeoutMS bounds the request server-side; 0 means the daemon's
 	// default deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Shards asks the engine to parallelize this single run across that
-	// many lockstep SM shards (engine.Config.Shards), trading CPU for
-	// latency; 0 means the daemon's configured default. Results — and
-	// therefore cache keys and response bytes — are identical at every
-	// setting, so cached entries are shared across shard counts.
-	Shards int `json:"shards,omitempty"`
-	// EpochQuantum widens the sharded engine's barrier window to this
-	// many cycles (engine.Config.EpochQuantum); 0 means the daemon's
-	// configured default (normally auto-derived from the architecture's
-	// latency table), 1 barriers at every timestamp. Execution-only like
-	// Shards: results, cache keys and response bytes are identical at
-	// every setting. Ignored unless the run is sharded.
-	EpochQuantum int64 `json:"epoch_quantum,omitempty"`
 	// Swizzle names a CTA tile swizzle (internal/swizzle, GET
 	// /v1/transforms lists the names) applied to the application before
-	// any scheme transform. UNLIKE Shards/EpochQuantum it is
-	// result-affecting — the remap changes every cache statistic and
-	// cycle count — so it is a full cache-key field. Empty means the
+	// any scheme transform. It is result-affecting — the remap changes
+	// every cache statistic and cycle count — so it is a full cache-key
+	// field. Empty means the
 	// daemon's configured default (normally none).
 	Swizzle string `json:"swizzle,omitempty"`
 	// Chiplets splits the platform into that many interposer-linked dies

@@ -74,8 +74,7 @@ func LatencyParams(a *Arch) []LatencyParam {
 // ValidateLatencies rejects descriptors whose latency table is
 // physically inconsistent: every parameter must sit inside its
 // LatencyParams bounds and the load-to-use plateaus must be strictly
-// ordered L1 < L2 < DRAM — the ordering Figure 2 measures and
-// engine.DeriveEpochQuantum's min-latency window derivation assumes.
+// ordered L1 < L2 < DRAM — the ordering Figure 2 measures.
 // The fitter discards any candidate this rejects, so a fit can change
 // values but never the shape of the memory hierarchy.
 func ValidateLatencies(a *Arch) error {

@@ -28,7 +28,7 @@
 //   - A correlation report (report.go): per-app cycle and speedup
 //     error vs the reference for the full 24-app x 4-GPU matrix,
 //     rendered as text or canonical JSON (BENCH_calib.json), byte-
-//     identical at every -parallel/-shards/-quantum setting.
+//     identical at every -parallel setting.
 package calib
 
 import (

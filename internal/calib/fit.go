@@ -9,13 +9,11 @@ package calib
 //   - each parameter tries a fixed offset ladder (±1 … ±64) in a fixed
 //     order, and only a *strictly* lower objective displaces the
 //     incumbent, so the earliest-listed of equal candidates wins;
-//   - every candidate is simulated with the same engine seed, and the
-//     engine's own byte-identity wall guarantees Shards/EpochQuantum
-//     cannot change a simulated curve.
+//   - every candidate is simulated with the same engine seed.
 //
 // Two fits of the same (descriptor, reference, options) are therefore
-// byte-identical, at any -parallel/-shards setting — the same
-// discipline every other subsystem in this repo is held to. The fitter
+// byte-identical — the same discipline every other subsystem in this
+// repo is held to. The fitter
 // works on value copies throughout and never mutates the registry
 // descriptor it is handed.
 
@@ -47,10 +45,6 @@ type FitOptions struct {
 	Start *arch.Arch
 	// MaxSweeps bounds full coordinate passes; 0 means DefaultMaxSweeps.
 	MaxSweeps int
-	// Shards / Quantum are the usual execution-only engine knobs; the
-	// fitted values are byte-identical at every setting.
-	Shards  int
-	Quantum int64
 }
 
 // ParamFit records one parameter's journey through a fit.
@@ -111,7 +105,7 @@ func Fit(ar *arch.Arch, ref *Reference, opt FitOptions) (*FitResult, error) {
 		return nil, fmt.Errorf("calib: fit start table invalid: %w", err)
 	}
 
-	obj := &objective{ref: refCurve, shards: opt.Shards, quantum: opt.Quantum, memo: map[string]float64{}}
+	obj := &objective{ref: refCurve, memo: map[string]float64{}}
 	params := arch.LatencyParams(&work)
 	res := &FitResult{}
 	for _, p := range params {
@@ -172,10 +166,8 @@ func Fit(ar *arch.Arch, ref *Reference, opt FitOptions) (*FitResult, error) {
 // objective memoizes CurveRMS evaluations by latency-table key, so the
 // descent never simulates the same candidate twice.
 type objective struct {
-	ref     *Curve
-	shards  int
-	quantum int64
-	memo    map[string]float64
+	ref  *Curve
+	memo map[string]float64
 }
 
 func (o *objective) eval(a *arch.Arch) (float64, error) {
@@ -183,7 +175,7 @@ func (o *objective) eval(a *arch.Arch) (float64, error) {
 	if v, ok := o.memo[key]; ok {
 		return v, nil
 	}
-	def, stag, err := simCurves(a, o.shards, o.quantum)
+	def, stag, err := simCurves(a)
 	if err != nil {
 		return 0, err
 	}

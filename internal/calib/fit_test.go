@@ -75,9 +75,8 @@ func TestFitRecoversPerturbedStart(t *testing.T) {
 	}
 }
 
-// TestFitDeterministic: the same fit twice — and at a different
-// shards/quantum setting — must produce deeply equal results, evals
-// count included. Determinism is structural (fixed parameter order,
+// TestFitDeterministic: the same fit twice must produce deeply equal
+// results, evals count included. Determinism is structural (fixed parameter order,
 // fixed offset ladder, strict improvement), so this holds exactly.
 func TestFitDeterministic(t *testing.T) {
 	ref, err := Load()
@@ -90,19 +89,15 @@ func TestFitDeterministic(t *testing.T) {
 	}
 	start := *ar
 	start.L2Latency += 3
-	fit := func(shards int, quantum int64) *FitResult {
-		res, err := Fit(ar, ref, FitOptions{Start: &start, Shards: shards, Quantum: quantum})
+	fit := func() *FitResult {
+		res, err := Fit(ar, ref, FitOptions{Start: &start})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	serial := fit(1, 0)
-	if again := fit(1, 0); !reflect.DeepEqual(serial, again) {
+	if first, again := fit(), fit(); !reflect.DeepEqual(first, again) {
 		t.Error("two identical fits differ")
-	}
-	if sharded := fit(2, 1); !reflect.DeepEqual(serial, sharded) {
-		t.Error("sharded fit differs from the serial fit")
 	}
 }
 

@@ -8,8 +8,8 @@ package calib
 //     the files that actually ship;
 //   - the report (text and JSON) over a fixed sub-matrix must match the
 //     committed goldens byte-for-byte, and must be byte-identical when
-//     built serially, with -parallel fan-out, and with sharded engines
-//     — the same differential discipline the engine itself is held to.
+//     built serially and with -parallel fan-out — the same differential
+//     discipline the engine itself is held to.
 //
 // Regenerate the report goldens with `go test ./internal/calib -run
 // TestReportGolden -update` after an intentional engine change; the
@@ -122,7 +122,7 @@ func buildGoldenReport(t *testing.T, ref *Reference, archNames, appNames []strin
 
 func TestReportGolden(t *testing.T) {
 	ref, archNames, appNames := goldenMatrix(t)
-	serial := buildGoldenReport(t, ref, archNames, appNames, ReportOptions{Parallelism: 1, Shards: 1})
+	serial := buildGoldenReport(t, ref, archNames, appNames, ReportOptions{Parallelism: 1})
 
 	var text, jsonOut bytes.Buffer
 	serial.WriteText(&text)
@@ -152,12 +152,11 @@ func TestReportGolden(t *testing.T) {
 		}
 	}
 
-	// Serial ≡ parallel ≡ sharded: the execution knobs must not move a
-	// single byte of the rendered report.
+	// Serial ≡ parallel: the worker count must not move a single byte of
+	// the rendered report.
 	variants := []ReportOptions{
-		{Parallelism: 4, Shards: 1},
-		{Parallelism: 2, Shards: 2, Quantum: 1},
-		{Parallelism: 3, Shards: 4},
+		{Parallelism: 4},
+		{Parallelism: 3},
 	}
 	for _, opt := range variants {
 		got := buildGoldenReport(t, ref, archNames, appNames, opt)

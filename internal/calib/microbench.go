@@ -19,22 +19,12 @@ import (
 	"ctacluster/internal/workloads"
 )
 
-// engineConfig builds the engine configuration the harness runs
-// everything under: the default seeded config with the execution knobs
-// (shards, quantum) applied. Seed stays DefaultConfig's — calibration
-// compares against references generated at the same seed, and the
-// byte-identity wall guarantees shards/quantum cannot move a result.
-func engineConfig(ar *arch.Arch, shards int, quantum int64) engine.Config {
-	cfg := engine.DefaultConfig(ar)
-	cfg.Shards = shards
-	cfg.EpochQuantum = quantum
-	return cfg
-}
-
 // simCurves runs both Figure 2 scenarios for ar and extracts the
-// per-CTA series in reference form.
-func simCurves(ar *arch.Arch, shards int, quantum int64) (def, stag []CurvePoint, err error) {
-	rdef, rstag, err := workloads.RunMicrobenchCfg(engineConfig(ar, shards, quantum), ar)
+// per-CTA series in reference form. Everything runs under
+// engine.DefaultConfig: calibration compares against references
+// generated at the same seed.
+func simCurves(ar *arch.Arch) (def, stag []CurvePoint, err error) {
+	rdef, rstag, err := workloads.RunMicrobench(ar)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -24,12 +24,10 @@ import (
 	"ctacluster/internal/workloads"
 )
 
-// ReportOptions tunes a report run. All three knobs are execution-only:
-// the rendered report is byte-identical at every setting.
+// ReportOptions tunes a report run. Parallelism is execution-only: the
+// rendered report is byte-identical at every setting.
 type ReportOptions struct {
 	Parallelism int
-	Shards      int
-	Quantum     int64
 }
 
 // AppCell is one app's accuracy scores on one platform. Errors are
@@ -84,7 +82,10 @@ type Report struct {
 	Summary     Summary      `json:"summary"`
 }
 
-// The metadata constants BuildReport stamps into every report.
+// The metadata constants BuildReport stamps into every report. They are
+// part of the bytes BENCH_calib.json and the report goldens pin, so
+// reportNote still names the -shards/-quantum flags of the removed
+// sharded engine until the next deliberate re-pin of those files.
 const (
 	reportBenchmark = "ctacalib report -json (per-app cycle and speedup error vs the committed calibration reference, plus per-platform Figure 2 curve RMS at the committed latency tables)"
 	reportGenerated = "go run ./cmd/ctacalib report -json"
@@ -110,7 +111,7 @@ func simMatrix(platforms []*arch.Arch, apps []*workloads.App, opt ReportOptions)
 	var jobs []func()
 	for pi, ar := range platforms {
 		slots[pi] = make([]slot, len(apps))
-		cfg := engineConfig(ar, opt.Shards, opt.Quantum)
+		cfg := engine.DefaultConfig(ar)
 		for ai, app := range apps {
 			s := &slots[pi][ai]
 			clu, err := core.NewAgent(app, core.AgentConfig{Arch: ar, Indexing: app.Partition()})
@@ -180,7 +181,7 @@ func BuildReport(platforms []*arch.Arch, apps []*workloads.App, ref *Reference, 
 		if err != nil {
 			return nil, err
 		}
-		def, stag, err := simCurves(ar, opt.Shards, opt.Quantum)
+		def, stag, err := simCurves(ar)
 		if err != nil {
 			return nil, err
 		}

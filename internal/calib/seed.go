@@ -56,7 +56,7 @@ func BuildReference(platforms []*arch.Arch, apps []*workloads.App, opt ReportOpt
 	for i, ar := range curveArches {
 		s, ar := &slots[i], ar
 		jobs = append(jobs, func() {
-			s.def, s.stag, s.err = simCurves(ar, opt.Shards, opt.Quantum)
+			s.def, s.stag, s.err = simCurves(ar)
 		})
 	}
 	eval.NewRunner(opt.Parallelism).Do(jobs...)

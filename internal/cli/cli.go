@@ -144,37 +144,6 @@ func Parallelism(n int) (int, error) {
 	return n, nil
 }
 
-// Shards resolves the -shards flag controlling intra-run engine
-// sharding (engine.Config.Shards): 1 — the flag default — keeps the
-// serial reference engine; 0 asks for one shard per available CPU
-// (GOMAXPROCS); larger values pass through (the engine clamps to the
-// platform's SM count); negative values are an error. Results are
-// byte-identical at every setting, so the choice only trades CPU for
-// single-run latency.
-func Shards(n int) (int, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("-shards must be >= 0, got %d", n)
-	}
-	if n == 0 {
-		return runtime.GOMAXPROCS(0), nil
-	}
-	return n, nil
-}
-
-// Quantum resolves the -quantum flag controlling the sharded engine's
-// barrier window width (engine.Config.EpochQuantum): 0 — the flag
-// default — auto-derives the widest safe window from the architecture's
-// latency table; 1 barriers at every distinct timestamp (the original
-// sharded schedule); larger values pass through; negative values are an
-// error. Results are byte-identical at every setting; the flag only
-// matters when -shards enables the sharded engine.
-func Quantum(n int64) (int64, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("-quantum must be >= 0, got %d", n)
-	}
-	return n, nil
-}
-
 // platformNames lists every resolvable platform name, sorted, so the
 // unknown-platform error reads as a stable reference list rather than
 // whatever order the descriptors happen to be registered in.

@@ -247,41 +247,6 @@ func TestUnknownNameErrorsListSortedOptions(t *testing.T) {
 	}
 }
 
-func TestShards(t *testing.T) {
-	tests := []struct {
-		arg     int
-		want    int // -1 = any positive value (GOMAXPROCS)
-		wantErr bool
-	}{
-		{arg: -1, wantErr: true},
-		{arg: -8, wantErr: true},
-		{arg: 0, want: -1},
-		{arg: 1, want: 1},
-		{arg: 7, want: 7},
-	}
-	for _, tt := range tests {
-		got, err := Shards(tt.arg)
-		if tt.wantErr {
-			if err == nil {
-				t.Fatalf("Shards(%d) = %d, want error", tt.arg, got)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("Shards(%d): %v", tt.arg, err)
-		}
-		if tt.want == -1 {
-			if got < 1 {
-				t.Fatalf("Shards(0) = %d, want >= 1", got)
-			}
-			continue
-		}
-		if got != tt.want {
-			t.Fatalf("Shards(%d) = %d, want %d", tt.arg, got, tt.want)
-		}
-	}
-}
-
 func TestBackends(t *testing.T) {
 	good := []struct {
 		csv  string

@@ -1,10 +1,9 @@
 package cli
 
-// Shared flag registration. Before this file, each of the five
-// engine-running CLIs (evaluate, ctacluster, ctatrace, ctaprof, ctad)
-// registered its own copies of -parallel/-shards/-quantum with
-// hand-duplicated help strings — five places to drift apart whenever a
-// knob changed meaning. The Register* helpers below are the single
+// Shared flag registration. Before this file, each engine-running CLI
+// registered its own copies of the shared flags with hand-duplicated
+// help strings — several places to drift apart whenever a knob changed
+// meaning. The Register* helpers below are the single
 // source for those registrations (and for the fleet-era -cache-dir and
 // -backends flags), and tools/docscheck resolves them transitively, so
 // a flag registered here is cross-checked against README.md and
@@ -20,68 +19,16 @@ import (
 	"ctacluster/internal/swizzle"
 )
 
-// Exec bundles the resolved execution knobs shared by the CLIs. All
-// three are execution-only: results are byte-identical at every
-// setting (the engine's differential goldens pin this).
-type Exec struct {
-	// Parallelism fans independent simulations out across workers
-	// (eval.Options.Parallelism). Zero when the CLI has no -parallel.
-	Parallelism int
-	// Shards parallelizes inside each simulation (engine.Config.Shards).
-	Shards int
-	// Quantum is the sharded engine's barrier window width in cycles
-	// (engine.Config.EpochQuantum).
-	Quantum int64
-}
-
-// ExecFlags holds the registered-but-unparsed execution flags; call
-// Resolve after flag.Parse.
-type ExecFlags struct {
-	parallel *int
-	shards   *int
-	quantum  *int64
-}
-
-// RegisterEngineFlags registers the per-simulation knobs every
-// engine-running CLI carries: -shards and -quantum.
-func RegisterEngineFlags() *ExecFlags {
-	return &ExecFlags{
-		shards:  flag.Int("shards", 1, "SM shards inside each simulation (1 = serial engine, 0 = one per CPU)"),
-		quantum: flag.Int64("quantum", 0, "sharded epoch window in cycles (0 = auto-derive, 1 = barrier every timestamp)"),
-	}
-}
-
-// RegisterSweepFlags registers the engine knobs plus -parallel, the
-// sweep-level fan-out used by the CLIs that run many simulations
-// (evaluate, ctacluster -all, ctad).
-func RegisterSweepFlags() *ExecFlags {
-	f := RegisterEngineFlags()
-	f.parallel = flag.Int("parallel", 0, "simulations in flight (0 = one per CPU, 1 = serial)")
-	return f
-}
-
-// Resolve validates the parsed values through the same Parallelism /
-// Shards / Quantum rules the CLIs applied individually.
-func (f *ExecFlags) Resolve() (Exec, error) {
-	var e Exec
-	var err error
-	if f.parallel != nil {
-		if e.Parallelism, err = Parallelism(*f.parallel); err != nil {
-			return Exec{}, err
-		}
-	}
-	if e.Shards, err = Shards(*f.shards); err != nil {
-		return Exec{}, err
-	}
-	if e.Quantum, err = Quantum(*f.quantum); err != nil {
-		return Exec{}, err
-	}
-	return e, nil
+// RegisterParallelFlag registers -parallel, the sweep-level fan-out
+// used by the CLIs that run many simulations (evaluate, ctacluster
+// -all, ctacalib, ctad). Resolve the parsed value with Parallelism.
+func RegisterParallelFlag() *int {
+	return flag.Int("parallel", 0, "simulations in flight (0 = one per CPU, 1 = serial)")
 }
 
 // RegisterSwizzleFlag registers -swizzle, the CTA tile swizzle
 // (internal/swizzle) applied to every kernel before any clustering
-// transform. Unlike the Exec knobs it is result-affecting — the remap
+// transform. Unlike -parallel it is result-affecting — the remap
 // changes cache statistics and cycle counts — so its value enters
 // result-cache keys. Resolve the parsed value with Swizzle.
 func RegisterSwizzleFlag() *string {

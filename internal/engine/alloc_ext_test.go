@@ -2,7 +2,7 @@ package engine_test
 
 // The allocation budget table: the enforcement half of the hot-path
 // allocation diet. Each cell pins the whole-run allocation count of a
-// real workload on TeslaK40 — serial and sharded, bare and profiled —
+// real workload on TeslaK40 — bare and profiled, monolithic and 2-die —
 // to a budget 5% above the measured post-diet value. A change that
 // reintroduces per-event allocations (queue boxing, per-access
 // transaction slices, per-object warp/CTA allocation) blows these
@@ -25,23 +25,17 @@ import (
 var allocBudgets = []struct {
 	app      string
 	chiplets int // 0 = monolithic TeslaK40; N = WithChiplets variant
-	shards   int
 	profiled bool
 	budget   float64
 }{
-	{"MM", 0, 1, false, 13400},
-	{"MM", 0, 1, true, 13450},
-	{"MM", 0, 4, false, 18050},
-	{"MM", 0, 4, true, 18250},
-	{"SGM", 0, 1, false, 7700},
-	{"SGM", 0, 1, true, 7750},
-	{"SGM", 0, 4, false, 10450},
-	{"SGM", 0, 4, true, 10600},
+	{"MM", 0, false, 13400},
+	{"MM", 0, true, 13450},
+	{"SGM", 0, false, 7700},
+	{"SGM", 0, true, 7750},
 	// The chiplet path: per-die slices replace the monolithic L2, and
 	// everything else must stay on the diet — the slice array and link
 	// table are setup-time allocations, not per-event ones.
-	{"MM", 2, 1, false, 13100},
-	{"MM", 2, 4, false, 17450},
+	{"MM", 2, false, 13100},
 }
 
 func TestAllocationBudgets(t *testing.T) {
@@ -58,11 +52,7 @@ func TestAllocationBudgets(t *testing.T) {
 			}
 			name += "/2die"
 		}
-		if c.shards == 1 {
-			name += "/serial"
-		} else {
-			name += "/sharded"
-		}
+		name += "/serial"
 		if c.profiled {
 			name += "/profiled"
 		} else {
@@ -75,7 +65,6 @@ func TestAllocationBudgets(t *testing.T) {
 			}
 			run := func() {
 				cfg := engine.DefaultConfig(ar)
-				cfg.Shards = c.shards
 				if c.profiled {
 					cfg.Profiler = prof.NewTrace(prof.TraceConfig{
 						Kernel: c.app, Arch: ar.Name, SMs: ar.SMs,
@@ -93,5 +82,22 @@ func TestAllocationBudgets(t *testing.T) {
 					name, got, c.budget)
 			}
 		})
+	}
+}
+
+// BenchmarkRun measures one serial MM/TeslaK40 run — the headline
+// engine benchmark behind the allocation-budget table. Run with
+// `make bench-alloc` (or `go test -bench '^BenchmarkRun$' ./internal/engine`).
+func BenchmarkRun(b *testing.B) {
+	app, err := workloads.New("MM")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := engine.DefaultConfig(arch.TeslaK40())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.Run(cfg, app); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

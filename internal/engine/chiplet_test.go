@@ -3,16 +3,15 @@ package engine_test
 // The chiplet differential wall. Two contracts, two matrices:
 //
 //  1. Monolithic equivalence — arch.WithChiplets(ar, 0) must be
-//     byte-identical to the untouched descriptor at every shard count:
-//     deep-equal Results, identical rescache keys, and a byte-identical
-//     profiler stream. This pins the tentpole's "0 dies = the seed
-//     engine" clause: the chiplet code may not perturb the monolithic
-//     model by even one cycle.
+//     byte-identical to the untouched descriptor: deep-equal Results,
+//     identical rescache keys, and a byte-identical profiler stream.
+//     This pins the "0 dies = the seed engine" clause: the chiplet code
+//     may not perturb the monolithic model by even one cycle.
 //
-//  2. Sharded-chiplet determinism — on a real chiplet descriptor the
-//     sharded engine must reproduce the serial Result and prof stream
-//     exactly, for plain, die-swizzled and clustered kernels. The
-//     interposer-link and slice state are engine-replayed like every
+//  2. Chiplet queue determinism — on a real chiplet descriptor the
+//     calendar queue must reproduce the reference heap's Result and prof
+//     stream exactly, for plain, die-swizzled and clustered kernels. The
+//     interposer-link and slice state are order-sensitive like every
 //     other memory structure; this matrix is where a divergence would
 //     surface.
 
@@ -40,14 +39,9 @@ func chipletOf(t *testing.T, base *arch.Arch, dies int) *arch.Arch {
 	return a
 }
 
-// chipletEquivShards is the monolithic-equivalence shard matrix: the
-// serial engine, even splits, and the odd non-divisor count.
-var chipletEquivShards = []int{1, 2, 4, 7}
-
 // TestChipletZeroMonolithicEquivalence is the byte-identity golden:
-// WithChiplets(ar, 0) against the untouched descriptor, at every shard
-// count, comparing the full Result, the rescache key and a full-mask
-// profiler stream.
+// WithChiplets(ar, 0) against the untouched descriptor, comparing the
+// full Result, the rescache key and a full-mask profiler stream.
 func TestChipletZeroMonolithicEquivalence(t *testing.T) {
 	apps := []string{"MM", "ATX"}
 	arches := []*arch.Arch{arch.TeslaK40(), arch.GTX980()}
@@ -65,55 +59,47 @@ func TestChipletZeroMonolithicEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shards := range chipletEquivShards {
-				run := func(a *arch.Arch) (*engine.Result, *prof.Trace) {
-					tr := prof.NewTrace(prof.TraceConfig{
-						Kernel: name, Arch: a.Name, SMs: a.SMs,
-						Events: prof.MaskAll, SampleInterval: 5000,
-					})
-					cfg := engine.DefaultConfig(a)
-					cfg.Shards = shards
-					cfg.Profiler = tr
-					res, err := engine.Run(cfg, app)
-					if err != nil {
-						t.Fatalf("%s/%s shards=%d: %v", name, a.Name, shards, err)
-					}
-					return res, tr
+			run := func(a *arch.Arch) (*engine.Result, *prof.Trace) {
+				tr := prof.NewTrace(prof.TraceConfig{
+					Kernel: name, Arch: a.Name, SMs: a.SMs,
+					Events: prof.MaskAll, SampleInterval: 5000,
+				})
+				cfg := engine.DefaultConfig(a)
+				cfg.Profiler = tr
+				res, err := engine.Run(cfg, app)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, a.Name, err)
 				}
-				base, baseTr := run(ar)
-				got, gotTr := run(zero)
-				if !reflect.DeepEqual(base, got) {
-					t.Errorf("%s/%s shards=%d: Chiplets=0 result differs from monolithic (cycles %d vs %d)",
-						name, ar.Name, shards, base.Cycles, got.Cycles)
-				}
-				if !reflect.DeepEqual(baseTr.Events(), gotTr.Events()) ||
-					!reflect.DeepEqual(baseTr.Snapshots(), gotTr.Snapshots()) {
-					t.Errorf("%s/%s shards=%d: Chiplets=0 prof stream differs from monolithic",
-						name, ar.Name, shards)
-				}
-				cfg := engine.DefaultConfig(ar)
-				zcfg := engine.DefaultConfig(zero)
-				if rescache.ConfigKey("x", "", cfg) != rescache.ConfigKey("x", "", zcfg) {
-					t.Errorf("%s: Chiplets=0 rescache key differs from monolithic — cache entries would fragment", ar.Name)
-				}
+				return res, tr
 			}
+			base, baseTr := run(ar)
+			got, gotTr := run(zero)
+			if !reflect.DeepEqual(base, got) {
+				t.Errorf("%s/%s: Chiplets=0 result differs from monolithic (cycles %d vs %d)",
+					name, ar.Name, base.Cycles, got.Cycles)
+			}
+			if !reflect.DeepEqual(baseTr.Events(), gotTr.Events()) ||
+				!reflect.DeepEqual(baseTr.Snapshots(), gotTr.Snapshots()) {
+				t.Errorf("%s/%s: Chiplets=0 prof stream differs from monolithic", name, ar.Name)
+			}
+		}
+		cfg := engine.DefaultConfig(ar)
+		zcfg := engine.DefaultConfig(zero)
+		if rescache.ConfigKey("x", "", cfg) != rescache.ConfigKey("x", "", zcfg) {
+			t.Errorf("%s: Chiplets=0 rescache key differs from monolithic — cache entries would fragment", ar.Name)
 		}
 	}
 }
 
-// TestChipletShardedMatchesSerial is the determinism matrix on a real
+// TestChipletQueueMatchesRefHeap is the determinism matrix on a real
 // chiplet descriptor: plain, die-swizzled and agent-clustered kernels
-// at every shard count must deep-equal the serial oracle — the
+// on the calendar queue must deep-equal the reference-heap oracle — the
 // interposer counters included (they ride in Result.Mem).
-func TestChipletShardedMatchesSerial(t *testing.T) {
+func TestChipletQueueMatchesRefHeap(t *testing.T) {
 	ar := chipletOf(t, arch.TeslaK40(), 2)
 	apps := []string{"MM", "NW"}
 	if raceEnabled || testing.Short() {
 		apps = apps[:1]
-	}
-	shardCounts := []int{2, 4, 7}
-	if raceEnabled || testing.Short() {
-		shardCounts = []int{2, 7}
 	}
 	for _, name := range apps {
 		app, err := workloads.New(name)
@@ -130,56 +116,51 @@ func TestChipletShardedMatchesSerial(t *testing.T) {
 		}
 		for _, k := range []kernel.Kernel{app, swz, clu} {
 			cfg := engine.DefaultConfig(ar)
-			serial, err := engine.Run(cfg, k)
+			want, err := engine.RunRefQueue(cfg, k)
 			if err != nil {
-				t.Fatalf("%s serial: %v", k.Name(), err)
+				t.Fatalf("%s ref: %v", k.Name(), err)
 			}
-			if serial.Mem.RemoteL2Transactions == 0 {
+			if want.Mem.RemoteL2Transactions == 0 {
 				t.Errorf("%s on %s: zero remote transactions — the chiplet model is not engaged", k.Name(), ar.Name)
 			}
-			for _, n := range shardCounts {
-				cfg := engine.DefaultConfig(ar)
-				cfg.Shards = n
-				got, err := engine.Run(cfg, k)
-				if err != nil {
-					t.Fatalf("%s shards=%d: %v", k.Name(), n, err)
-				}
-				if !reflect.DeepEqual(serial, got) {
-					t.Errorf("%s on %s: shards=%d differs from serial (cycles %d vs %d, remote txns %d vs %d)",
-						k.Name(), ar.Name, n, serial.Cycles, got.Cycles,
-						serial.Mem.RemoteL2Transactions, got.Mem.RemoteL2Transactions)
-				}
+			got, err := engine.Run(cfg, k)
+			if err != nil {
+				t.Fatalf("%s: %v", k.Name(), err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s on %s: calendar queue differs from reference heap (cycles %d vs %d, remote txns %d vs %d)",
+					k.Name(), ar.Name, got.Cycles, want.Cycles,
+					got.Mem.RemoteL2Transactions, want.Mem.RemoteL2Transactions)
 			}
 		}
 	}
 }
 
-// TestChipletShardedProfStreamByteIdentical extends the prof-stream
-// contract to the chiplet path: the merged sharded stream — Remote
-// flags on EvL2Transaction events included — must match the serial one
-// exactly on a 2-die descriptor.
-func TestChipletShardedProfStreamByteIdentical(t *testing.T) {
+// TestChipletQueueProfStreamByteIdentical extends the prof-stream
+// contract to the chiplet path: the calendar queue's stream — Remote
+// flags on EvL2Transaction events included — must match the reference
+// heap's exactly on a 2-die descriptor.
+func TestChipletQueueProfStreamByteIdentical(t *testing.T) {
 	ar := chipletOf(t, arch.TeslaK40(), 2)
 	app, err := workloads.New("MM")
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := func(shards int) *prof.Trace {
+	trace := func(run func(engine.Config, kernel.Kernel) (*engine.Result, error)) *prof.Trace {
 		tr := prof.NewTrace(prof.TraceConfig{
 			Kernel: app.Name(), Arch: ar.Name, SMs: ar.SMs,
 			Events: prof.MaskAll, SampleInterval: 5000,
 		})
 		cfg := engine.DefaultConfig(ar)
 		cfg.Profiler = tr
-		cfg.Shards = shards
-		if _, err := engine.Run(cfg, app); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+		if _, err := run(cfg, app); err != nil {
+			t.Fatal(err)
 		}
 		return tr
 	}
-	serial := trace(1)
+	want, got := trace(engine.RunRefQueue), trace(engine.Run)
 	var remotes int
-	for _, e := range serial.Events() {
+	for _, e := range got.Events() {
 		if e.Kind == prof.EvL2Transaction && e.Remote {
 			remotes++
 		}
@@ -187,14 +168,11 @@ func TestChipletShardedProfStreamByteIdentical(t *testing.T) {
 	if remotes == 0 {
 		t.Error("no Remote-flagged L2 transaction events on a 2-die run — the observer plumbing is dead")
 	}
-	for _, n := range []int{2, 7} {
-		got := trace(n)
-		if !reflect.DeepEqual(serial.Events(), got.Events()) {
-			t.Errorf("shards=%d chiplet event stream differs (%d vs %d events)", n, len(serial.Events()), len(got.Events()))
-		}
-		if !reflect.DeepEqual(serial.Snapshots(), got.Snapshots()) {
-			t.Errorf("shards=%d chiplet snapshot stream differs", n)
-		}
+	if !reflect.DeepEqual(want.Events(), got.Events()) {
+		t.Errorf("chiplet event stream differs across queues (%d vs %d events)", len(want.Events()), len(got.Events()))
+	}
+	if !reflect.DeepEqual(want.Snapshots(), got.Snapshots()) {
+		t.Error("chiplet snapshot stream differs across queues")
 	}
 }
 

@@ -9,9 +9,10 @@
 // the Launch context, both ordinary kernels and the clustered kernels
 // produced by internal/core run unmodified.
 //
-// A run is serial by default; Config.Shards > 1 partitions the SMs
-// across lockstep goroutine shards whose results are byte-identical to
-// the serial reference (see shard.go for the determinism argument).
+// A run is one serial event loop over a single (cycle, seq)-ordered
+// queue. Independent runs parallelize outside the engine (eval's worker
+// pool, the ctad daemon, ctafleet); DESIGN.md §9 records why a single
+// run is not split across goroutines.
 package engine
 
 import (
@@ -44,43 +45,8 @@ type Config struct {
 	// Profiler receives the run's event stream and interval counter
 	// snapshots (internal/prof). nil disables profiling entirely: every
 	// emit site is behind a single pointer comparison and the run makes
-	// no profiling allocations. Under Shards > 1 events are buffered
-	// per shard and delivered in one deterministic timestamp-ordered
-	// merge when the run completes; counter snapshots are still
-	// delivered live, at the same cycles as a serial run.
+	// no profiling allocations.
 	Profiler prof.Profiler
-	// Shards splits the cycle loop itself across goroutines: the SMs
-	// are partitioned round-robin into Shards lockstep lanes advancing
-	// epoch by epoch (values above the SM count are clamped; <= 1 runs
-	// the serial reference loop). Every output is byte-identical at
-	// every setting — shards synchronize at an epoch barrier per
-	// distinct timestamp and all shared state is touched in the exact
-	// serial event order — so Shards only trades CPU for wall-clock.
-	// It is deliberately excluded from the rescache key. See shard.go
-	// and DESIGN.md §9.
-	Shards int
-	// EpochQuantum widens the sharded epoch to a K-cycle window: the
-	// lanes run K cycles between coordinator barriers, draining their own
-	// events (self-rescheduled ones included) without synchronizing.
-	// 0 auto-derives the widest safe K from the architecture's latency
-	// table (DeriveEpochQuantum); 1 reproduces the one-barrier-per-
-	// timestamp schedule of the original sharded engine. Like Shards this
-	// is execution-only — byte-identical outputs at every setting, and
-	// excluded from the rescache key. Ignored when Shards <= 1.
-	EpochQuantum int64
-	// ShardStats, when non-nil, receives the run's shard-coordination
-	// counters (windows released, events stepped, effective quantum).
-	// Observability only: it never influences results, and is excluded
-	// from the rescache key like the other execution-only fields.
-	ShardStats *ShardStats
-	// RefEventQueue selects the reference event queue — a plain typed
-	// binary heap — instead of the default bucketed calendar queue
-	// (event.go). The two are byte-identical in every output at every
-	// (Shards, EpochQuantum) setting; the differential test wall
-	// (queue_diff_test.go) holds the implementations to that. Execution-
-	// only like Shards: excluded from the rescache key, and useful in
-	// production solely as an escape hatch.
-	RefEventQueue bool
 }
 
 // DefaultConfig returns the customary configuration for an architecture:
@@ -187,41 +153,6 @@ type smState struct {
 	resident  int              // resident warps (occupancy tracking)
 }
 
-// lane is one execution context of the cycle loop: a subset of the SMs,
-// their private event queue and a local clock. The serial engine is a
-// single lane owning every SM, advanced by (*sim).loop; a sharded run
-// (Config.Shards > 1) partitions the SMs round-robin across lanes, each
-// advanced by its own goroutine in lockstep epochs (shard.go). All
-// scheduling is intra-lane — a warp's continuations always target the
-// SM that owns it — so the queues never exchange events; lanes interact
-// only through the seq-ordered global-state token (see (*lane).global).
-type lane struct {
-	s   *sim
-	id  int
-	q   scheduler
-	now int64
-
-	// Sharded-run state; zero and unused on the serial path.
-	stepSeq  uint64         // seq of the event currently being stepped
-	stepNode *callNode      // its call chain when the seq is provisional
-	stepIdx  int32          // its pending index, or -1 with a serial seq
-	emitIdx  int32          // profiler emissions made by this step so far
-	holds    bool           // this step already holds the global token
-	events   int64          // events stepped this window (ctx-poll cadence)
-	pos      lanePos        // published position for the global-state token
-	pending  []pendingEvent // schedule calls logged during this window
-	assigned []uint64       // serial seqs the merge assigned to pending
-	batch    []event        // window-edge merge batch awaiting bulk load
-	arena    nodeArena      // window-lifetime callNode storage
-	buf      []taggedEvent  // buffered profiler emissions
-	bufMark  int            // buf prefix already carrying serial seqs
-
-	// txBuf is the lane's coalescing scratch: memAccess appends each
-	// op's transactions into it (kernel.MemOp.AppendTransactions) so the
-	// hot path builds no per-op slices. Lane-private, reused per op.
-	txBuf []uint64
-}
-
 // sim is the run state.
 type sim struct {
 	cfg    Config
@@ -232,10 +163,12 @@ type sim struct {
 	sms    []*smState
 	rng    *rand.Rand
 
-	lanes   []*lane  // execution lanes; exactly one on the serial path
-	laneOf  []*lane  // SM id -> owning lane
-	curLane *lane    // lane whose step is inside the memory system
-	sh      *sharder // sharded-run coordinator; nil on the serial path
+	q scheduler // the event queue, popped in (cycle, seq) order by loop
+
+	// txBuf is the coalescing scratch: memAccess appends each op's
+	// transactions into it (kernel.MemOp.AppendTransactions) so the hot
+	// path builds no per-op slices. Reused per op.
+	txBuf []uint64
 
 	nextCTA    int // next undispatched CTA (dispatch order)
 	dispatched int
@@ -287,6 +220,14 @@ func Run(cfg Config, k kernel.Kernel) (*Result, error) {
 // ctx.Err(). The partial simulation state is discarded: a cancelled run
 // returns no Result.
 func RunContext(ctx context.Context, cfg Config, k kernel.Kernel) (*Result, error) {
+	return run(ctx, cfg, k, false)
+}
+
+// run is RunContext with the event-queue discipline selectable:
+// refQueue swaps the calendar queue for the reference heap (event.go).
+// Only the differential tests set it (export_test.go); the two
+// disciplines pop in the same order, so no caller can observe it.
+func run(ctx context.Context, cfg Config, k kernel.Kernel, refQueue bool) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -354,62 +295,26 @@ func RunContext(ctx context.Context, cfg Config, k kernel.Kernel) (*Result, erro
 			pendFills: make(map[uint64]int64),
 		}
 	}
-	shards := cfg.Shards
-	if shards > ar.SMs {
-		shards = ar.SMs
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	s.lanes = make([]*lane, shards)
-	for i := range s.lanes {
-		s.lanes[i] = &lane{s: s, id: i, q: newScheduler(cfg.RefEventQueue)}
-	}
-	s.laneOf = make([]*lane, ar.SMs)
-	for i := range s.laneOf {
-		s.laneOf[i] = s.lanes[i%shards]
-	}
-	s.curLane = s.lanes[0]
+	s.q = newScheduler(refQueue)
 	if s.prof = cfg.Profiler; s.prof != nil {
 		if iv := s.prof.SampleInterval(); iv > 0 {
 			s.snapEvery, s.nextSnap = iv, iv
 		}
-		// Route L2 transactions into the event stream via the lane
-		// currently inside the memory system (the token holder on a
-		// sharded run; always lane 0 on the serial path). The closure
-		// is the only profiling allocation, made once per run.
+		// Route L2 transactions into the event stream. The closure is the
+		// only profiling allocation, made once per run.
+		p := s.prof
 		s.memsys.SetObserver(func(at int64, smID int, addr uint64, kind mem.TxnKind, l2Hit, remote bool) {
-			s.curLane.emit(prof.Event{
+			p.Emit(prof.Event{
 				Kind: prof.EvL2Transaction, Tag: uint8(kind), Hit: l2Hit, Remote: remote,
 				Write: kind == mem.TxnWrite, SM: int32(smID), CTA: -1, Warp: -1, Slot: -1,
 				Cycle: at, Addr: addr,
 			})
 		})
 	}
-	if shards > 1 {
-		s.sh = newSharder(s)
-	}
 	s.buildOrder()
 	s.firstWave()
-	var runErr error
-	if s.sh != nil {
-		runErr = s.sh.run()
-	} else {
-		runErr = s.loop()
-	}
-	if cfg.ShardStats != nil {
-		*cfg.ShardStats = ShardStats{}
-		if s.sh != nil {
-			*cfg.ShardStats = ShardStats{
-				Shards:  len(s.lanes),
-				Quantum: s.sh.quantum,
-				Windows: s.sh.windows,
-				Events:  s.sh.events,
-			}
-		}
-	}
-	if runErr != nil {
-		return nil, runErr
+	if err := s.loop(); err != nil {
+		return nil, err
 	}
 	if s.snapEvery > 0 {
 		// Final sample after the drain so the last snapshot equals the
@@ -483,12 +388,9 @@ func (s *sim) cancelErr() error {
 		s.kern.Name(), s.now, s.dispatched, s.totalCTAs, s.cancelled)
 }
 
-// loop is the serial reference cycle loop: one lane owning every SM,
-// popping events in global (at, seq) order. The sharded driver in
-// shard.go reproduces this order exactly; any behavioural change here
-// must be mirrored there (the differential goldens catch divergence).
+// loop is the cycle loop: pop events in (at, seq) order and step them
+// until the queue drains.
 func (s *sim) loop() error {
-	l := s.lanes[0]
 	maxCycles := s.cfg.MaxCycles
 	if maxCycles <= 0 {
 		maxCycles = defaultMaxCycles
@@ -497,7 +399,7 @@ func (s *sim) loop() error {
 		if s.cancelled != nil {
 			return s.cancelErr()
 		}
-		ev, ok := l.q.next()
+		ev, ok := s.q.next()
 		if !ok {
 			break
 		}
@@ -512,7 +414,6 @@ func (s *sim) loop() error {
 		}
 		if ev.at > s.now {
 			s.now = ev.at
-			l.now = ev.at
 			if s.snapEvery > 0 && s.now >= s.nextSnap {
 				// Sample at the first event past each boundary, then
 				// skip ahead so one big time jump yields one sample.
@@ -520,20 +421,18 @@ func (s *sim) loop() error {
 				s.nextSnap = (s.now/s.snapEvery + 1) * s.snapEvery
 			}
 		}
-		l.step(ev.warp)
+		s.step(ev.warp)
 	}
 	return s.checkDrained()
 }
 
-// checkDrained is the shared end-of-run tail: verify the drained event
-// queues mean completion rather than deadlock, then flush the memory
-// system. Serial and sharded runs both finish here so the two paths
-// produce identical errors and identical final memory statistics.
+// checkDrained is the end-of-run tail: verify the drained event queue
+// means completion rather than deadlock, then flush the memory system.
 func (s *sim) checkDrained() error {
 	if s.dispatched != s.totalCTAs {
 		return fmt.Errorf("engine: deadlock — %d of %d CTAs dispatched", s.dispatched, s.totalCTAs)
 	}
-	// Drained event queues with unfinished CTAs mean warps are stuck
+	// A drained event queue with unfinished CTAs mean warps are stuck
 	// at a barrier their peers will never reach (malformed kernel).
 	for _, sm := range s.sms {
 		for _, cta := range sm.slots {

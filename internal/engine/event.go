@@ -1,6 +1,6 @@
 package engine
 
-// The engine's event queue. Two implementations share the scheduler
+// The engine's event queue. Two disciplines share the scheduler
 // front-end:
 //
 //   - The default is a two-level calendar queue: a ring of bucketCount
@@ -9,38 +9,32 @@ package engine
 //     with an O(1) append and pop back out with an O(1) cursor scan; only
 //     events beyond the horizon pay the heap's O(log n) sift. Because the
 //     engine consumes events in nondecreasing cycle order and every
-//     schedule call is strictly future (shard.go's invariant 2), each
-//     bucket is appended in increasing seq order — see the invariant
-//     argument below — so a bucket never needs sorting or heap repair.
-//     Nothing boxes: pushes and pops move flat event values, so the
-//     steady-state queue cost is zero allocations (pinned by
-//     TestEventQueueSchedulePopZeroAlloc and the alloc budget table).
+//     schedule call is strictly future of the last pop (every model
+//     latency is at least one cycle), each bucket is appended in
+//     increasing seq order — see the invariant argument below — so a
+//     bucket never needs sorting or heap repair. Nothing boxes: pushes
+//     and pops move flat event values, so the steady-state queue cost is
+//     zero allocations (pinned by TestEventQueueSchedulePopZeroAlloc and
+//     the alloc budget table).
 //
-//   - Config.RefEventQueue selects the reference implementation: a plain
-//     typed binary min-heap ordered by (at, seq), semantically the
-//     pre-diet container/heap queue without the interface{} boxing. It
-//     exists for the differential test wall (queue_diff_test.go) and as
-//     an escape hatch: both implementations must produce byte-identical
-//     pop orders on every legal schedule sequence.
+//   - The reference discipline routes everything through the typed
+//     binary min-heap ordered by (at, seq): semantically the pre-diet
+//     container/heap queue without the interface{} boxing. It is a test
+//     oracle only — reachable through the unexported run hook that
+//     export_test.go exposes — and the differential wall
+//     (queue_diff_test.go, FuzzEventQueueOrder) holds the calendar queue
+//     to its pop order.
 //
 // Per-bucket seq-sortedness invariant. A bucket receives appends from
-// three sources, and each appends in increasing seq order with every
+// two sources, and each appends in increasing seq order with every
 // later source's seqs larger than every earlier one's:
 //
 //  1. Horizon drains (rebase): the heap pops in (at, seq) order, so the
 //     events drained into one bucket (= one cycle) arrive in increasing
 //     seq order. A rebase only runs when every bucket is empty, so two
 //     drains never interleave within one bucket lap.
-//  2. Serial-path pushes: the serial scheduler's seq counter is global
-//     and monotone, so any direct push carries a seq above every seq
-//     already queued anywhere.
-//  3. Sharded pushes: in-window provisional seqs (provBase + pending
-//     index) increase in lane-local call order and sort above every
-//     serial seq; window-edge merge pushes (scheduleSeq/scheduleBatch)
-//     carry freshly assigned serial seqs from the coordinator's monotone
-//     counter, above every seq assigned earlier. Provisional events are
-//     always consumed within their window, so no provisional entry ever
-//     outlives a lap and appears below a later serial append.
+//  2. Direct pushes: the seq counter is monotone, so any direct push
+//     carries a seq above every seq already queued anywhere.
 //
 // Pops therefore read each bucket front to back and get (at, seq) order
 // for free; FuzzEventQueueOrder drives randomized legal schedules against
@@ -52,17 +46,11 @@ type event struct {
 	at   int64
 	seq  uint64 // tie-break for determinism
 	warp *warpState
-	// node is non-nil only for events scheduled inside the current shard
-	// window, whose serial seq is not assigned yet: seq then holds a
-	// provisional value (provBase + pending index, heap-ordered the same
-	// as the eventual serial seq within this lane) and node records the
-	// schedule call's position for cross-lane ordering (see shard.go).
-	node *callNode
 }
 
 // eventHeap is a typed binary min-heap of events ordered by (at, seq).
 // It is the far tier of the calendar queue and, alone, the whole
-// reference implementation. No interface{} crosses its API: push and pop
+// reference discipline. No interface{} crosses its API: push and pop
 // sift flat event values in place.
 type eventHeap []event
 
@@ -115,12 +103,10 @@ func (h *eventHeap) pop() event {
 }
 
 // bucketCount is the calendar span in cycles: a power of two so the
-// bucket of a cycle is a mask, sized past every architecture's derived
-// epoch quantum (min over the latency table - 1; at most 131 today, see
-// DeriveEpochQuantum) so a whole shard window's in-window schedules land
-// in buckets. Correctness never depends on the span — a window wider
-// than the span just pays a mid-window rebase — only the O(1) fast path
-// does.
+// bucket of a cycle is a mask, and wide enough that the common
+// continuations (issue, L1 hit, L2 hit) land in buckets. Correctness
+// never depends on the span — a far event just waits in the heap until
+// a rebase — only the O(1) fast path does.
 const (
 	bucketCount = 256
 	bucketMask  = bucketCount - 1
@@ -134,7 +120,7 @@ type eventBucket struct {
 	head int
 }
 
-// scheduler is one lane's event queue plus its serial tie-break counter.
+// scheduler is the run's event queue plus its tie-break counter.
 type scheduler struct {
 	seq uint64
 
@@ -149,7 +135,7 @@ type scheduler struct {
 	inBkt int
 
 	// ref routes every push and pop through the far heap alone — the
-	// reference (pre-diet) queue discipline (Config.RefEventQueue).
+	// reference (pre-diet) queue discipline (see run).
 	ref bool
 }
 
@@ -167,15 +153,10 @@ func (s *scheduler) push(e event) {
 	if !s.ref && e.at < s.base+bucketCount {
 		b := &s.bkt[e.at&bucketMask]
 		b.ev = append(b.ev, e)
+		// e.at > cur >= base always — every push is strictly future of
+		// the last pop, whose cycle cur holds — so the ring mapping stays
+		// unaliased and the pop scan cannot pass this bucket.
 		s.inBkt++
-		// A head() peek may have cached a cursor past this cycle (it
-		// scanned to a later leftover event); pull it back so the pop scan
-		// cannot pass this bucket. e.at > base always — every push is
-		// strictly future of the lane's last pop, and base never exceeds
-		// that pop's cycle — so the ring mapping stays unaliased.
-		if e.at < s.cur {
-			s.cur = e.at
-		}
 		return
 	}
 	s.far.push(e)
@@ -196,40 +177,12 @@ func (s *scheduler) rebase() {
 	}
 }
 
-// schedule enqueues w with the next internally counted sequence number.
-// The serial engine runs on a single scheduler, so the internal counter
-// is exactly the global schedule-call order the (at, seq) tie-break
-// needs for determinism.
+// schedule enqueues w with the next sequence number. The engine runs
+// on a single scheduler, so the counter is exactly the global
+// schedule-call order the (at, seq) tie-break needs for determinism.
 func (s *scheduler) schedule(at int64, w *warpState) {
 	s.seq++
 	s.push(event{at: at, seq: s.seq, warp: w})
-}
-
-// scheduleSeq enqueues w under an externally assigned sequence number.
-// Sharded runs assign seqs centrally — at the epoch barrier, in the
-// order the serial engine's counter would have produced — so the
-// tie-break stays byte-identical at every shard count (see shard.go).
-func (s *scheduler) scheduleSeq(at int64, seq uint64, w *warpState) {
-	s.push(event{at: at, seq: seq, warp: w})
-}
-
-// scheduleBatch bulk-loads the lane's slice of a window-edge merge: one
-// presized, (at, seq)-sorted slice per window instead of a stream of
-// scheduleSeq calls (see (*sharder).mergePending). Sorted input keeps
-// the per-bucket seq invariant trivially and touches each bucket's
-// append path in cycle order.
-func (s *scheduler) scheduleBatch(evs []event) {
-	for i := range evs {
-		s.push(evs[i])
-	}
-}
-
-// schedulePending enqueues w under a provisional sequence number for
-// immediate in-window execution on a sharded lane; n carries the
-// schedule call's position until the window-edge merge assigns the
-// serial seq (see shard.go).
-func (s *scheduler) schedulePending(at int64, seq uint64, n *callNode, w *warpState) {
-	s.push(event{at: at, seq: seq, warp: w, node: n})
 }
 
 // next pops the earliest queued event in (at, seq) order.
@@ -265,45 +218,3 @@ func (s *scheduler) next() (event, bool) {
 		s.cur++
 	}
 }
-
-// head peeks the earliest queued event without removing it.
-func (s *scheduler) head() (event, bool) {
-	if s.ref {
-		if len(s.far) == 0 {
-			return event{}, false
-		}
-		return s.far[0], true
-	}
-	if s.inBkt == 0 {
-		if len(s.far) == 0 {
-			return event{}, false
-		}
-		// Far events all sit at or past the horizon; no bucket event
-		// exists to undercut the heap head. Rebase is deferred to next().
-		return s.far[0], true
-	}
-	c := s.cur
-	for {
-		b := &s.bkt[c&bucketMask]
-		if b.head < len(b.ev) {
-			s.cur = c // cache the scan: cur only ever rises to the head's cycle
-			return b.ev[b.head], true
-		}
-		c++
-	}
-}
-
-// headAt returns the cycle of the earliest queued event.
-func (s *scheduler) headAt() (int64, bool) {
-	e, ok := s.head()
-	return e.at, ok
-}
-
-// headSeq returns the seq of the earliest queued event; the queue must
-// be non-empty.
-func (s *scheduler) headSeq() uint64 {
-	e, _ := s.head()
-	return e.seq
-}
-
-func (s *scheduler) empty() bool { return s.inBkt == 0 && len(s.far) == 0 }

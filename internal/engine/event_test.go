@@ -12,6 +12,26 @@ import (
 	"testing"
 )
 
+// head peeks the earliest queued event without removing it or moving
+// the pop cursor.
+func (s *scheduler) head() (event, bool) {
+	if s.ref || s.inBkt == 0 {
+		// Far events all sit at or past the horizon when no bucket event
+		// exists to undercut the heap head.
+		if len(s.far) == 0 {
+			return event{}, false
+		}
+		return s.far[0], true
+	}
+	for c := s.cur; ; c++ {
+		if b := &s.bkt[c&bucketMask]; b.head < len(b.ev) {
+			return b.ev[b.head], true
+		}
+	}
+}
+
+func (s *scheduler) empty() bool { return s.inBkt == 0 && len(s.far) == 0 }
+
 // TestEventQueueSchedulePopZeroAlloc pins the tentpole's core claim:
 // once the bucket ring and far heap have grown to their steady-state
 // capacities, a schedule/pop pair allocates nothing — for both the
@@ -55,11 +75,10 @@ func TestEventQueueSchedulePopZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEventQueueInterleavedPeek reproduces the failure class the pop
-// cursor is most exposed to: a peek scans ahead to a far-future leftover
-// event (caching the cursor), then a push lands at a nearer cycle — the
-// pattern a window-edge merge creates on an idle lane. The nearer event
-// must still pop first.
+// TestEventQueueInterleavedPeek pins the pop cursor against a push that
+// lands behind a queued far-future event of the same bucket lap: after
+// a peek at the leftover event, a push at a nearer cycle must still pop
+// first.
 func TestEventQueueInterleavedPeek(t *testing.T) {
 	s := newScheduler(false)
 	w := &warpState{}

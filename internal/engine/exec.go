@@ -12,30 +12,29 @@ const mlpWindow = 6
 
 // emitStall records a warp blocking until the given cycle. Callers
 // guard with s.prof != nil so the disabled path stays branch-only.
-func (l *lane) emitStall(w *warpState, reason prof.StallReason, until int64) {
-	dur := until - l.now
+func (s *sim) emitStall(w *warpState, reason prof.StallReason, until int64) {
+	dur := until - s.now
 	if dur < 0 {
 		dur = 0
 	}
-	l.emit(prof.Event{
+	s.prof.Emit(prof.Event{
 		Kind: prof.EvWarpStall, Tag: uint8(reason),
 		SM: int32(w.cta.sm.id), CTA: int32(w.cta.rec.CTA), Warp: int32(w.id),
-		Slot: int32(w.cta.rec.Slot), Cycle: l.now, Dur: dur,
+		Slot: int32(w.cta.rec.Slot), Cycle: s.now, Dur: dur,
 	})
 }
 
 // emitMemOp records one completed warp memory instruction.
-func (l *lane) emitMemOp(w *warpState, class prof.MemClass, addr uint64, issue, done int64, write bool) {
-	l.emit(prof.Event{
+func (s *sim) emitMemOp(w *warpState, class prof.MemClass, addr uint64, issue, done int64, write bool) {
+	s.prof.Emit(prof.Event{
 		Kind: prof.EvMemOp, Tag: uint8(class), Write: write,
 		SM: int32(w.cta.sm.id), CTA: int32(w.cta.rec.CTA), Warp: int32(w.id),
 		Slot: int32(w.cta.rec.Slot), Cycle: issue, Dur: done - issue, Addr: addr,
 	})
 }
 
-// step executes the next op of warp w at the lane's current time.
-func (l *lane) step(w *warpState) {
-	s := l.s
+// step executes the next op of warp w at the current cycle.
+func (s *sim) step(w *warpState) {
 	if w.done {
 		return
 	}
@@ -43,36 +42,36 @@ func (l *lane) step(w *warpState) {
 	sm := cta.sm
 	if w.pc >= len(w.ops) {
 		// Drain outstanding loads before the warp can finish.
-		if w.pendDone > l.now {
+		if w.pendDone > s.now {
 			d := w.pendDone
 			w.pendDone = 0
 			w.outstanding = 0
 			if s.prof != nil {
-				l.emitStall(w, prof.StallTraceEnd, d)
+				s.emitStall(w, prof.StallTraceEnd, d)
 			}
-			l.schedule(d, w)
+			s.q.schedule(d, w)
 			return
 		}
-		l.finishWarp(w)
+		s.finishWarp(w)
 		return
 	}
 	op := w.ops[w.pc]
 
 	// Barriers, stores and atomics consume loaded values: drain the
 	// load window first.
-	if drains(op) && w.pendDone > l.now {
+	if drains(op) && w.pendDone > s.now {
 		d := w.pendDone
 		w.pendDone = 0
 		w.outstanding = 0
 		if s.prof != nil {
-			l.emitStall(w, prof.StallDrain, d)
+			s.emitStall(w, prof.StallDrain, d)
 		}
-		l.schedule(d, w)
+		s.q.schedule(d, w)
 		return
 	}
 	w.pc++
 
-	issue := l.now
+	issue := s.now
 	if sm.issueFree > issue {
 		issue = sm.issueFree
 	}
@@ -84,7 +83,7 @@ func (l *lane) step(w *warpState) {
 		if c < 1 {
 			c = 1
 		}
-		l.schedule(issue+c, w)
+		s.q.schedule(issue+c, w)
 
 	case kernel.OpBarrier:
 		cta.barWait++
@@ -92,16 +91,16 @@ func (l *lane) step(w *warpState) {
 			release := issue + barrierLatency
 			cta.barWait = 0
 			for _, peer := range cta.barBlocked {
-				l.schedule(release, peer)
+				s.q.schedule(release, peer)
 			}
 			cta.barBlocked = cta.barBlocked[:0]
-			l.schedule(release, w)
+			s.q.schedule(release, w)
 		} else {
 			cta.barBlocked = append(cta.barBlocked, w)
 		}
 
 	case kernel.OpMem:
-		done := l.memAccess(sm, cta, op.Mem, issue)
+		done := s.memAccess(sm, cta, op.Mem, issue)
 		if s.prof != nil {
 			class := prof.MemLoad
 			switch {
@@ -110,11 +109,11 @@ func (l *lane) step(w *warpState) {
 			case op.Mem.Write:
 				class = prof.MemStore
 			}
-			l.emitMemOp(w, class, op.Mem.Base, issue, done, op.Mem.Write)
+			s.emitMemOp(w, class, op.Mem.Base, issue, done, op.Mem.Write)
 		}
 		if op.Mem.Prefetch || op.Mem.Write {
 			// Prefetches and stores are fire-and-forget.
-			l.schedule(issue+1, w)
+			s.q.schedule(issue+1, w)
 			break
 		}
 		cta.rec.MemLatency += done - issue
@@ -129,20 +128,19 @@ func (l *lane) step(w *warpState) {
 			w.pendDone = 0
 			w.outstanding = 0
 			if s.prof != nil {
-				l.emitStall(w, prof.StallWindowFull, d)
+				s.emitStall(w, prof.StallWindowFull, d)
 			}
-			l.schedule(d, w)
+			s.q.schedule(d, w)
 		} else {
-			l.schedule(issue+1, w)
+			s.q.schedule(issue+1, w)
 		}
 
 	case kernel.OpAtomic:
-		l.global()
 		done := s.memsys.Atomic(issue, sm.id, op.Mem.Base)
 		if s.prof != nil {
-			l.emitMemOp(w, prof.MemAtomic, op.Mem.Base, issue, done, true)
+			s.emitMemOp(w, prof.MemAtomic, op.Mem.Base, issue, done, true)
 		}
-		l.schedule(done, w)
+		s.q.schedule(done, w)
 	}
 }
 
@@ -158,21 +156,21 @@ func drains(op kernel.Op) bool {
 	}
 }
 
-func (l *lane) finishWarp(w *warpState) {
+func (s *sim) finishWarp(w *warpState) {
 	w.done = true
 	w.ops = nil // the slab retains w; don't let it pin the trace too
 	cta := w.cta
 	cta.live--
 	if cta.live == 0 {
-		l.retire(cta, l.now)
+		s.retire(cta, s.now)
 		return
 	}
 	// A finishing warp may satisfy a barrier its peers are waiting at.
 	if cta.barWait > 0 && cta.barWait >= cta.live {
-		release := l.now + barrierLatency
+		release := s.now + barrierLatency
 		cta.barWait = 0
 		for _, peer := range cta.barBlocked {
-			l.schedule(release, peer)
+			s.q.schedule(release, peer)
 		}
 		cta.barBlocked = cta.barBlocked[:0]
 	}
@@ -183,8 +181,8 @@ func lineKey(lineBase uint64, sector int) uint64 {
 }
 
 // emitL1 records one L1-line access outcome.
-func (l *lane) emitL1(sm *smState, cta *ctaState, addr uint64, res cache.Result, at int64, write bool) {
-	l.emit(prof.Event{
+func (s *sim) emitL1(sm *smState, cta *ctaState, addr uint64, res cache.Result, at int64, write bool) {
+	s.prof.Emit(prof.Event{
 		Kind: prof.EvCacheAccess, Tag: uint8(res), Write: write,
 		SM: int32(sm.id), CTA: int32(cta.rec.CTA), Warp: -1,
 		Slot: int32(cta.rec.Slot), Cycle: at, Addr: addr,
@@ -192,11 +190,9 @@ func (l *lane) emitL1(sm *smState, cta *ctaState, addr uint64, res cache.Result,
 }
 
 // memAccess routes one warp memory op through the hierarchy and returns
-// the absolute completion time. The per-SM L1 and fill table are lane-
-// private; any excursion into the shared memory system first takes the
-// global token so L2/DRAM state advances in serial event order.
-func (l *lane) memAccess(sm *smState, cta *ctaState, m kernel.MemOp, issue int64) int64 {
-	s := l.s
+// the absolute completion time: the SM's L1 and pending-fill table
+// first, then the shared NoC/L2/DRAM system on a miss, bypass or store.
+func (s *sim) memAccess(sm *smState, cta *ctaState, m kernel.MemOp, issue int64) int64 {
 	ar := s.ar
 	if m.Write {
 		// Write-evict: invalidate any cached copy per L1 line, then
@@ -204,8 +200,8 @@ func (l *lane) memAccess(sm *smState, cta *ctaState, m kernel.MemOp, issue int64
 		// unapplied fills must land first so the invalidation sees them.
 		if s.cfg.L1Enabled && !m.Bypass {
 			sector := s.sectorFor(cta)
-			l.txBuf = m.AppendTransactions(l.txBuf[:0], ar.L1Line)
-			for _, a := range l.txBuf {
+			s.txBuf = m.AppendTransactions(s.txBuf[:0], ar.L1Line)
+			for _, a := range s.txBuf {
 				key := lineKey(a/uint64(ar.L1Line), sector)
 				if fd, ok := sm.pendFills[key]; ok && fd <= issue {
 					sm.l1.Fill(a, sector)
@@ -213,14 +209,13 @@ func (l *lane) memAccess(sm *smState, cta *ctaState, m kernel.MemOp, issue int64
 				}
 				res := sm.l1.Write(a, sector)
 				if s.prof != nil {
-					l.emitL1(sm, cta, a, res, issue, true)
+					s.emitL1(sm, cta, a, res, issue, true)
 				}
 			}
 		}
 		done := issue + storeAckLatency
-		l.global()
-		l.txBuf = m.AppendTransactions(l.txBuf[:0], ar.L2Line)
-		for _, a := range l.txBuf {
+		s.txBuf = m.AppendTransactions(s.txBuf[:0], ar.L2Line)
+		for _, a := range s.txBuf {
 			if t := s.memsys.Write(issue, sm.id, a, ar.L2Line); t > done {
 				_ = t // stores are fire-and-forget; bank pressure still applied
 			}
@@ -231,12 +226,11 @@ func (l *lane) memAccess(sm *smState, cta *ctaState, m kernel.MemOp, issue int64
 	// Read path.
 	if !s.cfg.L1Enabled || m.Bypass {
 		done := issue
-		l.global()
-		l.txBuf = m.AppendTransactions(l.txBuf[:0], ar.L2Line)
-		for _, a := range l.txBuf {
+		s.txBuf = m.AppendTransactions(s.txBuf[:0], ar.L2Line)
+		for _, a := range s.txBuf {
 			res := sm.l1.BypassRead()
 			if s.prof != nil {
-				l.emitL1(sm, cta, a, res, issue, false)
+				s.emitL1(sm, cta, a, res, issue, false)
 			}
 			if t := s.memsys.Read(issue, sm.id, a, ar.L2Line); t > done {
 				done = t
@@ -250,8 +244,8 @@ func (l *lane) memAccess(sm *smState, cta *ctaState, m kernel.MemOp, issue int64
 
 	sector := s.sectorFor(cta)
 	done := issue
-	l.txBuf = m.AppendTransactions(l.txBuf[:0], ar.L1Line)
-	for _, a := range l.txBuf {
+	s.txBuf = m.AppendTransactions(s.txBuf[:0], ar.L1Line)
+	for _, a := range s.txBuf {
 		key := lineKey(a/uint64(ar.L1Line), sector)
 		if fd, ok := sm.pendFills[key]; ok && fd <= issue {
 			sm.l1.Fill(a, sector)
@@ -260,7 +254,7 @@ func (l *lane) memAccess(sm *smState, cta *ctaState, m kernel.MemOp, issue int64
 		var t int64
 		res := sm.l1.Read(a, sector)
 		if s.prof != nil {
-			l.emitL1(sm, cta, a, res, issue, false)
+			s.emitL1(sm, cta, a, res, issue, false)
 		}
 		switch res {
 		case cache.Hit:
@@ -280,7 +274,6 @@ func (l *lane) memAccess(sm *smState, cta *ctaState, m kernel.MemOp, issue int64
 				base = a &^ 63
 				nbytes = 2 * ar.L2Line
 			}
-			l.global()
 			fd := s.memsys.Read(issue, sm.id, base, nbytes)
 			sm.pendFills[key] = fd
 			t = fd

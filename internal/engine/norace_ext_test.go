@@ -3,6 +3,6 @@
 package engine_test
 
 // raceEnabled reports whether the race detector is compiled in; the
-// sharded-vs-serial differential sweep shrinks its workload set under
-// -race so the fully instrumented matrix stays within CI budgets.
+// differential sweeps shrink their platform and workload sets under
+// -race so the fully instrumented matrices stay within CI budgets.
 const raceEnabled = false

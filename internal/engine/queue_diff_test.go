@@ -1,12 +1,11 @@
 package engine_test
 
-// Differential goldens for the event-queue swap: the bucketed calendar
-// queue (the default) must be indistinguishable from the reference
-// typed heap (Config.RefEventQueue) in every observable — Results,
-// profiler streams, error strings — at every (Shards, EpochQuantum)
-// point. The reference implementation is the pre-diet queue discipline
-// with the boxing removed, so this matrix is the proof that the
-// allocation diet changed cost and nothing else.
+// Differential goldens for the event queue: the bucketed calendar queue
+// (the default) must be indistinguishable from the reference typed heap
+// (engine.RunRefQueue) in every observable — Results, profiler streams,
+// error strings. The reference discipline is the pre-diet queue with the
+// boxing removed, so this wall is the proof that the allocation diet
+// changed cost and nothing else.
 
 import (
 	"reflect"
@@ -18,69 +17,64 @@ import (
 	"ctacluster/internal/workloads"
 )
 
-// queueQuantums is the quantum axis of the queue matrix: the degenerate
-// one-timestamp window stresses window-edge merges (the push pattern
-// unique to sharding) and auto stresses long in-window runs that cross
-// the bucket horizon. Instrumented runs keep auto only.
-func queueQuantums() []int64 {
+// diffArches picks the platform sweep: all four evaluation platforms
+// normally; one unsectored-L1 (Kepler) and one sectored (Maxwell)
+// under -short or -race.
+func diffArches() []*arch.Arch {
 	if raceEnabled || testing.Short() {
-		return []int64{0}
+		return []*arch.Arch{arch.TeslaK40(), arch.GTX980()}
 	}
-	return []int64{1, 0}
+	return arch.All()
 }
 
-// queueShards adds the serial engine to the sweep — the queues must
-// agree without any sharding in the picture too.
-func queueShards() []int {
-	if raceEnabled || testing.Short() {
-		return []int{1, 7}
+// diffApps is a subset of Table 2 spanning the locality categories.
+func diffApps(t *testing.T) []*workloads.App {
+	t.Helper()
+	var apps []*workloads.App
+	for _, n := range []string{"KMN", "MM", "ATX", "HST", "NW", "MON"} {
+		a, err := workloads.New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps = append(apps, a)
 	}
-	return []int{1, 2, 4, 7}
+	return apps
 }
 
-// TestQueueMatchesRefHeap is the core differential golden of the
-// tentpole: Shards × EpochQuantum × workloads × platforms, the calendar
-// queue deep-equal to the reference heap in every cell.
+// TestQueueMatchesRefHeap is the core differential golden: workloads ×
+// platforms, the calendar queue deep-equal to the reference heap in
+// every cell.
 func TestQueueMatchesRefHeap(t *testing.T) {
 	for _, ar := range diffArches() {
-		for _, app := range quantumApps(t) {
-			for _, n := range queueShards() {
-				for _, q := range queueQuantums() {
-					cfg := engine.DefaultConfig(ar)
-					cfg.Shards = n
-					cfg.EpochQuantum = q
-					cfg.RefEventQueue = true
-					want, err := engine.Run(cfg, app)
-					if err != nil {
-						t.Fatalf("%s/%s shards=%d quantum=%d ref: %v", app.Name(), ar.Name, n, q, err)
-					}
-					cfg.RefEventQueue = false
-					got, err := engine.Run(cfg, app)
-					if err != nil {
-						t.Fatalf("%s/%s shards=%d quantum=%d: %v", app.Name(), ar.Name, n, q, err)
-					}
-					if !reflect.DeepEqual(want, got) {
-						t.Errorf("%s/%s: shards=%d quantum=%d calendar queue differs from reference heap (cycles %d vs %d, L2 read txns %d vs %d)",
-							app.Name(), ar.Name, n, q, got.Cycles, want.Cycles,
-							got.L2ReadTransactions(), want.L2ReadTransactions())
-					}
-				}
+		for _, app := range diffApps(t) {
+			cfg := engine.DefaultConfig(ar)
+			want, err := engine.RunRefQueue(cfg, app)
+			if err != nil {
+				t.Fatalf("%s/%s ref: %v", app.Name(), ar.Name, err)
+			}
+			got, err := engine.Run(cfg, app)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", app.Name(), ar.Name, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s/%s: calendar queue differs from reference heap (cycles %d vs %d, L2 read txns %d vs %d)",
+					app.Name(), ar.Name, got.Cycles, want.Cycles,
+					got.L2ReadTransactions(), want.L2ReadTransactions())
 			}
 		}
 	}
 }
 
 // TestQueueProfStreamByteIdentical extends the queue contract to the
-// profiler: the full event stream — including the provisional-seq
-// rewrite at window-edge merges — and the interval snapshots must be
-// byte-identical across queue implementations, serial and sharded.
+// profiler: the full event stream and the interval snapshots must be
+// byte-identical across queue disciplines.
 func TestQueueProfStreamByteIdentical(t *testing.T) {
 	app, err := workloads.New("MM")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ar := arch.TeslaK40()
-	trace := func(shards int, ref bool) *prof.Trace {
+	trace := func(ref bool) *prof.Trace {
 		tr := prof.NewTrace(prof.TraceConfig{
 			Kernel: app.Name(), Arch: ar.Name, SMs: ar.SMs,
 			Events:         prof.MaskCTA | prof.MaskStall | prof.MaskMem | prof.MaskCache | prof.MaskL2,
@@ -88,52 +82,40 @@ func TestQueueProfStreamByteIdentical(t *testing.T) {
 		})
 		cfg := engine.DefaultConfig(ar)
 		cfg.Profiler = tr
-		cfg.Shards = shards
-		cfg.RefEventQueue = ref
-		if _, err := engine.Run(cfg, app); err != nil {
-			t.Fatalf("shards=%d ref=%v: %v", shards, ref, err)
+		run := engine.Run
+		if ref {
+			run = engine.RunRefQueue
+		}
+		if _, err := run(cfg, app); err != nil {
+			t.Fatalf("ref=%v: %v", ref, err)
 		}
 		return tr
 	}
-	for _, shards := range []int{1, 4} {
-		want := trace(shards, true)
-		got := trace(shards, false)
-		if !reflect.DeepEqual(want.Events(), got.Events()) {
-			t.Errorf("shards=%d: event stream differs across queues (%d vs %d events)",
-				shards, len(want.Events()), len(got.Events()))
-		}
-		if !reflect.DeepEqual(want.Snapshots(), got.Snapshots()) {
-			t.Errorf("shards=%d: snapshot stream differs across queues (%d vs %d snapshots)",
-				shards, len(want.Snapshots()), len(got.Snapshots()))
-		}
+	want, got := trace(true), trace(false)
+	if !reflect.DeepEqual(want.Events(), got.Events()) {
+		t.Errorf("event stream differs across queues (%d vs %d events)", len(want.Events()), len(got.Events()))
+	}
+	if !reflect.DeepEqual(want.Snapshots(), got.Snapshots()) {
+		t.Errorf("snapshot stream differs across queues (%d vs %d snapshots)", len(want.Snapshots()), len(got.Snapshots()))
 	}
 }
 
 // TestQueueErrorStringsMatch pins the third observable: an overrunning
 // kernel must abort with exactly the same MaxCycles message under
-// either queue, serial and sharded.
+// either queue.
 func TestQueueErrorStringsMatch(t *testing.T) {
 	app, err := workloads.New("MM")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar := arch.TeslaK40()
-	run := func(shards int, ref bool) error {
-		cfg := engine.DefaultConfig(ar)
-		cfg.MaxCycles = 5000 // MM needs far more; every run must abort
-		cfg.Shards = shards
-		cfg.RefEventQueue = ref
-		_, err := engine.Run(cfg, app)
-		return err
+	cfg := engine.DefaultConfig(arch.TeslaK40())
+	cfg.MaxCycles = 5000 // MM needs far more; every run must abort
+	_, want := engine.RunRefQueue(cfg, app)
+	_, got := engine.Run(cfg, app)
+	if want == nil || got == nil {
+		t.Fatalf("expected the MaxCycles error from both queues, got ref=%v calendar=%v", want, got)
 	}
-	for _, shards := range []int{1, 4} {
-		want := run(shards, true)
-		got := run(shards, false)
-		if want == nil || got == nil {
-			t.Fatalf("shards=%d: expected the MaxCycles error from both queues, got ref=%v calendar=%v", shards, want, got)
-		}
-		if got.Error() != want.Error() {
-			t.Errorf("shards=%d error differs across queues:\n got %q\nwant %q", shards, got, want)
-		}
+	if got.Error() != want.Error() {
+		t.Errorf("error differs across queues:\n got %q\nwant %q", got, want)
 	}
 }

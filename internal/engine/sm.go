@@ -68,17 +68,14 @@ func (s *sim) buildOrder() {
 }
 
 // firstWave performs the initial assignment: each SM gets one CTA per
-// round until all SMs are saturated (Section 2, "CTA Scheduling"). It
-// runs on the caller's goroutine before any lane goroutine starts, so
-// dispatch order (and hence seq assignment) is the serial one even on
-// a sharded run.
+// round until all SMs are saturated (Section 2, "CTA Scheduling").
 func (s *sim) firstWave() {
 	for round := 0; round < s.ctasPerSM; round++ {
 		for _, sm := range s.sms {
 			if s.nextCTA >= len(s.order) {
 				return
 			}
-			s.laneOf[sm.id].dispatchTo(sm, round, 0)
+			s.dispatchTo(sm, round, 0)
 		}
 	}
 }
@@ -86,12 +83,8 @@ func (s *sim) firstWave() {
 // dispatchTo places the next CTA (in policy order) onto sm at slot,
 // starting at time at. A cancelled run context stops dispatching here —
 // the CTA boundary — leaving the remaining CTAs unconsumed; the event
-// loop then surfaces the cancellation. Dispatch consumes shared
-// dispatcher state (and may mutate per-launch kernel state inside
-// Work), so a sharded lane holds the global token throughout.
-func (l *lane) dispatchTo(sm *smState, slot int, at int64) {
-	s := l.s
-	l.global()
+// loop then surfaces the cancellation.
+func (s *sim) dispatchTo(sm *smState, slot int, at int64) {
 	if s.pollCtx() {
 		return
 	}
@@ -112,7 +105,7 @@ func (l *lane) dispatchTo(sm *smState, slot int, at int64) {
 	cta.rec = CTARecord{CTA: id, SM: sm.id, Slot: slot, Dispatched: at}
 	s.perSM[sm.id] = append(s.perSM[sm.id], id)
 	if s.prof != nil {
-		l.emit(prof.Event{
+		s.prof.Emit(prof.Event{
 			Kind: prof.EvCTADispatch, SM: int32(sm.id), CTA: int32(id),
 			Warp: -1, Slot: int32(slot), Cycle: at,
 		})
@@ -124,12 +117,12 @@ func (l *lane) dispatchTo(sm *smState, slot int, at int64) {
 		cta.rec.Retired = at + dispatchLatency
 		s.records[id] = cta.rec
 		if s.prof != nil {
-			l.emit(prof.Event{
+			s.prof.Emit(prof.Event{
 				Kind: prof.EvCTARetire, SM: int32(sm.id), CTA: int32(id),
 				Warp: -1, Slot: int32(slot), Cycle: cta.rec.Retired, Dur: dispatchLatency,
 			})
 		}
-		l.afterRetire(sm, slot, cta.rec.Retired)
+		s.afterRetire(sm, slot, cta.rec.Retired)
 		return
 	}
 
@@ -139,7 +132,7 @@ func (l *lane) dispatchTo(sm *smState, slot int, at int64) {
 	for i, ops := range work.Warps {
 		w := s.newWarp(warpState{cta: cta, id: i, ops: ops})
 		cta.warps[i] = w
-		l.schedule(at+dispatchLatency, w)
+		s.q.schedule(at+dispatchLatency, w)
 	}
 	s.occupancyDelta(sm, at, len(cta.warps))
 }
@@ -147,8 +140,7 @@ func (l *lane) dispatchTo(sm *smState, slot int, at int64) {
 // afterRetire hands the freed slot to the next CTA under the demand-
 // driven regime that follows the first wave. Strict-RR instead keeps the
 // static CTA->SM mapping prior work assumed.
-func (l *lane) afterRetire(sm *smState, slot int, at int64) {
-	s := l.s
+func (s *sim) afterRetire(sm *smState, slot int, at int64) {
 	if s.nextCTA >= len(s.order) {
 		return
 	}
@@ -171,36 +163,30 @@ func (l *lane) afterRetire(sm *smState, slot int, at int64) {
 			}
 		}
 	}
-	l.dispatchTo(sm, slot, at)
+	s.dispatchTo(sm, slot, at)
 }
 
-// retire finishes a CTA. It writes the shared record table, the
-// occupancy integral and (via afterRetire) the dispatcher, so a
-// sharded lane takes the global token first — retires therefore commit
-// in exact serial event order.
-func (l *lane) retire(cta *ctaState, at int64) {
-	s := l.s
-	l.global()
+// retire finishes a CTA: it writes the record table and the occupancy
+// integral, then (via afterRetire) hands the slot to the dispatcher.
+func (s *sim) retire(cta *ctaState, at int64) {
 	cta.rec.Retired = at
 	s.records[cta.rec.CTA] = cta.rec
 	sm := cta.sm
 	if s.prof != nil {
-		l.emit(prof.Event{
+		s.prof.Emit(prof.Event{
 			Kind: prof.EvCTARetire, SM: int32(sm.id), CTA: int32(cta.rec.CTA),
 			Warp: -1, Slot: int32(cta.rec.Slot), Cycle: at, Dur: at - cta.rec.Dispatched,
 		})
 	}
 	sm.slots[cta.rec.Slot] = nil
 	s.occupancyDelta(sm, at, -len(cta.warps))
-	l.afterRetire(sm, cta.rec.Slot, at)
+	s.afterRetire(sm, cta.rec.Slot, at)
 }
 
 // occupancyDelta integrates resident warps over time, then applies a
-// change of delta resident warps on sm at time at. It reads every SM's
-// resident count and advances the global integral, so callers reach it
-// only from token-holding contexts (dispatch and retire); the summation
-// order over s.sms is fixed, keeping the float accumulation — and hence
-// AchievedOccupancy — bit-identical at every shard count.
+// change of delta resident warps on sm at time at. The summation order
+// over s.sms is fixed, keeping the float accumulation — and hence
+// AchievedOccupancy — bit-identical run to run.
 func (s *sim) occupancyDelta(sm *smState, at int64, delta int) {
 	total := 0
 	for _, m := range s.sms {

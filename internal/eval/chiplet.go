@@ -75,8 +75,6 @@ func compareChiplet(ar *arch.Arch, app *workloads.App, opt Options, rn *runner) 
 	if opt.Seed != 0 {
 		cfg.Seed = opt.Seed
 	}
-	cfg.Shards = opt.Shards
-	cfg.EpochQuantum = opt.EpochQuantum
 	ctx := opt.context()
 
 	sim := func(k kernel.Kernel, dst **engine.Result, slot *error, label string) func() {

@@ -157,23 +157,10 @@ type Options struct {
 	// ProfileInterval is the counter-snapshot period in cycles for
 	// profiled sweeps; 0 means DefaultProfileInterval.
 	ProfileInterval int64
-	// Shards is passed to engine.Config.Shards for every simulation the
-	// sweep runs: each single run is itself parallelized across that
-	// many lockstep SM shards (<= 1 = serial engine). Orthogonal to
-	// Parallelism — one fans out runs, the other the inside of a run —
-	// and, like it, byte-invisible in the results: the engine's
-	// differential goldens pin sharded output identical to serial.
-	Shards int
-	// EpochQuantum is passed to engine.Config.EpochQuantum for every
-	// simulation: the barrier window width of a sharded run, in cycles
-	// (0 = auto-derive from the architecture's latency table, 1 = barrier
-	// every timestamp). Execution-only like Shards — results are
-	// byte-identical at every setting. Ignored when Shards <= 1.
-	EpochQuantum int64
 	// Swizzle, when non-empty, applies the named CTA tile swizzle
 	// (internal/swizzle) to every application before any scheme
 	// transform, so the whole matrix — including the clustered schemes —
-	// evaluates the swizzled rasterization. UNLIKE the knobs above it is
+	// evaluates the swizzled rasterization. UNLIKE Parallelism it is
 	// result-affecting: cycle counts and cache statistics change with
 	// the remap, which is why it is part of every result-cache key.
 	Swizzle string
@@ -204,8 +191,6 @@ func evaluateApp(ar *arch.Arch, app *workloads.App, opt Options, rn *runner) (*A
 	if opt.Seed != 0 {
 		cfg.Seed = opt.Seed
 	}
-	cfg.Shards = opt.Shards
-	cfg.EpochQuantum = opt.EpochQuantum
 
 	// The swizzle wraps underneath every scheme: BSL becomes the pure
 	// swizzled kernel, and the clustering transforms regroup the

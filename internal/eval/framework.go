@@ -58,14 +58,11 @@ func (a *FrameworkAccuracy) DirectionRate() float64 {
 
 // EvaluateFramework scores the automatic categorization on apps. The
 // per-app analyses (each a handful of probe simulations) are mutually
-// independent and fan out across opt.Parallelism workers, and each
-// probe simulation itself runs under opt.Shards / opt.EpochQuantum;
-// verdicts and hit counts are accumulated in input order and the engine
-// is byte-identical at every execution setting, so the result is
-// identical to a serial run.
+// independent and fan out across opt.Parallelism workers; verdicts and
+// hit counts are accumulated in input order, so the result is identical
+// to a serial run.
 func EvaluateFramework(ar *arch.Arch, apps []*workloads.App, opt Options) (*FrameworkAccuracy, error) {
 	ctx := opt.context()
-	ex := locality.Exec{Shards: opt.Shards, EpochQuantum: opt.EpochQuantum}
 	analyses := make([]*locality.Analysis, len(apps))
 	errs := make([]error, len(apps))
 	jobs := make([]func(), len(apps))
@@ -76,7 +73,7 @@ func EvaluateFramework(ar *arch.Arch, apps []*workloads.App, opt Options) (*Fram
 				errs[i] = fmt.Errorf("eval: framework on %s cancelled: %w", app.Name(), err)
 				return
 			}
-			an, err := locality.AnalyzeExec(app, ar, ex)
+			an, err := locality.Analyze(app, ar)
 			if err != nil {
 				errs[i] = fmt.Errorf("eval: framework on %s: %w", app.Name(), err)
 				return

@@ -76,8 +76,6 @@ func compareSwizzle(ar *arch.Arch, app *workloads.App, opt Options, rn *runner) 
 	if opt.Seed != 0 {
 		cfg.Seed = opt.Seed
 	}
-	cfg.Shards = opt.Shards
-	cfg.EpochQuantum = opt.EpochQuantum
 	ctx := opt.context()
 
 	// Analyzer predictions first: cheap, serial, deterministic.

@@ -57,40 +57,10 @@ const (
 	gatherFrac      = 0.20 // fraction of runtime-addressed reads => data-related
 )
 
-// Exec carries execution-only knobs for the framework's probe
-// simulations: how the engine runs them, never what they compute. The
-// probe results — and therefore the Analysis and Plan — are
-// byte-identical at every setting (the engine's differential goldens
-// pin this), so callers can shard the probes freely.
-type Exec struct {
-	// Shards is passed to engine.Config.Shards for every probe run
-	// (<= 1 keeps the serial reference loop).
-	Shards int
-	// EpochQuantum is passed to engine.Config.EpochQuantum (0 = auto).
-	EpochQuantum int64
-}
-
-// config builds the customary probe configuration with the execution
-// knobs applied.
-func (e Exec) config(ar *arch.Arch) engine.Config {
-	cfg := engine.DefaultConfig(ar)
-	cfg.Shards = e.Shards
-	cfg.EpochQuantum = e.EpochQuantum
-	return cfg
-}
-
 // Analyze runs the framework's estimation pipeline on k for ar: the
 // reuse quantification, a redirection probe (imposed CTA order), and an
 // L1-off probe, then classifies the locality source per Figure 11.
-// Probes run on the serial engine; AnalyzeExec shards them.
 func Analyze(k kernel.Kernel, ar *arch.Arch) (*Analysis, error) {
-	return AnalyzeExec(k, ar, Exec{})
-}
-
-// AnalyzeExec is Analyze with the probe simulations run under the given
-// execution knobs (sharded when ex.Shards > 1). The verdict is
-// byte-identical to Analyze's at every setting.
-func AnalyzeExec(k kernel.Kernel, ar *arch.Arch, ex Exec) (*Analysis, error) {
 	a := &Analysis{Kernel: k.Name(), Arch: ar.Name, Category: Uncategorized}
 
 	a.Quant = Quantify(k, ar.L2Line)
@@ -108,7 +78,7 @@ func AnalyzeExec(k kernel.Kernel, ar *arch.Arch, ex Exec) (*Analysis, error) {
 	}
 	a.Direction = PartitionDirection(k.GridDim(), refs)
 
-	base, err := engine.Run(ex.config(ar), k)
+	base, err := engine.Run(engine.DefaultConfig(ar), k)
 	if err != nil {
 		return nil, fmt.Errorf("locality: baseline probe: %w", err)
 	}
@@ -120,7 +90,7 @@ func AnalyzeExec(k kernel.Kernel, ar *arch.Arch, ex Exec) (*Analysis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("locality: redirect probe: %w", err)
 	}
-	rres, err := engine.Run(ex.config(ar), rd)
+	rres, err := engine.Run(engine.DefaultConfig(ar), rd)
 	if err != nil {
 		return nil, fmt.Errorf("locality: redirect probe: %w", err)
 	}
@@ -136,7 +106,7 @@ func AnalyzeExec(k kernel.Kernel, ar *arch.Arch, ex Exec) (*Analysis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("locality: cluster probe: %w", err)
 	}
-	cres, err := engine.Run(ex.config(ar), clu)
+	cres, err := engine.Run(engine.DefaultConfig(ar), clu)
 	if err != nil {
 		return nil, fmt.Errorf("locality: cluster probe: %w", err)
 	}
@@ -147,13 +117,13 @@ func AnalyzeExec(k kernel.Kernel, ar *arch.Arch, ex Exec) (*Analysis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("locality: throttle probe: %w", err)
 	}
-	tres, err := engine.Run(ex.config(ar), tot)
+	tres, err := engine.Run(engine.DefaultConfig(ar), tot)
 	if err != nil {
 		return nil, fmt.Errorf("locality: throttle probe: %w", err)
 	}
 	a.Probes.ThrottleL2Txn = tres.L2ReadTransactions()
 
-	offCfg := ex.config(ar)
+	offCfg := engine.DefaultConfig(ar)
 	offCfg.L1Enabled = false
 	ores, err := engine.Run(offCfg, k)
 	if err != nil {
@@ -229,15 +199,9 @@ type Plan struct {
 // Optimize analyses k and applies the optimization strategy of Figure 5:
 // exploitable inter-CTA locality gets agent-based CTA-Clustering along
 // the derived partition direction; everything else gets CTA-order
-// reshaping with CTA prefetching. OptimizeExec shards the probes.
+// reshaping with CTA prefetching.
 func Optimize(k kernel.Kernel, ar *arch.Arch) (*Plan, error) {
-	return OptimizeExec(k, ar, Exec{})
-}
-
-// OptimizeExec is Optimize with the probe simulations run under the
-// given execution knobs; the Plan is byte-identical at every setting.
-func OptimizeExec(k kernel.Kernel, ar *arch.Arch, ex Exec) (*Plan, error) {
-	a, err := AnalyzeExec(k, ar, ex)
+	a, err := Analyze(k, ar)
 	if err != nil {
 		return nil, err
 	}

@@ -50,12 +50,6 @@ func (t *Trace) SampleInterval() int64 { return t.cfg.SampleInterval }
 // Config returns the trace configuration.
 func (t *Trace) Config() TraceConfig { return t.cfg }
 
-// EventMask reports which event kinds the trace records. The sharded
-// engine (engine.Config.Shards > 1) probes for this method so its
-// per-shard buffers can drop masked kinds up front instead of carrying
-// them to the end-of-run merge.
-func (t *Trace) EventMask() EventMask { return t.cfg.Events }
-
 // Events returns the recorded events in emission order. The slice is
 // owned by the trace; callers must not mutate it.
 func (t *Trace) Events() []Event { return t.events }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCacheHitMiss(t *testing.T) {
@@ -190,5 +192,64 @@ func TestSingleflightErrorPropagation(t *testing.T) {
 	_, _, err := g.Do("k", func() ([]byte, error) { return nil, wantErr })
 	if err != wantErr {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestSingleflightLeaderPanic: a panicking leader must not wedge its
+// key. The leader and a concurrent joiner both get an error, the flight
+// is released, and the next Do on the key runs fn again.
+func TestSingleflightLeaderPanic(t *testing.T) {
+	var g Group
+	deadline := time.Now().Add(10 * time.Second)
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s (stats %+v)", what, g.Stats())
+			}
+			runtime.Gosched()
+		}
+	}
+
+	release := make(chan struct{})
+	errs := make(chan error, 2)
+	go func() {
+		_, _, err := g.Do("k", func() ([]byte, error) {
+			<-release
+			panic("boom")
+		})
+		errs <- err
+	}()
+	waitFor("the leader", func() bool { return g.Stats().Inflight == 1 })
+	go func() {
+		_, shared, err := g.Do("k", func() ([]byte, error) {
+			t.Error("joiner ran fn while the leader was in flight")
+			return nil, nil
+		})
+		if !shared {
+			t.Error("second caller did not join the leader's flight")
+		}
+		errs <- err
+	}()
+	waitFor("the joiner", func() bool { return g.Stats().Joined == 1 })
+	close(release)
+
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "boom") {
+				t.Fatalf("caller err = %v, want the leader's panic as an error", err)
+			}
+		case <-timeout:
+			t.Fatal("a caller is still blocked: the panicking leader wedged its key")
+		}
+	}
+	if st := g.Stats(); st.Inflight != 0 {
+		t.Fatalf("inflight = %d after the panic, want 0", st.Inflight)
+	}
+	v, shared, err := g.Do("k", func() ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || shared || string(v) != "ok" {
+		t.Fatalf("Do after the panic = %q, shared=%v, err=%v; want a fresh run", v, shared, err)
 	}
 }

@@ -141,32 +141,15 @@ func (k *Key) Arch(a *arch.Arch) *Key {
 }
 
 // configFieldCount pins engine.Config coverage the same way: every
-// field is either encoded below or listed in configExecOnlyFields.
-const configFieldCount = 11
-
-// configExecOnlyFields are engine.Config fields that control how a run
-// executes without changing what it computes, and are therefore
-// deliberately EXCLUDED from the key. Shards is the engine's
-// parallelism knob and EpochQuantum its barrier-width companion: their
-// results are byte-identical at every setting (the differential goldens
-// in internal/engine pin this), so hashing them would only fragment the
-// cache — and invalidate every deployed entry — for zero soundness
-// gain. ShardStats is a pure observability out-parameter. key_test.go
-// asserts the inverse property for each field here: perturbing it must
-// NOT change the key.
-var configExecOnlyFields = map[string]bool{
-	"Shards":        true,
-	"EpochQuantum":  true,
-	"ShardStats":    true,
-	"RefEventQueue": true, // queue implementations are byte-identical (queue_diff_test.go)
-}
+// field is encoded below.
+const configFieldCount = 7
 
 // Config appends every result-relevant field of the engine
 // configuration. The Arch pointer is encoded by value via Arch; the
 // Profiler is encoded only by presence — profiling observes a run
 // without changing its outcome, so two configs that differ only in
 // which profiler implementation they carry produce the same simulation
-// results. Execution-only fields (configExecOnlyFields) are skipped.
+// results.
 func (k *Key) Config(cfg engine.Config) *Key {
 	if cfg.Arch == nil {
 		k.Bool(false)
@@ -187,7 +170,7 @@ func (k *Key) Config(cfg engine.Config) *Key {
 // (the caller's canonical description of app + scheme + transform
 // parameters) and the CTA swizzle applied under it, under the full
 // engine configuration. The swizzle is its own key field — NOT folded
-// into kernelID and NOT an exec-only carve-out — because a swizzle
+// into kernelID — because a swizzle
 // changes the dispatch-order → tile mapping and therefore every cache
 // statistic and cycle count the run produces ("" means no swizzle).
 func ConfigKey(kernelID, swizzle string, cfg engine.Config) string {

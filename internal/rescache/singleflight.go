@@ -1,6 +1,9 @@
 package rescache
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // FlightStats snapshots the dedup counters: Leaders counts computations
 // actually executed, Joined counts requests that coalesced onto an
@@ -34,7 +37,9 @@ type Group struct {
 
 // Do returns the result of fn for key, executing fn exactly once per
 // flight of concurrent callers. shared reports whether the caller
-// joined an existing flight.
+// joined an existing flight. A panic in fn is contained: the leader and
+// every joiner get it back as an error, and the key is released so the
+// next Do runs fn afresh.
 func (g *Group) Do(key string, fn func() ([]byte, error)) (val []byte, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -52,13 +57,23 @@ func (g *Group) Do(key string, fn func() ([]byte, error)) (val []byte, shared bo
 	g.leaders++
 	g.mu.Unlock()
 
-	c.val, c.err = fn()
-	c.wg.Done()
-
+	c.run(fn)
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
+	c.wg.Done()
 	return c.val, false, c.err
+}
+
+// run executes fn into c, converting a panic into c.err so no caller of
+// the flight is left blocked on it.
+func (c *call) run(fn func() ([]byte, error)) {
+	defer func() {
+		if r := recover(); r != nil {
+			c.val, c.err = nil, fmt.Errorf("rescache: computation panicked: %v", r)
+		}
+	}()
+	c.val, c.err = fn()
 }
 
 // Stats snapshots the dedup counters.

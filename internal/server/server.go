@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -55,24 +56,10 @@ type Config struct {
 	// .Parallelism; default 0 = one per CPU). It never enters cache
 	// keys: sweep results are byte-identical for every setting.
 	Parallelism int
-	// Shards is the default intra-run shard count handed to
-	// engine.Config.Shards for every simulation the daemon executes
-	// (simulate requests may override it per request). 0 or 1 keeps the
-	// serial reference engine. Like Parallelism it never enters cache
-	// keys: sharded results are byte-identical to serial, so entries
-	// computed at any shard count serve every other.
-	Shards int
-	// EpochQuantum is the default barrier window width in cycles for
-	// sharded runs (engine.Config.EpochQuantum; simulate requests may
-	// override it per request). 0 auto-derives from the architecture's
-	// latency table, 1 barriers at every timestamp. Execution-only like
-	// Shards: it never enters cache keys and results are byte-identical
-	// at every setting.
-	EpochQuantum int64
 	// Swizzle is the default CTA tile swizzle (internal/swizzle name)
 	// applied to every kernel the daemon simulates; requests carrying
-	// their own swizzle field override it. UNLIKE Shards/EpochQuantum it
-	// is result-affecting, so the resolved value is a full cache-key
+	// their own swizzle field override it. UNLIKE Parallelism it is
+	// result-affecting, so the resolved value is a full cache-key
 	// field — daemons configured with different defaults never share
 	// entries for the same request. Empty means no swizzle.
 	Swizzle string
@@ -217,14 +204,36 @@ func (s *Server) failFor(w http.ResponseWriter, err error) {
 	}
 }
 
-// decode parses a JSON request body strictly.
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds a request body. Real requests are under 1 KB;
+// the bound only stops a broken or hostile client from streaming an
+// unbounded body into the decoder.
+const maxBodyBytes = 1 << 20
+
+// decode parses a JSON request body strictly: an unknown field or
+// anything but whitespace after the object is a 400, a body over
+// maxBodyBytes a 413. On failure it writes the error response itself
+// and returns false.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+	var tooBig *http.MaxBytesError
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); errors.As(terr, &tooBig) {
+			err = terr
+		} else if terr != io.EOF {
+			err = errors.New("trailing data after the JSON object")
+		}
 	}
-	return nil
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBodyBytes))
+	default:
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	}
+	return false
 }
 
 // compute is the serving core every expensive endpoint shares: result
@@ -324,8 +333,7 @@ func (s *Server) chipletFor(req int, platforms []*arch.Arch) ([]*arch.Arch, erro
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req api.SimulateRequest
-	if err := decode(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	app, err := cli.App(req.App)
@@ -361,21 +369,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if req.MaxCycles > 0 {
 		cfg.MaxCycles = req.MaxCycles
 	}
-	// Shards and EpochQuantum shape execution, not results, and are
-	// excluded from the key — requests at different shard counts or
-	// window widths share cache entries.
-	cfg.Shards = s.cfg.Shards
-	if req.Shards > 0 {
-		cfg.Shards = req.Shards
-	}
-	cfg.EpochQuantum = s.cfg.EpochQuantum
-	if req.EpochQuantum > 0 {
-		cfg.EpochQuantum = req.EpochQuantum
-	}
 	kernelID := fmt.Sprintf("%s/%s/agents=%d/bypass=%t/prefetch=%t",
 		app.Name(), scheme, req.Agents, req.Bypass, req.Prefetch)
-	// The swizzle is its own key field (result-affecting — no exec-only
-	// carve-out like Shards/EpochQuantum).
+	// The swizzle is its own key field (result-affecting).
 	key := rescache.ConfigKey(kernelID, swz, cfg)
 
 	start := time.Now()
@@ -391,8 +387,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req api.SweepRequest
-	if err := decode(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	platforms, err := cli.Platforms(req.Arch)
@@ -439,13 +434,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.compute(w, r, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
 		opt := eval.Options{
-			Ctx:          ctx,
-			Seed:         req.Seed,
-			Quick:        req.Quick,
-			Parallelism:  s.cfg.Parallelism,
-			Shards:       s.cfg.Shards,
-			EpochQuantum: s.cfg.EpochQuantum,
-			Swizzle:      swz,
+			Ctx:         ctx,
+			Seed:        req.Seed,
+			Quick:       req.Quick,
+			Parallelism: s.cfg.Parallelism,
+			Swizzle:     swz,
 		}
 		sweep, err := eval.EvaluateAll(platforms, apps, opt, nil)
 		if err != nil {
@@ -458,8 +451,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var req api.OptimizeRequest
-	if err := decode(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	app, err := cli.App(req.App)
@@ -476,16 +468,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	s.compute(w, r, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
-		// The framework's probe simulations run under the daemon's shard
-		// settings too; the Plan is byte-identical at every setting.
-		ex := locality.Exec{Shards: s.cfg.Shards, EpochQuantum: s.cfg.EpochQuantum}
-		plan, err := locality.OptimizeExec(app, ar, ex)
+		plan, err := locality.Optimize(app, ar)
 		if err != nil {
 			return nil, err
 		}
 		cfg := engine.DefaultConfig(ar)
-		cfg.Shards = s.cfg.Shards
-		cfg.EpochQuantum = s.cfg.EpochQuantum
 		base, err := engine.RunContext(ctx, cfg, app)
 		if err != nil {
 			return nil, err

@@ -120,20 +120,10 @@ func Figure2Series(res *engine.Result) (points []Figure2Point, l1Reads, l1Misses
 }
 
 // RunMicrobench runs both Figure 2 scenarios for an architecture and
-// returns (default, staggered) results.
+// returns (default, staggered) results. ar may be a candidate latency
+// table (internal/calib's fitter simulates its candidates here).
 func RunMicrobench(ar *arch.Arch) (def, stag *engine.Result, err error) {
-	return RunMicrobenchCfg(engine.DefaultConfig(ar), ar)
-}
-
-// RunMicrobenchCfg is RunMicrobench under an explicit engine
-// configuration, so callers can thread execution knobs (Shards,
-// EpochQuantum, a reference event queue) or a candidate latency table
-// through the Figure 2 scenarios — the hook internal/calib's fitter
-// simulates its candidate descriptors with. cfg.Arch is overwritten
-// with ar: the microbenchmark's grid derives from the descriptor, and
-// letting the two drift apart would silently measure the wrong machine.
-func RunMicrobenchCfg(cfg engine.Config, ar *arch.Arch) (def, stag *engine.Result, err error) {
-	cfg.Arch = ar
+	cfg := engine.DefaultConfig(ar)
 	def, err = engine.Run(cfg, NewMicrobench(ar, false))
 	if err != nil {
 		return nil, nil, fmt.Errorf("microbench %s: %w", ar.Name, err)

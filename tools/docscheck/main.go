@@ -237,8 +237,8 @@ func directFlagCalls(n ast.Node, pkgName string, flags map[string]bool, helperCa
 
 // cliHelperFlags parses internal/cli and returns, per exported helper
 // function, the set of flags it registers — transitively, so a helper
-// that calls another local helper (RegisterSweepFlags calling
-// RegisterEngineFlags) is credited with the callee's flags too.
+// that calls another local helper is credited with the callee's flags
+// too.
 func cliHelperFlags(root string) (map[string]map[string]bool, error) {
 	dir := filepath.Join(root, "internal", "cli")
 	if _, err := os.Stat(dir); os.IsNotExist(err) {
