@@ -2,9 +2,17 @@
 // per-SM L1 data cache (Fermi/Kepler: 128B lines, write-evict) and the
 // sectored L1/Tex unified cache (Maxwell/Pascal: 32B lines, two sectors
 // private to CTA-slot parity), and the shared banked L2 (write-back,
-// write-allocate, 32B lines). It includes MSHR modelling so that
-// requests merging onto an in-flight line are reported as "hit reserved",
+// write-allocate, 32B lines).
+//
+// Each cache owns its MSHR table: the one record of in-flight fills,
+// keyed by line and sector (so sectors never share an entry) and holding
+// the cycle each fill completes. A Miss is recorded with Reserve once
+// the next level has priced the fetch; later reads of that line in the
+// same sector merge onto the entry and are reported as "hit reserved",
 // the state the paper observes for first-turnaround CTAs in Figure 2.
+// Read and Write take the access cycle and first install any fill that
+// has landed by then, so a fill reaches the tag array at the first
+// access to its line after it completes. The table is unbounded.
 package cache
 
 import "fmt"
@@ -60,7 +68,6 @@ type Config struct {
 	Assoc   int // ways per set
 	Sectors int // 1 = unified; 2 = Maxwell/Pascal sectored L1/Tex
 	Policy  WritePolicy
-	MSHRs   int // max distinct in-flight lines; 0 = unlimited
 }
 
 // Stats accumulates counters compatible with the profiler metrics the
@@ -148,7 +155,7 @@ type sector struct {
 type Cache struct {
 	cfg     Config
 	sectors []sector
-	pending map[uint64]int // line base -> requester count (MSHR)
+	pending map[uint64]int64 // MSHR: line+sector key -> fill-completion cycle
 	clock   uint64
 	stats   Stats
 }
@@ -168,7 +175,7 @@ func New(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache: size %d too small for line %d assoc %d sectors %d",
 			cfg.Size, cfg.Line, cfg.Assoc, cfg.Sectors))
 	}
-	c := &Cache{cfg: cfg, pending: make(map[uint64]int)}
+	c := &Cache{cfg: cfg, pending: make(map[uint64]int64)}
 	c.sectors = make([]sector, cfg.Sectors)
 	for i := range c.sectors {
 		c.sectors[i].sets = make([]set, nsets)
@@ -193,13 +200,14 @@ func (c *Cache) LineBase(addr uint64) uint64 {
 	return addr / uint64(c.cfg.Line) * uint64(c.cfg.Line)
 }
 
-func (c *Cache) locate(addr uint64, sectorID int) (*set, uint64) {
+// locate returns the set holding line index idx (addr / Line) in the
+// given sector; the index doubles as the tag.
+func (c *Cache) locate(idx uint64, sectorID int) *set {
 	if sectorID < 0 || sectorID >= len(c.sectors) {
 		sectorID = 0
 	}
-	base := addr / uint64(c.cfg.Line)
 	sec := &c.sectors[sectorID]
-	return &sec.sets[base%uint64(len(sec.sets))], base
+	return &sec.sets[idx%uint64(len(sec.sets))]
 }
 
 func (s *set) find(tag uint64) *line {
@@ -226,34 +234,34 @@ func (s *set) victim() *line {
 }
 
 // Read performs a demand load of the line containing addr in the given
-// sector. On Miss the caller must eventually call Fill for the same
-// address and sector. HitReserved means an earlier miss on the line is
-// still in flight; the caller should wait on that fill instead of
-// issuing a new one.
-func (c *Cache) Read(addr uint64, sectorID int) Result {
+// sector at cycle at, after installing that line's fill if it has landed
+// by then. HitReserved means an earlier miss on the line is still in
+// flight; the second result is the cycle its fill lands, which the
+// requester waits for instead of issuing a new fetch (it is zero for
+// every other result). On Miss the caller prices the fetch and records
+// it with Reserve.
+func (c *Cache) Read(addr uint64, sectorID int, at int64) (Result, int64) {
+	idx := addr / uint64(c.cfg.Line)
+	fillAt, inFlight := c.settle(idx, sectorID, at)
 	c.clock++
 	c.stats.Reads++
-	st, tag := c.locate(addr, sectorID)
-	if ln := st.find(tag); ln != nil {
+	if ln := c.locate(idx, sectorID).find(idx); ln != nil {
 		ln.lru = c.clock
 		c.stats.ReadHits++
-		return Hit
+		return Hit, 0
 	}
-	lb := c.LineBase(addr)
-	if _, ok := c.pending[pendKey(lb, sectorID)]; ok {
-		c.pending[pendKey(lb, sectorID)]++
+	if inFlight {
 		c.stats.ReadReserved++
-		return HitReserved
+		return HitReserved, fillAt
 	}
-	if c.cfg.MSHRs > 0 && len(c.pending) >= c.cfg.MSHRs {
-		// MSHR full: the request still misses and stalls; model it as a
-		// plain miss (the engine charges the full latency anyway).
-		c.stats.ReadMisses++
-		return Miss
-	}
-	c.pending[pendKey(lb, sectorID)] = 1
 	c.stats.ReadMisses++
-	return Miss
+	return Miss, 0
+}
+
+// Reserve records that the fetch for a Miss on addr's line in the given
+// sector completes at cycle at; reads before then merge onto it.
+func (c *Cache) Reserve(addr uint64, sectorID int, at int64) {
+	c.pending[pendKey(addr/uint64(c.cfg.Line), sectorID)] = at
 }
 
 // BypassRead records a read that skipped this level (ld.global.cg).
@@ -262,15 +270,19 @@ func (c *Cache) BypassRead() Result {
 	return Bypassed
 }
 
-// Write performs a demand store of the line containing addr. The return
-// value tells the caller whether a next-level transaction is needed:
-// WriteEvict always forwards; WriteBackAllocate forwards only on miss
-// (the allocation fill).
-func (c *Cache) Write(addr uint64, sectorID int) Result {
+// Write performs a demand store of the line containing addr at cycle
+// at, after installing that line's fill if it has landed by then; a
+// fill still in flight is left in flight. The return value tells the
+// caller whether a next-level transaction is needed: WriteEvict always
+// forwards; WriteBackAllocate forwards only on miss (the allocation
+// fill).
+func (c *Cache) Write(addr uint64, sectorID int, at int64) Result {
+	idx := addr / uint64(c.cfg.Line)
+	c.settle(idx, sectorID, at)
 	c.clock++
 	c.stats.Writes++
-	st, tag := c.locate(addr, sectorID)
-	ln := st.find(tag)
+	st := c.locate(idx, sectorID)
+	ln := st.find(idx)
 	switch c.cfg.Policy {
 	case WriteEvict:
 		if ln != nil {
@@ -291,42 +303,49 @@ func (c *Cache) Write(addr uint64, sectorID int) Result {
 			return Hit
 		}
 		c.stats.WriteMisses++
-		c.insert(st, tag, true)
+		c.insert(st, idx, true)
 		return Miss // allocation fill from the next level
 	default:
 		panic("cache: unknown write policy")
 	}
 }
 
-// Fill installs the line containing addr after its fetch returns, and
-// releases any requesters merged on the MSHR entry. It returns how many
-// requesters (including the original) were waiting.
-func (c *Cache) Fill(addr uint64, sectorID int) int {
-	c.clock++
-	c.stats.Fills++
-	lb := c.LineBase(addr)
-	waiters := c.pending[pendKey(lb, sectorID)]
-	delete(c.pending, pendKey(lb, sectorID))
-	st, tag := c.locate(addr, sectorID)
-	if st.find(tag) == nil {
-		c.insert(st, tag, false)
-	}
-	if waiters == 0 {
-		waiters = 1
-	}
-	return waiters
+// Fill installs the line containing addr in the given sector now. It is
+// the synchronous alternative to Reserve for levels whose fetch returns
+// at once (the L2), and does not touch the MSHR table.
+func (c *Cache) Fill(addr uint64, sectorID int) {
+	c.install(addr/uint64(c.cfg.Line), sectorID)
 }
 
-// Pending reports whether a fetch for addr's line is in flight.
-func (c *Cache) Pending(addr uint64, sectorID int) bool {
-	_, ok := c.pending[pendKey(c.LineBase(addr), sectorID)]
-	return ok
+// settle installs line idx's in-flight fill if it has landed by cycle
+// at; otherwise it reports whether one is in flight and when it lands.
+func (c *Cache) settle(idx uint64, sectorID int, at int64) (int64, bool) {
+	key := pendKey(idx, sectorID)
+	fillAt, ok := c.pending[key]
+	if !ok {
+		return 0, false
+	}
+	if fillAt > at {
+		return fillAt, true
+	}
+	delete(c.pending, key)
+	c.install(idx, sectorID)
+	return 0, false
+}
+
+// install places line idx in the given sector as a clean fill.
+func (c *Cache) install(idx uint64, sectorID int) {
+	c.clock++
+	c.stats.Fills++
+	if st := c.locate(idx, sectorID); st.find(idx) == nil {
+		c.insert(st, idx, false)
+	}
 }
 
 // Contains reports whether addr's line is valid in the cache (test hook).
 func (c *Cache) Contains(addr uint64, sectorID int) bool {
-	st, tag := c.locate(addr, sectorID)
-	return st.find(tag) != nil
+	idx := addr / uint64(c.cfg.Line)
+	return c.locate(idx, sectorID).find(idx) != nil
 }
 
 // Flush invalidates all lines, emitting writebacks for dirty ones, and
@@ -361,7 +380,7 @@ func (c *Cache) insert(st *set, tag uint64, dirty bool) {
 	*v = line{tag: tag, valid: true, dirty: dirty, lru: c.clock}
 }
 
-// pendKey disambiguates identical line addresses across sectors.
-func pendKey(lineBase uint64, sectorID int) uint64 {
-	return lineBase<<2 | uint64(sectorID&3)
+// pendKey disambiguates identical line indices across sectors.
+func pendKey(idx uint64, sectorID int) uint64 {
+	return idx<<2 | uint64(sectorID&3)
 }

@@ -10,7 +10,8 @@ package cache
 import "testing"
 
 // driveAccess applies step i of a deterministic mixed stream (reads,
-// writes, bypasses, fills on miss) to c.
+// writes, bypasses, and a fill reserved 50 cycles out on each read
+// miss, with step i at cycle i) to c.
 func driveAccess(c *Cache, i int) {
 	addr := uint64((i * 97) % 4096 * 32) // reuse within a 4 KB window
 	sector := 0
@@ -19,11 +20,11 @@ func driveAccess(c *Cache, i int) {
 	}
 	switch i % 5 {
 	case 0, 1, 2:
-		if r := c.Read(addr, sector); r == Miss {
-			c.Fill(addr, sector)
+		if r, _ := c.Read(addr, sector, int64(i)); r == Miss {
+			c.Reserve(addr, sector, int64(i)+50)
 		}
 	case 3:
-		c.Write(addr, sector)
+		c.Write(addr, sector, int64(i))
 	case 4:
 		c.BypassRead()
 	}

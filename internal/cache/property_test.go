@@ -1,12 +1,15 @@
 package cache
 
-// Property tests: randomized access sequences driven through the cache
-// under every configuration family the engine uses (Fermi/Kepler
-// write-evict L1, Maxwell/Pascal sectored L1/Tex, write-back L2 with
-// bounded MSHRs), checking structural invariants after every step:
+// Property tests: randomized access sequences on an advancing clock
+// driven through the cache under every configuration family the engine
+// uses (Fermi/Kepler write-evict L1, Maxwell/Pascal sectored L1/Tex,
+// write-back L2), checking structural invariants after every step:
 //
 //   - counter conservation: reads and writes each decompose exactly
-//     into their outcome counters, and Accesses() is their sum;
+//     into their outcome counters, Accesses() is their sum, and Fills
+//     counts exactly the fills installed;
+//   - MSHR timing: a merge reports the in-flight fill's cycle, which is
+//     still in the future, and a read at or after that cycle hits;
 //   - bounded occupancy: valid lines never exceed ways x sets x sectors;
 //   - sector isolation: a sectored cache never serves (Contains) a line
 //     from a sector that was not filled — a fill in sector 0 must not
@@ -18,27 +21,24 @@ import (
 )
 
 // shadow tracks which (line, sector) pairs could legitimately be
-// resident: set by Fill (and by the write-allocate path), cleared by
-// the write-evict invalidation and by Flush. The cache may hold fewer
-// lines than the shadow (LRU evictions), never more.
+// resident: set when a fill installs (and by the write-allocate path),
+// cleared by the write-evict invalidation and by Flush. The cache may
+// hold fewer lines than the shadow (LRU evictions), never more.
 type shadow map[uint64]bool
 
+// key is the (line, sector) key, the same one the MSHR table uses.
 func (s shadow) key(c *Cache, addr uint64, sector int) uint64 {
-	return c.LineBase(addr)<<2 | uint64(sector&3)
-}
-
-// pendingMiss is a read miss awaiting its Fill, as the engine would
-// track it.
-type pendingMiss struct {
-	addr   uint64
-	sector int
+	return pendKey(addr/uint64(c.Config().Line), sector)
 }
 
 // checkCounters verifies the cheap arithmetic invariants; it runs after
 // every step.
-func checkCounters(t *testing.T, c *Cache, step int) {
+func checkCounters(t *testing.T, c *Cache, fills uint64, step int) {
 	t.Helper()
 	st := c.Stats()
+	if st.Fills != fills {
+		t.Fatalf("step %d: Fills = %d, want %d installed", step, st.Fills, fills)
+	}
 	if got := st.ReadHits + st.ReadReserved + st.ReadMisses; got != st.Reads {
 		t.Fatalf("step %d: read counters %d (hits %d + reserved %d + misses %d) != reads %d",
 			step, got, st.ReadHits, st.ReadReserved, st.ReadMisses, st.Reads)
@@ -96,65 +96,78 @@ func runRandomSequence(t *testing.T, cfg Config, seed int64, steps int) {
 	}
 
 	sh := shadow{}
-	var pending []pendingMiss
+	inFlight := map[uint64]int64{} // shadow key -> fill cycle, mirroring the MSHR table
+	var fills uint64
+	var now int64
 
 	for step := 0; step < steps; step++ {
+		now += int64(rng.Intn(3))
 		addr := lines[rng.Intn(nlines)] + uint64(rng.Intn(cfg.Line))
 		sector := rng.Intn(sectors)
-		switch op := rng.Intn(10); {
-		case op < 5: // read
-			res := c.Read(addr, sector)
-			switch res {
-			case Miss:
-				pending = append(pending, pendingMiss{addr: addr, sector: sector})
-			case HitReserved:
-				if !c.Pending(addr, sector) {
-					t.Fatalf("step %d: HitReserved but no fill pending for %#x/%d", step, addr, sector)
+		key := sh.key(c, addr, sector)
+		op := rng.Intn(10)
+		fillAt, pending := inFlight[key]
+		landed := pending && fillAt <= now && op < 9
+		if landed {
+			// The read or write below installs the landed fill first.
+			delete(inFlight, key)
+			sh[key] = true
+			fills++
+		}
+		switch {
+		case op < 6: // read
+			res, got := c.Read(addr, sector, now)
+			switch {
+			case landed && res != Hit:
+				t.Fatalf("step %d: read at %d after the fill at %d = %v, want Hit", step, now, fillAt, res)
+			case res == HitReserved:
+				if !pending || got != fillAt || got <= now {
+					t.Fatalf("step %d: HitReserved on %#x/%d at %d reports fill at %d, want in-flight fill at %d",
+						step, addr, sector, now, got, fillAt)
 				}
+			case res == Miss && rng.Intn(4) == 0:
+				// A synchronous level (the L2) fills at once.
+				c.Fill(addr, sector)
+				sh[key] = true
+				fills++
+			case res == Miss:
+				inFlight[key] = now + 1 + int64(rng.Intn(60))
+				c.Reserve(addr, sector, inFlight[key])
 			}
-		case op < 8: // drain a pending fill, engine-style
-			if len(pending) == 0 {
-				continue
-			}
-			i := rng.Intn(len(pending))
-			pm := pending[i]
-			pending = append(pending[:i], pending[i+1:]...)
-			if c.Fill(pm.addr, pm.sector) < 1 {
-				t.Fatalf("step %d: Fill released no waiters", step)
-			}
-			sh[sh.key(c, pm.addr, pm.sector)] = true
 		case op < 9: // write
-			res := c.Write(addr, sector)
+			res := c.Write(addr, sector, now)
 			switch cfg.Policy {
 			case WriteEvict:
 				if res != Miss {
 					t.Fatalf("step %d: write-evict store returned %v, want forwarded Miss", step, res)
 				}
 				// The store invalidated any cached copy in this sector.
-				delete(sh, sh.key(c, addr, sector))
+				delete(sh, key)
 			case WriteBackAllocate:
 				if res == Miss {
 					// Allocation fill: the line is now resident.
-					sh[sh.key(c, addr, sector)] = true
+					sh[key] = true
 				}
 			}
 		default: // occasional flush
 			c.Flush()
 			sh = shadow{}
 		}
-		checkCounters(t, c, step)
+		checkCounters(t, c, fills, step)
 		if step%101 == 0 || step == steps-1 {
 			checkResidency(t, c, sh, lines, step)
 		}
 	}
 
-	// Every un-drained miss must still be visible as pending, and
-	// draining them must leave no MSHR entries behind.
-	for _, pm := range pending {
-		if !c.Pending(pm.addr, pm.sector) && cfg.MSHRs == 0 {
-			t.Fatalf("undrained miss %#x/%d not pending", pm.addr, pm.sector)
+	// Every fill still in flight must match its MSHR entry, and the
+	// table must hold nothing else.
+	if len(c.pending) != len(inFlight) {
+		t.Fatalf("%d MSHR entries, want %d in flight", len(c.pending), len(inFlight))
+	}
+	for key, at := range inFlight {
+		if got, ok := c.pending[key]; !ok || got != at {
+			t.Fatalf("MSHR entry %#x = (%d, %v), want fill at %d", key, got, ok, at)
 		}
-		c.Fill(pm.addr, pm.sector)
 	}
 }
 
@@ -166,7 +179,6 @@ func TestCacheRandomizedInvariants(t *testing.T) {
 		{"fermi-l1-write-evict", Config{Size: 16 * 1024, Line: 128, Assoc: 4, Sectors: 1, Policy: WriteEvict}},
 		{"maxwell-l1-sectored", Config{Size: 48 * 1024, Line: 32, Assoc: 8, Sectors: 2, Policy: WriteEvict}},
 		{"l2-write-back", Config{Size: 64 * 1024, Line: 32, Assoc: 16, Sectors: 1, Policy: WriteBackAllocate}},
-		{"l2-bounded-mshrs", Config{Size: 32 * 1024, Line: 32, Assoc: 8, Sectors: 1, Policy: WriteBackAllocate, MSHRs: 8}},
 		{"tiny-thrashing", Config{Size: 1024, Line: 32, Assoc: 2, Sectors: 2, Policy: WriteEvict}},
 	}
 	steps := 4000
@@ -190,7 +202,7 @@ func TestCacheRandomizedInvariants(t *testing.T) {
 func TestSectorIsolationDirected(t *testing.T) {
 	c := New(Config{Size: 4 * 1024, Line: 32, Assoc: 4, Sectors: 2, Policy: WriteEvict})
 	const addr = 0x1000
-	if res := c.Read(addr, 0); res != Miss {
+	if res, _ := c.Read(addr, 0, 0); res != Miss {
 		t.Fatalf("cold read = %v, want Miss", res)
 	}
 	c.Fill(addr, 0)
@@ -200,7 +212,7 @@ func TestSectorIsolationDirected(t *testing.T) {
 	if c.Contains(addr, 1) {
 		t.Fatal("fill in sector 0 leaked into sector 1")
 	}
-	if res := c.Read(addr, 1); res != Miss {
+	if res, _ := c.Read(addr, 1, 0); res != Miss {
 		t.Fatalf("sector-1 read after sector-0 fill = %v, want Miss", res)
 	}
 }

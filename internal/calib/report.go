@@ -83,13 +83,11 @@ type Report struct {
 }
 
 // The metadata constants BuildReport stamps into every report. They are
-// part of the bytes BENCH_calib.json and the report goldens pin, so
-// reportNote still names the -shards/-quantum flags of the removed
-// sharded engine until the next deliberate re-pin of those files.
+// part of the bytes BENCH_calib.json and the report goldens pin.
 const (
 	reportBenchmark = "ctacalib report -json (per-app cycle and speedup error vs the committed calibration reference, plus per-platform Figure 2 curve RMS at the committed latency tables)"
 	reportGenerated = "go run ./cmd/ctacalib report -json"
-	reportNote      = "Deterministic and dateless on purpose: a rerun of the generating command reproduces this file byte-identically at any -parallel/-shards/-quantum setting (make calib-smoke regenerates and compares it). Errors are signed relative deviations (sim-ref)/ref; the reference was seeded from the simulator at the committed latency tables, so all-zero errors mean the engine still reproduces its calibration baseline exactly, and any nonzero cell is an accuracy drift introduced after seeding."
+	reportNote      = "Deterministic and dateless on purpose: a rerun of the generating command reproduces this file byte-identically at any -parallel setting (make calib-smoke regenerates and compares it). Errors are signed relative deviations (sim-ref)/ref; the reference was seeded from the simulator at the committed latency tables, so all-zero errors mean the engine still reproduces its calibration baseline exactly, and any nonzero cell is an accuracy drift introduced after seeding."
 )
 
 // simCell is one simulated (platform, app) outcome.

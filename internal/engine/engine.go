@@ -146,11 +146,10 @@ type ctaState struct {
 // smState is one streaming multiprocessor.
 type smState struct {
 	id        int
-	l1        *cache.Cache
+	l1        *cache.Cache // owns the SM's MSHR table of in-flight fills
 	issueFree int64
-	slots     []*ctaState      // fixed-capacity CTA slots; nil = free
-	pendFills map[uint64]int64 // L1 line+sector key -> fill completion
-	resident  int              // resident warps (occupancy tracking)
+	slots     []*ctaState // fixed-capacity CTA slots; nil = free
+	resident  int         // resident warps (occupancy tracking)
 }
 
 // sim is the run state.
@@ -291,8 +290,7 @@ func run(ctx context.Context, cfg Config, k kernel.Kernel, refQueue bool) (*Resu
 				Sectors: sectors,
 				Policy:  cache.WriteEvict,
 			}),
-			slots:     make([]*ctaState, occ.CTAsPerSM),
-			pendFills: make(map[uint64]int64),
+			slots: make([]*ctaState, occ.CTAsPerSM),
 		}
 	}
 	s.q = newScheduler(refQueue)

@@ -176,10 +176,6 @@ func (s *sim) finishWarp(w *warpState) {
 	}
 }
 
-func lineKey(lineBase uint64, sector int) uint64 {
-	return lineBase<<1 | uint64(sector&1)
-}
-
 // emitL1 records one L1-line access outcome.
 func (s *sim) emitL1(sm *smState, cta *ctaState, addr uint64, res cache.Result, at int64, write bool) {
 	s.prof.Emit(prof.Event{
@@ -190,24 +186,20 @@ func (s *sim) emitL1(sm *smState, cta *ctaState, addr uint64, res cache.Result, 
 }
 
 // memAccess routes one warp memory op through the hierarchy and returns
-// the absolute completion time: the SM's L1 and pending-fill table
-// first, then the shared NoC/L2/DRAM system on a miss, bypass or store.
+// the absolute completion time: the SM's L1 and its MSHR table of
+// in-flight fills first, then the shared NoC/L2/DRAM system on a miss,
+// bypass or store.
 func (s *sim) memAccess(sm *smState, cta *ctaState, m kernel.MemOp, issue int64) int64 {
 	ar := s.ar
 	if m.Write {
-		// Write-evict: invalidate any cached copy per L1 line, then
-		// forward the coalesced 32B segments to L2. Completed-but-
-		// unapplied fills must land first so the invalidation sees them.
+		// Write-evict: invalidate any cached copy per L1 line (the L1
+		// installs fills landed by issue first, so the invalidation sees
+		// them), then forward the coalesced 32B segments to L2.
 		if s.cfg.L1Enabled && !m.Bypass {
 			sector := s.sectorFor(cta)
 			s.txBuf = m.AppendTransactions(s.txBuf[:0], ar.L1Line)
 			for _, a := range s.txBuf {
-				key := lineKey(a/uint64(ar.L1Line), sector)
-				if fd, ok := sm.pendFills[key]; ok && fd <= issue {
-					sm.l1.Fill(a, sector)
-					delete(sm.pendFills, key)
-				}
-				res := sm.l1.Write(a, sector)
+				res := sm.l1.Write(a, sector, issue)
 				if s.prof != nil {
 					s.emitL1(sm, cta, a, res, issue, true)
 				}
@@ -246,13 +238,8 @@ func (s *sim) memAccess(sm *smState, cta *ctaState, m kernel.MemOp, issue int64)
 	done := issue
 	s.txBuf = m.AppendTransactions(s.txBuf[:0], ar.L1Line)
 	for _, a := range s.txBuf {
-		key := lineKey(a/uint64(ar.L1Line), sector)
-		if fd, ok := sm.pendFills[key]; ok && fd <= issue {
-			sm.l1.Fill(a, sector)
-			delete(sm.pendFills, key)
-		}
 		var t int64
-		res := sm.l1.Read(a, sector)
+		res, fillAt := sm.l1.Read(a, sector, issue)
 		if s.prof != nil {
 			s.emitL1(sm, cta, a, res, issue, false)
 		}
@@ -262,7 +249,7 @@ func (s *sim) memAccess(sm *smState, cta *ctaState, m kernel.MemOp, issue int64)
 		case cache.HitReserved:
 			// Hit-reserved: the data is on the fly; the warp waits for
 			// the outstanding fill (Section 3.1-(1)).
-			t = sm.pendFills[key]
+			t = fillAt
 			if lo := issue + int64(ar.L1Latency); lo > t {
 				t = lo
 			}
@@ -274,9 +261,8 @@ func (s *sim) memAccess(sm *smState, cta *ctaState, m kernel.MemOp, issue int64)
 				base = a &^ 63
 				nbytes = 2 * ar.L2Line
 			}
-			fd := s.memsys.Read(issue, sm.id, base, nbytes)
-			sm.pendFills[key] = fd
-			t = fd
+			t = s.memsys.Read(issue, sm.id, base, nbytes)
+			sm.l1.Reserve(a, sector, t)
 		}
 		if t > done {
 			done = t

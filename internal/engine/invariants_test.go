@@ -2,9 +2,12 @@ package engine_test
 
 // End-of-run conservation invariants. Byte-identity goldens prove the
 // engine is deterministic; these prove that what it counts adds up:
-// every cache access lands in exactly one outcome bucket, interposer
-// traffic never exceeds the DRAM traffic it is a subset of, every CTA
-// is dispatched and retired exactly once, and the per-SM L1 records sum
+// every cache access lands in exactly one outcome bucket, every DRAM
+// read is an L2 miss and every L2 write a store, atomic or
+// write-allocate re-write, the L2 never merges onto an in-flight fill,
+// the L1 installs no more fills than it missed, interposer traffic
+// never exceeds the DRAM traffic it is a subset of, every CTA is
+// dispatched and retired exactly once, and the per-SM L1 records sum
 // to the aggregate. The sweep covers every Table 2 app on every
 // evaluation platform, monolithic and 2-die.
 
@@ -58,6 +61,19 @@ func conservationViolations(res *engine.Result) []string {
 	l2 := res.L2
 	if got := l2.ReadHits + l2.ReadReserved + l2.ReadMisses; l2.Reads != got {
 		fail("L2 reads %d != hits+reserved+misses %d", l2.Reads, got)
+	}
+	if l1.Fills > l1.ReadMisses {
+		fail("L1 fills %d > read misses %d", l1.Fills, l1.ReadMisses)
+	}
+	if l2.ReadReserved != 0 {
+		fail("L2 reserved reads %d, want 0: the L2 fills synchronously", l2.ReadReserved)
+	}
+	if got := l2.ReadMisses + l2.WriteMisses; res.Mem.DRAMReads != got {
+		fail("DRAM reads %d != L2 read+write misses %d", res.Mem.DRAMReads, got)
+	}
+	// mem.System.Write re-writes each write-allocated line to dirty it.
+	if got := res.Mem.WriteTransactions + res.Mem.AtomicTransactions + l2.WriteMisses; l2.Writes != got {
+		fail("L2 writes %d != write+atomic transactions + write misses %d", l2.Writes, got)
 	}
 	if res.Mem.RemoteL2Transactions > res.Mem.DRAMReads {
 		fail("remote L2 transactions %d > DRAM reads %d", res.Mem.RemoteL2Transactions, res.Mem.DRAMReads)

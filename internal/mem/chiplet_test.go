@@ -125,7 +125,7 @@ func TestChipletSliceCapacity(t *testing.T) {
 			s.Read(0, 0, i*line, 32)
 		}
 		before := s.Stats().DRAMReads
-		done := s.Read(1 << 40, 0, 0, 32) // far-future re-read of line 0, no queueing
+		done := s.Read(1<<40, 0, 0, 32) // far-future re-read of line 0, no queueing
 		if s.Stats().DRAMReads == before {
 			return 0 // L2 hit
 		}

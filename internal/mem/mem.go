@@ -348,7 +348,7 @@ func (s *System) Read(now int64, smID int, base uint64, nbytes int) int64 {
 		svc, c := s.route(now, smID, addr)
 		var t int64
 		hit, remote := true, false
-		if res := c.Read(addr, 0); res == cache.Miss {
+		if res, _ := c.Read(addr, 0, svc); res == cache.Miss {
 			hit = false
 			s.stats.DRAMReads++
 			c.Fill(addr, 0)
@@ -382,7 +382,7 @@ func (s *System) Write(now int64, smID int, base uint64, nbytes int) int64 {
 		s.stats.WriteTransactions++
 		svc, c := s.route(now, smID, addr)
 		hit, remote := true, false
-		if res := c.Write(addr, 0); res == cache.Miss {
+		if res := c.Write(addr, 0, svc); res == cache.Miss {
 			// Write-allocate fill from DRAM; the store itself completes
 			// once the L2 slice accepts it — the ack is die-local either
 			// way — but the fill occupies a channel, and the interposer
@@ -393,7 +393,12 @@ func (s *System) Write(now int64, smID int, base uint64, nbytes int) int64 {
 			var start int64
 			start, remote = s.fillFrom(svc, smID, addr)
 			s.dramAt(start, addr)
-			_ = c.Write(addr, 0) // dirty the allocated line
+			// Dirty the allocated line. This second access counts one more
+			// L2 write and write hit per write-allocate miss, which is why
+			// L2.Writes = WriteTransactions + AtomicTransactions +
+			// L2.WriteMisses (engine/invariants_test.go); the goldens
+			// pin that count.
+			_ = c.Write(addr, 0, svc)
 		}
 		if s.obs != nil {
 			s.obs(svc, smID, addr, TxnWrite, hit, remote)
@@ -413,7 +418,7 @@ func (s *System) Atomic(now int64, smID int, addr uint64) int64 {
 	svc, c := s.route(now, smID, addr)
 	var done int64
 	hit, remote := true, false
-	if res := c.Read(addr, 0); res == cache.Miss {
+	if res, _ := c.Read(addr, 0, svc); res == cache.Miss {
 		hit = false
 		s.stats.DRAMReads++
 		c.Fill(addr, 0)
@@ -429,7 +434,7 @@ func (s *System) Atomic(now int64, smID int, addr uint64) int64 {
 	if s.obs != nil {
 		s.obs(svc, smID, addr, TxnAtomic, hit, remote)
 	}
-	_ = c.Write(addr, 0)
+	_ = c.Write(addr, 0, svc)
 	// Hold the bank a few extra cycles for the RMW.
 	b := s.bankFor(smID, addr)
 	if s.bankFree[b] < svc+4 {

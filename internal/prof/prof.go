@@ -173,13 +173,13 @@ type Event struct {
 	Hit    bool  // EvL2Transaction: serviced by the L2 without DRAM
 	Write  bool  // memory direction where applicable
 	Remote bool  // EvL2Transaction: crossed the interposer (chiplet archs only)
-	SM    int32
-	CTA   int32
-	Warp  int32
-	Slot  int32
-	Cycle int64  // timestamp (SM cycles)
-	Dur   int64  // duration/latency in cycles where applicable
-	Addr  uint64 // address for memory-related kinds
+	SM     int32
+	CTA    int32
+	Warp   int32
+	Slot   int32
+	Cycle  int64  // timestamp (SM cycles)
+	Dur    int64  // duration/latency in cycles where applicable
+	Addr   uint64 // address for memory-related kinds
 }
 
 // Snapshot is one interval sample of the counter registry: the

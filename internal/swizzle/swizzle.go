@@ -68,7 +68,7 @@ type variant struct {
 }
 
 var variants = map[string]variant{
-	Identity: {cost: costIdentity, build: nil},
+	Identity:   {cost: costIdentity, build: nil},
 	"xor":      {cost: costXOR, build: xorPerm},
 	"groupcol": {cost: costGroupCol, build: groupColPerm},
 	"hilbert":  {cost: costHilbert, build: hilbertPerm},

@@ -49,7 +49,7 @@ func TestTable2Categories(t *testing.T) {
 		"SGM": locality.Algorithm, "HS": locality.Algorithm,
 		"SYK": locality.CacheLine, "S2K": locality.CacheLine, "ATX": locality.CacheLine,
 		"MVT": locality.CacheLine, "NBO": locality.CacheLine, "3CV": locality.CacheLine,
-		"BC":  locality.CacheLine, "COR": locality.CacheLine,
+		"BC": locality.CacheLine, "COR": locality.CacheLine,
 		"HST": locality.Data, "BTR": locality.Data, "BFS": locality.Data,
 		"NW":  locality.Write,
 		"MON": locality.Streaming, "DXT": locality.Streaming,
