@@ -21,7 +21,8 @@ race:
 
 # Short fuzz smoke of the partition bijection, the swizzle bijectivity,
 # the event-queue pop order, the disk-cache entry codec, the die-block
-# bijectivity and the calibration reference codec; CI runs these
+# bijectivity, the calibration reference codec and the coalescer
+# against its sort-based reference; CI runs these
 # bounded, `make fuzz FUZZTIME=10m` digs deeper locally. (go test accepts one -fuzz pattern
 # per run, so each target is its own invocation.)
 FUZZTIME ?= 30s
@@ -32,6 +33,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDiskCacheEntry -fuzztime=$(FUZZTIME) ./internal/rescache
 	$(GO) test -run='^$$' -fuzz=FuzzDieBlockBijective -fuzztime=$(FUZZTIME) ./internal/swizzle
 	$(GO) test -run='^$$' -fuzz=FuzzCalibReference -fuzztime=$(FUZZTIME) ./internal/calib
+	$(GO) test -run='^$$' -fuzz=FuzzAppendTransactions -fuzztime=$(FUZZTIME) ./internal/kernel
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

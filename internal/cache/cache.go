@@ -13,6 +13,11 @@
 // Read and Write take the access cycle and first install any fill that
 // has landed by then, so a fill reaches the tag array at the first
 // access to its line after it completes. The table is unbounded.
+//
+// The tag store is flat: three arrays per cache (tags, LRU clocks, dirty
+// bits) with one slot per way of every set of every sector, allocated
+// once by New. Replacement is true LRU: a line installs into the first
+// invalid way of its set, else into the way with the oldest use.
 package cache
 
 import "fmt"
@@ -134,34 +139,28 @@ func (s Stats) HitRate() float64 {
 	return float64(s.ReadHits) / float64(s.Reads)
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // larger = more recently used
-}
-
-type set struct {
-	ways []line
-}
-
-type sector struct {
-	sets []set
-}
-
 // Cache is a set-associative, LRU cache with optional sectoring and
 // MSHR-based miss merging. It is a timing/occupancy model: no data is
 // stored, only tags.
+//
+// The tag store is three flat arrays indexed by
+// (sector*nsets + set)*assoc + way: tags holds the resident line index
+// plus one (zero marks an invalid way; with lines of two bytes or more
+// the index is below 2^63, so the increment cannot wrap), lru the clock
+// of the way's last use, and dirty its write-back state.
 type Cache struct {
 	cfg     Config
-	sectors []sector
+	nsets   uint64
+	tags    []uint64
+	lru     []uint64 // larger = more recently used
+	dirty   []bool
 	pending map[uint64]int64 // MSHR: line+sector key -> fill-completion cycle
 	clock   uint64
 	stats   Stats
 }
 
 // New builds a cache from cfg. Size must be divisible by Line*Assoc*
-// Sectors and the per-sector set count must be a power of two.
+// Sectors and the per-sector set count must be positive.
 func New(cfg Config) *Cache {
 	if cfg.Sectors <= 0 {
 		cfg.Sectors = 1
@@ -175,15 +174,15 @@ func New(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache: size %d too small for line %d assoc %d sectors %d",
 			cfg.Size, cfg.Line, cfg.Assoc, cfg.Sectors))
 	}
-	c := &Cache{cfg: cfg, pending: make(map[uint64]int64)}
-	c.sectors = make([]sector, cfg.Sectors)
-	for i := range c.sectors {
-		c.sectors[i].sets = make([]set, nsets)
-		for j := range c.sectors[i].sets {
-			c.sectors[i].sets[j].ways = make([]line, cfg.Assoc)
-		}
+	n := cfg.Sectors * nsets * cfg.Assoc
+	return &Cache{
+		cfg:     cfg,
+		nsets:   uint64(nsets),
+		tags:    make([]uint64, n),
+		lru:     make([]uint64, n),
+		dirty:   make([]bool, n),
+		pending: make(map[uint64]int64),
 	}
-	return c
 }
 
 // Config returns the construction configuration.
@@ -200,34 +199,37 @@ func (c *Cache) LineBase(addr uint64) uint64 {
 	return addr / uint64(c.cfg.Line) * uint64(c.cfg.Line)
 }
 
-// locate returns the set holding line index idx (addr / Line) in the
-// given sector; the index doubles as the tag.
-func (c *Cache) locate(idx uint64, sectorID int) *set {
-	if sectorID < 0 || sectorID >= len(c.sectors) {
+// set returns the index of way 0 of the set holding line index idx
+// (addr / Line) in the given sector.
+func (c *Cache) set(idx uint64, sectorID int) int {
+	if sectorID < 0 || sectorID >= c.cfg.Sectors {
 		sectorID = 0
 	}
-	sec := &c.sectors[sectorID]
-	return &sec.sets[idx%uint64(len(sec.sets))]
+	return (sectorID*int(c.nsets) + int(idx%c.nsets)) * c.cfg.Assoc
 }
 
-func (s *set) find(tag uint64) *line {
-	for i := range s.ways {
-		if s.ways[i].valid && s.ways[i].tag == tag {
-			return &s.ways[i]
+// find returns the way of the set at base holding line index idx, or -1.
+func (c *Cache) find(base int, idx uint64) int {
+	tag := idx + 1
+	for i, t := range c.tags[base : base+c.cfg.Assoc] {
+		if t == tag {
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
-func (s *set) victim() *line {
-	v := &s.ways[0]
-	for i := range s.ways {
-		w := &s.ways[i]
-		if !w.valid {
-			return w
+// victim returns the way of the set at base to replace: the first
+// invalid way, else the least recently used, the lowest way winning
+// ties.
+func (c *Cache) victim(base int) int {
+	v := base
+	for i := base; i < base+c.cfg.Assoc; i++ {
+		if c.tags[i] == 0 {
+			return i
 		}
-		if w.lru < v.lru {
-			v = w
+		if c.lru[i] < c.lru[v] {
+			v = i
 		}
 	}
 	return v
@@ -245,8 +247,8 @@ func (c *Cache) Read(addr uint64, sectorID int, at int64) (Result, int64) {
 	fillAt, inFlight := c.settle(idx, sectorID, at)
 	c.clock++
 	c.stats.Reads++
-	if ln := c.locate(idx, sectorID).find(idx); ln != nil {
-		ln.lru = c.clock
+	if w := c.find(c.set(idx, sectorID), idx); w >= 0 {
+		c.lru[w] = c.clock
 		c.stats.ReadHits++
 		return Hit, 0
 	}
@@ -281,14 +283,14 @@ func (c *Cache) Write(addr uint64, sectorID int, at int64) Result {
 	c.settle(idx, sectorID, at)
 	c.clock++
 	c.stats.Writes++
-	st := c.locate(idx, sectorID)
-	ln := st.find(idx)
+	base := c.set(idx, sectorID)
+	w := c.find(base, idx)
 	switch c.cfg.Policy {
 	case WriteEvict:
-		if ln != nil {
+		if w >= 0 {
 			// Invalidate: this is the early-eviction mechanism behind
 			// the write-related category (Figure 4-D).
-			ln.valid = false
+			c.tags[w] = 0
 			c.stats.Evictions++
 			c.stats.WriteHits++
 		} else {
@@ -296,14 +298,14 @@ func (c *Cache) Write(addr uint64, sectorID int, at int64) Result {
 		}
 		return Miss // always forwarded to the next level
 	case WriteBackAllocate:
-		if ln != nil {
-			ln.dirty = true
-			ln.lru = c.clock
+		if w >= 0 {
+			c.dirty[w] = true
+			c.lru[w] = c.clock
 			c.stats.WriteHits++
 			return Hit
 		}
 		c.stats.WriteMisses++
-		c.insert(st, idx, true)
+		c.insert(base, idx, true)
 		return Miss // allocation fill from the next level
 	default:
 		panic("cache: unknown write policy")
@@ -337,47 +339,44 @@ func (c *Cache) settle(idx uint64, sectorID int, at int64) (int64, bool) {
 func (c *Cache) install(idx uint64, sectorID int) {
 	c.clock++
 	c.stats.Fills++
-	if st := c.locate(idx, sectorID); st.find(idx) == nil {
-		c.insert(st, idx, false)
+	if base := c.set(idx, sectorID); c.find(base, idx) < 0 {
+		c.insert(base, idx, false)
 	}
 }
 
 // Contains reports whether addr's line is valid in the cache (test hook).
 func (c *Cache) Contains(addr uint64, sectorID int) bool {
 	idx := addr / uint64(c.cfg.Line)
-	return c.locate(idx, sectorID).find(idx) != nil
+	return c.find(c.set(idx, sectorID), idx) >= 0
 }
 
 // Flush invalidates all lines, emitting writebacks for dirty ones, and
 // returns the number of writeback transactions.
 func (c *Cache) Flush() uint64 {
 	var wb uint64
-	for si := range c.sectors {
-		for ssi := range c.sectors[si].sets {
-			st := &c.sectors[si].sets[ssi]
-			for wi := range st.ways {
-				ln := &st.ways[wi]
-				if ln.valid && ln.dirty {
-					wb++
-					c.stats.Writebacks++
-				}
-				ln.valid = false
-				ln.dirty = false
-			}
+	for i, t := range c.tags {
+		if t != 0 && c.dirty[i] {
+			wb++
+			c.stats.Writebacks++
 		}
+		c.tags[i] = 0
+		c.dirty[i] = false
 	}
 	return wb
 }
 
-func (c *Cache) insert(st *set, tag uint64, dirty bool) {
-	v := st.victim()
-	if v.valid {
+// insert places line index idx in the set at base, evicting its victim.
+func (c *Cache) insert(base int, idx uint64, dirty bool) {
+	v := c.victim(base)
+	if c.tags[v] != 0 {
 		c.stats.Evictions++
-		if v.dirty {
+		if c.dirty[v] {
 			c.stats.Writebacks++
 		}
 	}
-	*v = line{tag: tag, valid: true, dirty: dirty, lru: c.clock}
+	c.tags[v] = idx + 1
+	c.dirty[v] = dirty
+	c.lru[v] = c.clock
 }
 
 // pendKey disambiguates identical line indices across sectors.

@@ -39,19 +39,6 @@ func origCTA(ix kernel.Indexing, perm []int, v, nx, ny int) int {
 	return y*nx + x
 }
 
-// prependCompute inserts a compute op of c cycles at the head of every
-// warp trace (the per-thread index recomputation).
-func prependCompute(warps [][]kernel.Op, c int) [][]kernel.Op {
-	out := make([][]kernel.Op, len(warps))
-	for i, ops := range warps {
-		w := make([]kernel.Op, 0, len(ops)+1)
-		w = append(w, kernel.Compute(c))
-		w = append(w, ops...)
-		out[i] = w
-	}
-	return out
-}
-
 // RedirectKernel is the redirection-based clustering transform of
 // Section 4.2.4-(1) / Listing 4: the new kernel has exactly as many CTAs
 // as the original; CTA u is redirected to original CTA v through the
@@ -124,6 +111,6 @@ func (k *RedirectKernel) Work(l kernel.Launch) kernel.CTAWork {
 	inner := l
 	inner.CTA = target
 	work := k.orig.Work(inner)
-	work.Warps = prependCompute(work.Warps, indexCost(k.ix))
+	work.Warps = kernel.PrependCompute(work.Warps, indexCost(k.ix))
 	return work
 }

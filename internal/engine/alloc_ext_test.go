@@ -21,22 +21,23 @@ import (
 // allocBudgets is the table. Budgets are whole-run allocation counts
 // (testing.AllocsPerRun averages over 2 runs); profiled rows include
 // the Trace's own event-buffer growth, which amortized doubling keeps
-// to a few dozen allocations. Measured values: MM 12005 bare / 12051
-// profiled, SGM 7069 / 7100, MM 2-die 11737 (one MSHR map per SM).
+// to a few dozen allocations. Measured values: MM 8472 bare / 8516
+// profiled, SGM 3530 / 3561, MM 2-die 8202 (flat per-cache tag arrays:
+// three allocations per cache instead of one per set).
 var allocBudgets = []struct {
 	app      string
 	chiplets int // 0 = monolithic TeslaK40; N = WithChiplets variant
 	profiled bool
 	budget   float64
 }{
-	{"MM", 0, false, 12610},
-	{"MM", 0, true, 12660},
-	{"SGM", 0, false, 7430},
-	{"SGM", 0, true, 7460},
+	{"MM", 0, false, 8900},
+	{"MM", 0, true, 8950},
+	{"SGM", 0, false, 3710},
+	{"SGM", 0, true, 3740},
 	// The chiplet path: per-die slices replace the monolithic L2, and
 	// everything else must stay on the diet — the slice array and link
 	// table are setup-time allocations, not per-event ones.
-	{"MM", 2, false, 12330},
+	{"MM", 2, false, 8620},
 }
 
 func TestAllocationBudgets(t *testing.T) {

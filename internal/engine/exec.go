@@ -55,7 +55,7 @@ func (s *sim) step(w *warpState) {
 		s.finishWarp(w)
 		return
 	}
-	op := w.ops[w.pc]
+	op := &w.ops[w.pc]
 
 	// Barriers, stores and atomics consume loaded values: drain the
 	// load window first.
@@ -100,7 +100,7 @@ func (s *sim) step(w *warpState) {
 		}
 
 	case kernel.OpMem:
-		done := s.memAccess(sm, cta, op.Mem, issue)
+		done := s.memAccess(sm, cta, &op.Mem, issue)
 		if s.prof != nil {
 			class := prof.MemLoad
 			switch {
@@ -145,7 +145,7 @@ func (s *sim) step(w *warpState) {
 }
 
 // drains reports whether an op consumes in-flight load results.
-func drains(op kernel.Op) bool {
+func drains(op *kernel.Op) bool {
 	switch op.Kind {
 	case kernel.OpBarrier, kernel.OpAtomic:
 		return true
@@ -189,7 +189,7 @@ func (s *sim) emitL1(sm *smState, cta *ctaState, addr uint64, res cache.Result, 
 // the absolute completion time: the SM's L1 and its MSHR table of
 // in-flight fills first, then the shared NoC/L2/DRAM system on a miss,
 // bypass or store.
-func (s *sim) memAccess(sm *smState, cta *ctaState, m kernel.MemOp, issue int64) int64 {
+func (s *sim) memAccess(sm *smState, cta *ctaState, m *kernel.MemOp, issue int64) int64 {
 	ar := s.ar
 	if m.Write {
 		// Write-evict: invalidate any cached copy per L1 line (the L1

@@ -14,6 +14,7 @@ package kernel
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"ctacluster/internal/arch"
@@ -109,6 +110,20 @@ type Op struct {
 // Compute returns a compute op occupying the warp for n cycles.
 func Compute(n int) Op { return Op{Kind: OpCompute, Cycles: n} }
 
+// PrependCompute returns copies of the warp traces, each headed by a
+// compute op of c cycles: the per-thread index recomputation a CTA
+// transform adds to every warp. The original traces are not mutated.
+func PrependCompute(warps [][]Op, c int) [][]Op {
+	out := make([][]Op, len(warps))
+	for i, ops := range warps {
+		w := make([]Op, 0, len(ops)+1)
+		w = append(w, Compute(c))
+		w = append(w, ops...)
+		out[i] = w
+	}
+	return out
+}
+
 // Barrier returns a CTA-wide barrier op.
 func Barrier() Op { return Op{Kind: OpBarrier} }
 
@@ -175,8 +190,15 @@ func (m MemOp) Transactions(segBytes int) []uint64 {
 // sorted, deduplicated segment bases to dst and returns the extended
 // slice, allocating only when dst lacks capacity. A caller reusing one
 // scratch buffer per lane (the engine does) coalesces with zero
-// steady-state allocations. The output bytes are identical to
-// Transactions — the simulator's determinism contract rides on that.
+// steady-state allocations.
+//
+// A regular access is coalesced in closed form: its lanes are walked in
+// ascending address order (backwards for a negative Stride), so the
+// segments come out sorted by construction and deduplicating is one
+// comparison against the last one emitted. When |Stride| <= Size the
+// lanes cover one contiguous byte range, which is a single run of
+// segments. Gathers, and regular accesses whose lane span wraps past
+// 2^64, go through the general per-lane collect, sort and compact.
 func (m MemOp) AppendTransactions(dst []uint64, segBytes int) []uint64 {
 	if segBytes <= 0 {
 		panic("kernel: non-positive segment size")
@@ -186,6 +208,89 @@ func (m MemOp) AppendTransactions(dst []uint64, segBytes int) []uint64 {
 		size = 4
 	}
 	seg := uint64(segBytes)
+	if m.Addrs == nil {
+		lanes := m.Lanes
+		if lanes <= 0 {
+			lanes = 1
+		}
+		if lo, step, ok := m.ascending(lanes, uint64(size)); ok {
+			return appendAscending(dst, lo, step, lanes, uint64(size), seg)
+		}
+	}
+	return m.appendSorted(dst, size, seg)
+}
+
+// ascending returns the lowest lane address and the distance between
+// address-adjacent lanes, provided every lane's bytes lie inside one
+// non-wrapping range [lo, lo+(lanes-1)*step+size-1] of the address
+// space.
+func (m MemOp) ascending(lanes int, size uint64) (lo, step uint64, ok bool) {
+	step = uint64(m.Stride)
+	if m.Stride < 0 {
+		step = -step
+	}
+	hi, span := bits.Mul64(uint64(lanes-1), step)
+	if hi != 0 {
+		return 0, 0, false
+	}
+	lo = m.Base
+	if m.Stride < 0 {
+		if lo < span {
+			return 0, 0, false
+		}
+		lo -= span
+	}
+	// The last byte lo+span+size-1 must not pass 2^64-1.
+	if span > ^uint64(0)-(size-1) || lo > ^uint64(0)-(size-1)-span {
+		return 0, 0, false
+	}
+	return lo, step, true
+}
+
+// appendAscending appends the segments of lanes lanes of size bytes at
+// lo, lo+step, ... — a range known not to wrap — in ascending order.
+func appendAscending(dst []uint64, lo, step uint64, lanes int, size, seg uint64) []uint64 {
+	pow2 := seg&(seg-1) == 0
+	floor := func(a uint64) uint64 {
+		if pow2 {
+			return a &^ (seg - 1)
+		}
+		return a / seg * seg
+	}
+	if step <= size {
+		return appendRun(dst, floor(lo), floor(lo+uint64(lanes-1)*step+size-1), seg)
+	}
+	// Lanes are disjoint and ascending, so each lane's first segment is
+	// at or after the previous lane's last: only that one can repeat.
+	n := len(dst)
+	for a := lo; lanes > 0; lanes, a = lanes-1, a+step {
+		first, last := floor(a), floor(a+size-1)
+		if len(dst) > n && dst[len(dst)-1] == first {
+			if first == last {
+				continue
+			}
+			first += seg
+		}
+		dst = appendRun(dst, first, last, seg)
+	}
+	return dst
+}
+
+// appendRun appends the segment bases first, first+seg, ..., last
+// (first <= last).
+func appendRun(dst []uint64, first, last, seg uint64) []uint64 {
+	for s := first; ; s += seg {
+		dst = append(dst, s)
+		if s == last {
+			return dst
+		}
+	}
+}
+
+// appendSorted is the general coalescer: collect every lane's segments,
+// then sort and compact. A lane whose own bytes wrap past 2^64
+// contributes no segment.
+func (m MemOp) appendSorted(dst []uint64, size int, seg uint64) []uint64 {
 	start := len(dst)
 	appendSegs := func(a uint64) []uint64 {
 		first := a / seg

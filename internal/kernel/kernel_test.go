@@ -1,6 +1,10 @@
 package kernel
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -58,6 +62,30 @@ func TestOpConstructors(t *testing.T) {
 	// Modifiers must not mutate the original (value semantics).
 	if ld.Mem.Bypass || ld.Mem.Prefetch || ld.Mem.Streaming {
 		t.Error("modifier mutated the receiver")
+	}
+}
+
+// TestPrependCompute pins the transform helper: every warp gains a
+// leading compute op and the caller's traces are left untouched.
+func TestPrependCompute(t *testing.T) {
+	orig := [][]Op{{Load(0, 4, 32, 4)}, {}, {Barrier(), Compute(2)}}
+	got := PrependCompute(orig, 7)
+	if len(got) != len(orig) {
+		t.Fatalf("%d warps, want %d", len(got), len(orig))
+	}
+	for i, w := range got {
+		if len(w) != len(orig[i])+1 || w[0].Kind != OpCompute || w[0].Cycles != 7 {
+			t.Fatalf("warp %d = %+v, want Compute(7) then %+v", i, w, orig[i])
+		}
+		for j := range orig[i] {
+			if w[j+1].Kind != orig[i][j].Kind || w[j+1].Cycles != orig[i][j].Cycles {
+				t.Fatalf("warp %d op %d = %+v, want %+v", i, j, w[j+1], orig[i][j])
+			}
+		}
+	}
+	got[0][1] = Compute(1)
+	if orig[0][0].Kind != OpMem || len(orig[2]) != 2 {
+		t.Error("PrependCompute shares or mutates the original traces")
 	}
 }
 
@@ -156,12 +184,79 @@ func TestTransactionsSortedUniqueProperty(t *testing.T) {
 	}
 }
 
-// TestAppendTransactionsEquivalence pins the hot-path variant to the
-// allocating one: for random regular and irregular accesses, appending
-// into a dirty scratch buffer must leave the prefix untouched and
-// produce exactly the bytes Transactions returns. The engine's
-// determinism contract rides on this equivalence — every coalescing
-// site now goes through AppendTransactions with a reused buffer.
+// refAppendTransactions is the coalescer before the closed-form walk,
+// kept as the oracle AppendTransactions is checked against: it collects
+// every lane's segments one division at a time, then sorts and compacts
+// them. For segBytes 1 it never returns if a lane ends at the last byte
+// of the address space (its loop counter wraps), so callers pass
+// segBytes >= 2.
+func refAppendTransactions(m MemOp, dst []uint64, segBytes int) []uint64 {
+	if segBytes <= 0 {
+		panic("kernel: non-positive segment size")
+	}
+	size := m.Size
+	if size <= 0 {
+		size = 4
+	}
+	seg := uint64(segBytes)
+	start := len(dst)
+	appendSegs := func(a uint64) []uint64 {
+		first := a / seg
+		last := (a + uint64(size) - 1) / seg
+		for s := first; s <= last; s++ {
+			dst = append(dst, s*seg)
+		}
+		return dst
+	}
+	if m.Addrs != nil {
+		for _, a := range m.Addrs {
+			dst = appendSegs(a)
+		}
+	} else {
+		lanes := m.Lanes
+		if lanes <= 0 {
+			lanes = 1
+		}
+		for i := 0; i < lanes; i++ {
+			dst = appendSegs(m.Base + uint64(int64(i)*m.Stride))
+		}
+	}
+	sub := dst[start:]
+	slices.Sort(sub)
+	j := 0
+	for i := range sub {
+		if i == 0 || sub[i] != sub[j-1] {
+			sub[j] = sub[i]
+			j++
+		}
+	}
+	return dst[:start+j]
+}
+
+// checkAgainstReference reports the first way AppendTransactions,
+// appending onto a dirty prefix, differs from the reference coalescer:
+// the prefix must survive and the appended segments must be the same.
+func checkAgainstReference(m MemOp, segBytes int) error {
+	want := refAppendTransactions(m, nil, segBytes)
+	prefix := []uint64{0xdead, 0xbeef, 0xcafe}
+	dst := append(append([]uint64(nil), prefix...), 7, 7, 7)[:len(prefix)]
+	got := m.AppendTransactions(dst, segBytes)
+	if !slices.Equal(got[:min(len(prefix), len(got))], prefix) {
+		return fmt.Errorf("%+v seg %d: prefix clobbered: %v", m, segBytes, got)
+	}
+	if !slices.Equal(got[len(prefix):], want) {
+		return fmt.Errorf("%+v seg %d: got %v, want %v", m, segBytes, got[len(prefix):], want)
+	}
+	if again := m.Transactions(segBytes); !slices.Equal(again, want) {
+		return fmt.Errorf("%+v seg %d: Transactions %v, want %v", m, segBytes, again, want)
+	}
+	return nil
+}
+
+// TestAppendTransactionsEquivalence pins the closed-form coalescer to
+// the reference on random regular and irregular accesses at the
+// segment sizes the engine uses. The engine's determinism contract
+// rides on this equivalence.
 func TestAppendTransactionsEquivalence(t *testing.T) {
 	f := func(base uint64, stride int16, lanes uint8, size uint8, seg uint8, irregular bool) bool {
 		segBytes := 32 << (seg % 3) // 32, 64, 128
@@ -174,25 +269,8 @@ func TestAppendTransactionsEquivalence(t *testing.T) {
 		if irregular {
 			m.Addrs = m.LaneAddrs() // explicit per-lane path, same addresses
 		}
-		want := m.Transactions(segBytes)
-		prefix := []uint64{0xdead, 0xbeef, 0xcafe}
-		dst := append(append([]uint64(nil), prefix...), 7, 7, 7)[:len(prefix)]
-		got := m.AppendTransactions(dst, segBytes)
-		if len(got) != len(prefix)+len(want) {
-			return false
-		}
-		for i, p := range prefix {
-			if got[i] != p {
-				return false // the dirty prefix must survive
-			}
-		}
-		for i, a := range want {
-			if got[len(prefix)+i] != a {
-				return false
-			}
-		}
-		// And the nil-dst path is Transactions itself.
-		if again := m.AppendTransactions(nil, segBytes); len(again) != len(want) {
+		if err := checkAgainstReference(m, segBytes); err != nil {
+			t.Log(err)
 			return false
 		}
 		return true
@@ -200,6 +278,70 @@ func TestAppendTransactionsEquivalence(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestAppendTransactionsEdges pins the closed-form walk's boundaries
+// against the reference: negative and extreme strides, spans ending at
+// or wrapping past the top of the address space, non-power-of-two
+// segments and defaulted Lanes/Size.
+func TestAppendTransactionsEdges(t *testing.T) {
+	const top = ^uint64(0)
+	cases := []MemOp{
+		{Base: 0x1000, Stride: -4, Lanes: 32, Size: 4},
+		{Base: 0x1000, Stride: -256, Lanes: 32, Size: 4},
+		{Base: 0x7c, Stride: -4, Lanes: 32, Size: 4},   // lowest lane is address 0
+		{Base: 0x78, Stride: -4, Lanes: 32, Size: 4},   // lowest lane wraps below 0
+		{Base: top - 3, Stride: 0, Lanes: 32, Size: 4}, // ends at the last byte
+		{Base: top - 2, Stride: 0, Lanes: 32, Size: 4}, // every lane wraps
+		{Base: top - 127, Stride: 4, Lanes: 32, Size: 4},
+		{Base: top - 127, Stride: 4, Lanes: 33, Size: 4}, // last lane wraps to 0
+		{Base: top - 300, Stride: 200, Lanes: 4, Size: 8},
+		{Base: 1 << 62, Stride: math.MaxInt64, Lanes: 3, Size: 4},
+		{Base: 1 << 62, Stride: math.MinInt64, Lanes: 3, Size: 4},
+		{Base: 0x1000, Stride: 2, Lanes: 16, Size: 4}, // overlapping lanes
+		{Base: 0x1000, Stride: 130, Lanes: 8, Size: 4},
+		{Base: 0x1000, Stride: 100, Lanes: 8, Size: 300},
+		{Base: 0x1001},                      // Lanes and Size default
+		{Base: 0x1001, Lanes: -3, Size: -1}, // likewise when negative
+		{Base: 0x1000, Stride: 4, Lanes: 1, Size: 1},
+	}
+	for _, m := range cases {
+		for _, seg := range []int{2, 3, 24, 32, 96, 128, 4096} {
+			if err := checkAgainstReference(m, seg); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}
+
+// FuzzAppendTransactions drives the closed-form coalescer and the
+// reference with arbitrary accesses: any base and stride (so negative
+// strides and spans wrapping past 2^64 occur), defaulted Lanes and
+// Size, non-power-of-two segments, and the explicit-address path.
+func FuzzAppendTransactions(f *testing.F) {
+	f.Add(uint64(0x1000), int64(4), 32, 4, uint16(32), []byte(nil))
+	f.Add(uint64(0x1000), int64(-4), 32, 4, uint16(128), []byte(nil))
+	f.Add(^uint64(0)-127, int64(4), 33, 4, uint16(96), []byte(nil))
+	f.Add(uint64(0x1000), int64(1024), 0, 0, uint16(30), []byte(nil))
+	f.Add(uint64(0), int64(0), 3, 8, uint16(32), []byte{1, 2, 3, 4, 5, 6, 7, 8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, base uint64, stride int64, lanes, size int, seg uint16, gather []byte) {
+		m := MemOp{
+			Base:   base,
+			Stride: stride,
+			Lanes:  lanes%80 - 8, // some non-positive
+			Size:   size%300 - 8, // likewise
+		}
+		if len(gather) >= 8 {
+			for ; len(gather) >= 8 && len(m.Addrs) < 64; gather = gather[8:] {
+				m.Addrs = append(m.Addrs, binary.LittleEndian.Uint64(gather))
+			}
+			m.Lanes = len(m.Addrs)
+		}
+		segBytes := 2 + int(seg%4095) // the reference needs >= 2
+		if err := checkAgainstReference(m, segBytes); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestAppendTransactionsZeroAlloc pins the point of the variant: with a

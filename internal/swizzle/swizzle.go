@@ -249,23 +249,9 @@ func (k *Kernel) Work(l kernel.Launch) kernel.CTAWork {
 	inner.CTA = target
 	work := k.orig.Work(inner)
 	if k.cost > 0 {
-		work.Warps = prependCompute(work.Warps, k.cost)
+		work.Warps = kernel.PrependCompute(work.Warps, k.cost)
 	}
 	return work
-}
-
-// prependCompute inserts a compute op of c cycles at the head of every
-// warp trace (the per-thread tile recomputation), without mutating the
-// original traces.
-func prependCompute(warps [][]kernel.Op, c int) [][]kernel.Op {
-	out := make([][]kernel.Op, len(warps))
-	for i, ops := range warps {
-		w := make([]kernel.Op, 0, len(ops)+1)
-		w = append(w, kernel.Compute(c))
-		w = append(w, ops...)
-		out[i] = w
-	}
-	return out
 }
 
 // xorPerm is the bit-twiddle swizzle: within each row, tile x is
