@@ -125,8 +125,7 @@ docs-check:
 prof:
 	$(GO) test -run 'Golden' -update ./internal/prof
 
-# The profiling gate the CI enforces: exporter goldens, snapshot
-# conservation and the serial-vs-parallel profile determinism sweep,
-# all under the race detector.
+# The profiling gate the CI enforces: exporter goldens and snapshot
+# conservation, under the race detector.
 prof-golden:
-	$(GO) test -race -run 'Golden|Snapshot|Profile' ./internal/prof ./internal/eval
+	$(GO) test -race -run 'Golden|Snapshot|Profile' ./internal/prof

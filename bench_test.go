@@ -13,6 +13,7 @@ package ctacluster_test
 // and the configurable Fermi/Kepler L1 size.
 
 import (
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -105,10 +106,11 @@ func sweep(b *testing.B, ar *arch.Arch) []*eval.AppResult {
 	if r, ok := sweepCache[ar.Name]; ok {
 		return r
 	}
-	r, err := eval.Evaluate(ar, workloads.Table2(), eval.Options{}, nil)
+	all, err := eval.EvaluateAll([]*arch.Arch{ar}, workloads.Table2(), eval.Options{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	r := all[0].Results
 	sweepCache[ar.Name] = r
 	return r
 }
@@ -195,7 +197,7 @@ func benchEvalSweep(b *testing.B, parallelism int) {
 	ar := arch.TeslaK40()
 	apps := workloads.Table2()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Evaluate(ar, apps, eval.Options{Parallelism: parallelism}, nil); err != nil {
+		if _, err := eval.EvaluateAll([]*arch.Arch{ar}, apps, eval.Options{Parallelism: parallelism}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -400,7 +402,7 @@ func BenchmarkFrameworkAnalyzeHS(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := locality.Analyze(app, ar); err != nil {
+		if _, err := locality.Analyze(context.Background(), app, ar); err != nil {
 			b.Fatal(err)
 		}
 	}

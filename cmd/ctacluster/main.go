@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -33,11 +34,8 @@ import (
 
 	"ctacluster/internal/api"
 	"ctacluster/internal/cli"
-	"ctacluster/internal/engine"
 	"ctacluster/internal/eval"
-	"ctacluster/internal/kernel"
 	"ctacluster/internal/locality"
-	"ctacluster/internal/swizzle"
 	"ctacluster/internal/workloads"
 )
 
@@ -124,33 +122,20 @@ func main() {
 	// The swizzle wraps underneath the framework: analysis, transform
 	// and both reported runs all see the swizzled rasterization, so the
 	// before/after comparison isolates what clustering adds on top.
-	// WrapFor: the die-aware family needs the (possibly chiplet)
-	// platform descriptor.
-	var k kernel.Kernel = app
-	if swz != "" {
-		if k, err = swizzle.WrapFor(swz, app, ar); err != nil {
-			log.Fatal(err)
-		}
+	k, _, err := eval.Spec{Swizzle: swz}.Kernel(app, ar)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if !*jsonOut {
 		fmt.Printf("framework: analyzing %s (%s) on %s...\n", app.Name(), app.LongName(), ar.Name)
 	}
-	plan, err := locality.Optimize(k, ar)
+	plan, err := locality.Optimize(context.Background(), k, ar)
 	if err != nil {
 		log.Fatal(err)
 	}
-	runCfg := engine.DefaultConfig(ar)
 	if *jsonOut {
-		base, err := engine.Run(runCfg, k)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opt, err := engine.Run(runCfg, plan.Clustered)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := api.Encode(os.Stdout, api.OptimizeResponseFrom(app, ar, plan, base, opt)); err != nil {
+		if err := api.Encode(os.Stdout, api.OptimizeResponseFrom(app, ar, plan)); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -166,14 +151,7 @@ func main() {
 	fmt.Printf("  estimated category:     %s (ground truth: %s)\n", a.Category, app.Category())
 	fmt.Printf("  decision:               %s\n\n", plan.Description)
 
-	base, err := engine.Run(runCfg, k)
-	if err != nil {
-		log.Fatal(err)
-	}
-	opt, err := engine.Run(runCfg, plan.Clustered)
-	if err != nil {
-		log.Fatal(err)
-	}
+	base, opt := plan.Baseline, plan.Optimized
 	fmt.Printf("  baseline:  %8d cycles, L1 hit %.2f, L2 read txns %d\n",
 		base.Cycles, base.L1.HitRate(), base.L2ReadTransactions())
 	fmt.Printf("  optimized: %8d cycles, L1 hit %.2f, L2 read txns %d (%s)\n",

@@ -16,8 +16,9 @@
 //	ctaprof -app mm -arch teslak40 -swizzle xor     # profile the swizzled kernel
 //	ctaprof -app mm -arch teslak40 -chiplet 2       # profile on the 2-die variant
 //
-// App and platform names match case-insensitively; unknown names are an
-// error (non-zero exit), never a silent skip. -swizzle applies a CTA
+// App, platform and scheme names match case-insensitively; unknown names
+// are an error (non-zero exit), never a silent skip, and so are -agents,
+// -bypass or -prefetch without -scheme CLU. -swizzle applies a CTA
 // tile swizzle (internal/swizzle) under the chosen scheme, changing the
 // recorded trace and metrics. -chiplet N
 // profiles on the N-die chiplet variant of the platform
@@ -32,14 +33,11 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"ctacluster/internal/cli"
-	"ctacluster/internal/core"
 	"ctacluster/internal/engine"
-	"ctacluster/internal/kernel"
+	"ctacluster/internal/eval"
 	"ctacluster/internal/prof"
-	"ctacluster/internal/swizzle"
 )
 
 func main() {
@@ -80,33 +78,10 @@ func main() {
 	}
 	// The swizzle wraps underneath the scheme, mirroring the evaluation:
 	// BSL profiles the pure swizzled kernel, RD/CLU the transform over it.
-	// WrapFor hands the die-aware family the platform descriptor.
-	var k kernel.Kernel = app
-	if swz != "" {
-		if k, err = swizzle.WrapFor(swz, app, ar); err != nil {
-			log.Fatal(err)
-		}
-	}
-	label := strings.ToUpper(*scheme)
-	switch label {
-	case "BSL":
-	case "RD":
-		rd, err := core.Redirect(k, ar.SMs, app.Partition(), nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		k = rd
-	case "CLU":
-		ag, err := core.NewAgent(k, core.AgentConfig{
-			Arch: ar, Indexing: app.Partition(), ActiveAgents: *agents,
-			Bypass: *bypass, Prefetch: *prefetch,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		k = ag
-	default:
-		log.Fatalf("unknown scheme %q (known: BSL, RD, CLU)", *scheme)
+	spec := eval.Spec{Swizzle: swz, Scheme: *scheme, Agents: *agents, Bypass: *bypass, Prefetch: *prefetch}
+	k, label, err := spec.Kernel(app, ar)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	tr := prof.NewTrace(prof.TraceConfig{

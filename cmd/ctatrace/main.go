@@ -27,10 +27,8 @@ import (
 	"log"
 
 	"ctacluster/internal/cli"
-	"ctacluster/internal/core"
 	"ctacluster/internal/engine"
-	"ctacluster/internal/kernel"
-	"ctacluster/internal/swizzle"
+	"ctacluster/internal/eval"
 )
 
 func main() {
@@ -61,22 +59,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The swizzle wraps underneath clustering, mirroring the evaluation;
-	// WrapFor hands the die-aware family the platform descriptor.
-	var k kernel.Kernel = app
-	if swz != "" {
-		if k, err = swizzle.WrapFor(swz, app, ar); err != nil {
-			log.Fatal(err)
-		}
-	}
+	// The swizzle wraps underneath clustering, mirroring the evaluation.
+	spec := eval.Spec{Swizzle: swz}
 	if *clustered {
-		ag, err := core.NewAgent(k, core.AgentConfig{
-			Arch: ar, Indexing: app.Partition(), ActiveAgents: *agents,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		k = ag
+		spec.Scheme, spec.Agents = "CLU", *agents
+	}
+	k, _, err := spec.Kernel(app, ar)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	res, err := engine.Run(engine.DefaultConfig(ar), k)

@@ -24,6 +24,8 @@
 package ctacluster
 
 import (
+	"context"
+
 	"ctacluster/internal/arch"
 	"ctacluster/internal/core"
 	"ctacluster/internal/engine"
@@ -189,12 +191,12 @@ func Quantify(k Kernel, lineBytes int) Quant {
 // Analyze runs the framework's category-estimation pipeline (Section
 // 4.4) for k on ar.
 func Analyze(k Kernel, ar *Arch) (*Analysis, error) {
-	return locality.Analyze(k, ar)
+	return locality.Analyze(context.Background(), k, ar)
 }
 
 // Optimize analyses k and applies the optimization strategy of Figure 5.
 func Optimize(k Kernel, ar *Arch) (*Plan, error) {
-	return locality.Optimize(k, ar)
+	return locality.Optimize(context.Background(), k, ar)
 }
 
 // InspectorPermutation derives a customized CTA order for data-related

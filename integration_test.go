@@ -1,6 +1,7 @@
 package ctacluster_test
 
 import (
+	"context"
 	"testing"
 
 	"ctacluster"
@@ -132,7 +133,7 @@ func TestShapeFrameworkCategorization(t *testing.T) {
 	}
 	for name, accept := range cases {
 		app, _ := workloads.New(name)
-		a, err := locality.Analyze(app, ar)
+		a, err := locality.Analyze(context.Background(), app, ar)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,10 +75,10 @@ func SweepResponseFrom(platforms []eval.PlatformResult) SweepResponse {
 	return out
 }
 
-// OptimizeResponseFrom renders the framework verdict plus the
+// OptimizeResponseFrom renders the framework verdict plus the plan's
 // before/after runs — the JSON twin of the ctacluster CLI report.
-func OptimizeResponseFrom(app *workloads.App, ar *arch.Arch, plan *locality.Plan, base, opt *engine.Result) OptimizeResponse {
-	a := plan.Analysis
+func OptimizeResponseFrom(app *workloads.App, ar *arch.Arch, plan *locality.Plan) OptimizeResponse {
+	a, base, opt := plan.Analysis, plan.Baseline, plan.Optimized
 	out := OptimizeResponse{
 		App:         app.Name(),
 		Arch:        ar.Name,

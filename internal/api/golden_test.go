@@ -8,6 +8,7 @@ package api_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -71,11 +72,11 @@ func TestGoldenSimulateResponse(t *testing.T) {
 func TestGoldenSweepResponse(t *testing.T) {
 	ar := arch.TeslaK40()
 	apps := []*workloads.App{mustApp(t, "MM"), mustApp(t, "NN")}
-	results, err := eval.Evaluate(ar, apps, eval.Options{Quick: true}, nil)
+	sweep, err := eval.EvaluateAll([]*arch.Arch{ar}, apps, eval.Options{Quick: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := api.SweepResponseFrom([]eval.PlatformResult{{Arch: ar, Results: results}})
+	resp := api.SweepResponseFrom(sweep)
 	b, err := api.Marshal(resp)
 	if err != nil {
 		t.Fatal(err)
@@ -86,19 +87,11 @@ func TestGoldenSweepResponse(t *testing.T) {
 func TestGoldenOptimizeResponse(t *testing.T) {
 	app := mustApp(t, "MM")
 	ar := arch.TeslaK40()
-	plan, err := locality.Optimize(app, ar)
+	plan, err := locality.Optimize(context.Background(), app, ar)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := engine.Run(engine.DefaultConfig(ar), app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := engine.Run(engine.DefaultConfig(ar), plan.Clustered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := api.Marshal(api.OptimizeResponseFrom(app, ar, plan, base, opt))
+	b, err := api.Marshal(api.OptimizeResponseFrom(app, ar, plan))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@ import (
 	"ctacluster/internal/core"
 	"ctacluster/internal/engine"
 	"ctacluster/internal/eval"
+	"ctacluster/internal/kernel"
 	"ctacluster/internal/workloads"
 )
 
@@ -99,59 +100,43 @@ type simCell struct {
 // simMatrix simulates baseline and CLU for every (platform, app) cell,
 // fanned out over opt.Parallelism workers; the returned matrix is
 // platform-major in input order and byte-identical at every worker
-// count (each job owns its slot; all math happens after the barrier).
+// count (each job owns its slot; all math happens after Each returns).
 func simMatrix(platforms []*arch.Arch, apps []*workloads.App, opt ReportOptions) ([][]simCell, error) {
-	type slot struct {
-		base, clu *engine.Result
-		err       error
-	}
-	slots := make([][]slot, len(platforms))
-	var jobs []func()
-	for pi, ar := range platforms {
-		slots[pi] = make([]slot, len(apps))
-		cfg := engine.DefaultConfig(ar)
-		for ai, app := range apps {
-			s := &slots[pi][ai]
+	// Job 2c runs cell c's baseline, job 2c+1 its clustering.
+	runs := make([]*engine.Result, 2*len(platforms)*len(apps))
+	err := eval.NewRunner(opt.Parallelism).Each(len(runs), func(j int) error {
+		ar, app := platforms[j/2/len(apps)], apps[j/2%len(apps)]
+		var k kernel.Kernel = app
+		label := "BSL"
+		if j%2 == 1 {
 			clu, err := core.NewAgent(app, core.AgentConfig{Arch: ar, Indexing: app.Partition()})
 			if err != nil {
-				s.err = fmt.Errorf("calib: %s/%s: %w", app.Name(), ar.Name, err)
-				continue
+				return fmt.Errorf("calib: %s/%s: %w", app.Name(), ar.Name, err)
 			}
-			ar, app := ar, app
-			jobs = append(jobs,
-				func() {
-					r, err := engine.Run(cfg, app)
-					if err != nil {
-						s.err = fmt.Errorf("calib: %s/%s BSL: %w", app.Name(), ar.Name, err)
-						return
-					}
-					s.base = r
-				},
-				func() {
-					r, err := engine.Run(cfg, clu)
-					if err != nil {
-						s.err = fmt.Errorf("calib: %s/%s CLU: %w", app.Name(), ar.Name, err)
-						return
-					}
-					s.clu = r
-				})
+			k, label = clu, "CLU"
 		}
+		r, err := engine.Run(engine.DefaultConfig(ar), k)
+		if err != nil {
+			return fmt.Errorf("calib: %s/%s %s: %w", app.Name(), ar.Name, label, err)
+		}
+		runs[j] = r
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	eval.NewRunner(opt.Parallelism).Do(jobs...)
 
 	out := make([][]simCell, len(platforms))
 	for pi := range platforms {
 		out[pi] = make([]simCell, len(apps))
 		for ai := range apps {
-			s := slots[pi][ai]
-			if s.err != nil {
-				return nil, s.err
+			c := 2 * (pi*len(apps) + ai)
+			base, clu := runs[c], runs[c+1]
+			cell := simCell{cycles: base.Cycles}
+			if clu.Cycles > 0 {
+				cell.speedup = float64(base.Cycles) / float64(clu.Cycles)
 			}
-			c := simCell{cycles: s.base.Cycles}
-			if s.clu.Cycles > 0 {
-				c.speedup = float64(s.base.Cycles) / float64(s.clu.Cycles)
-			}
-			out[pi][ai] = c
+			out[pi][ai] = cell
 		}
 	}
 	return out, nil

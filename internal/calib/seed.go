@@ -47,33 +47,24 @@ func BuildReference(platforms []*arch.Arch, apps []*workloads.App, opt ReportOpt
 		curveArches = append(curveArches, ar, chip)
 	}
 
-	type slot struct {
-		def, stag []CurvePoint
-		err       error
-	}
-	slots := make([]slot, len(curveArches))
-	var jobs []func()
-	for i, ar := range curveArches {
-		s, ar := &slots[i], ar
-		jobs = append(jobs, func() {
-			s.def, s.stag, s.err = simCurves(ar)
-		})
-	}
-	eval.NewRunner(opt.Parallelism).Do(jobs...)
-
-	ref := &Reference{}
-	for i, ar := range curveArches {
-		s := slots[i]
-		if s.err != nil {
-			return nil, fmt.Errorf("calib: seed %s: %w", ar.Name, s.err)
+	ref := &Reference{Curves: make([]*Curve, len(curveArches))}
+	err := eval.NewRunner(opt.Parallelism).Each(len(curveArches), func(i int) error {
+		ar := curveArches[i]
+		def, stag, err := simCurves(ar)
+		if err != nil {
+			return fmt.Errorf("calib: seed %s: %w", ar.Name, err)
 		}
-		ref.Curves = append(ref.Curves, &Curve{
+		ref.Curves[i] = &Curve{
 			Arch:      ar.Name,
 			Chiplets:  ar.Chiplets,
 			Paper:     paperPoints(ar),
-			Default:   s.def,
-			Staggered: s.stag,
-		})
+			Default:   def,
+			Staggered: stag,
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	cells, err := simMatrix(platforms, apps, opt)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ctacluster/internal/kernel"
 )
@@ -33,7 +34,7 @@ type VoteResult struct {
 // following [12]): it builds the agent-based clustering of orig for
 // each candidate throttling degree, measures each with the supplied
 // probe, and returns the cheapest. Candidates default to
-// {1, 2, 3, 4, max/2, max}; pass explicit candidates to override.
+// ThrottleCandidates(max); pass explicit candidates to override.
 //
 // The base configuration (indexing, bypass, prefetch) is taken from
 // cfg; its ActiveAgents field is overridden per candidate.
@@ -48,7 +49,7 @@ func VoteAgents(orig kernel.Kernel, cfg AgentConfig, measure Measure, candidates
 	}
 	max := probe.MaxAgents()
 	if len(candidates) == 0 {
-		candidates = defaultVoteCandidates(max)
+		candidates = ThrottleCandidates(max)
 	}
 
 	res := &VoteResult{Agents: -1}
@@ -79,11 +80,15 @@ func VoteAgents(orig kernel.Kernel, cfg AgentConfig, measure Measure, candidates
 	return res, nil
 }
 
-func defaultVoteCandidates(max int) []int {
-	out := []int{1, 2, 3, 4}
-	if max/2 > 4 {
-		out = append(out, max/2)
+// ThrottleCandidates lists the throttle degrees the dynamic voting
+// scheme tries for a kernel with max allowable agents: the in-range
+// values of {1, 2, 3, 4, max/2, max}, de-duplicated, in that order.
+func ThrottleCandidates(max int) []int {
+	var out []int
+	for _, v := range []int{1, 2, 3, 4, max / 2, max} {
+		if v >= 1 && v <= max && !slices.Contains(out, v) {
+			out = append(out, v)
+		}
 	}
-	out = append(out, max)
 	return out
 }

@@ -49,7 +49,7 @@ func TestSweepAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := Evaluate(arch.TeslaK40(), workloads.Table2(), Options{Ctx: ctx}, nil)
+	_, err := EvaluateAll([]*arch.Arch{arch.TeslaK40()}, workloads.Table2(), Options{Ctx: ctx}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -75,11 +75,11 @@ func TestSweepNilContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(arch.TeslaK40(), []*workloads.App{app}, Options{Quick: true}, nil)
+	res, err := EvaluateAll([]*arch.Arch{arch.TeslaK40()}, []*workloads.App{app}, Options{Quick: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 1 || len(res[0].Cells) == 0 {
+	if len(res) != 1 || len(res[0].Results) != 1 || len(res[0].Results[0].Cells) == 0 {
 		t.Fatalf("unexpected result shape: %+v", res)
 	}
 }

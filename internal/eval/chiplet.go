@@ -14,10 +14,7 @@ import (
 	"fmt"
 
 	"ctacluster/internal/arch"
-	"ctacluster/internal/core"
 	"ctacluster/internal/engine"
-	"ctacluster/internal/kernel"
-	"ctacluster/internal/swizzle"
 	"ctacluster/internal/workloads"
 )
 
@@ -54,78 +51,38 @@ type ChipletComparison struct {
 	Best string
 }
 
-// CompareChiplet runs the four-way comparison for one app on one
-// chiplet architecture. The descriptor must already be a chiplet
-// variant (arch.WithChiplets); comparing on a monolithic descriptor is
-// an error — every interposer counter would be zero and the comparison
-// would silently degenerate to a subset of CompareSwizzle. Results are
-// byte-identical for every opt.Parallelism.
-func CompareChiplet(ar *arch.Arch, app *workloads.App, opt Options) (*ChipletComparison, error) {
-	return compareChiplet(ar, app, opt, newRunner(opt.Parallelism))
-}
-
-func compareChiplet(ar *arch.Arch, app *workloads.App, opt Options, rn *runner) (*ChipletComparison, error) {
+// compareChiplet runs the four-way comparison for one app on one
+// chiplet architecture, its simulations fanned out on rn. The
+// descriptor must already be a chiplet variant (arch.WithChiplets);
+// comparing on a monolithic descriptor is an error — every interposer
+// counter would be zero and the comparison would silently degenerate to
+// a subset of the swizzle comparison.
+func compareChiplet(ar *arch.Arch, app *workloads.App, opt Options, rn *Runner) (*ChipletComparison, error) {
 	if !ar.IsChiplet() {
-		return nil, fmt.Errorf("eval: CompareChiplet needs a chiplet descriptor (arch.WithChiplets); %s is monolithic", ar.Name)
+		return nil, fmt.Errorf("eval: CompareChipletMatrix needs a chiplet descriptor (arch.WithChiplets); %s is monolithic", ar.Name)
 	}
 	if opt.Swizzle != "" {
-		return nil, fmt.Errorf("eval: CompareChiplet applies the die-aware swizzle itself; Options.Swizzle must be empty, got %q", opt.Swizzle)
+		return nil, fmt.Errorf("eval: CompareChipletMatrix applies the die-aware swizzle itself; Options.Swizzle must be empty, got %q", opt.Swizzle)
 	}
 	cfg := engine.DefaultConfig(ar)
 	if opt.Seed != 0 {
 		cfg.Seed = opt.Seed
 	}
-	ctx := opt.context()
-
-	sim := func(k kernel.Kernel, dst **engine.Result, slot *error, label string) func() {
-		return func() {
-			r, err := engine.RunContext(ctx, cfg, k)
-			if err != nil {
-				*slot = fmt.Errorf("chiplet-compare %s/%s %s: %w", app.Name(), ar.Name, label, err)
-				return
-			}
-			*dst = r
-		}
-	}
 
 	// All four modes are mutually independent: one wave. Selection below
-	// scans in construction order, keeping the outcome identical for any
+	// scans in this fixed order, keeping the outcome identical for any
 	// worker count.
-	var stages stageList
-	var jobs []func()
-
-	var base *engine.Result
-	jobs = append(jobs, sim(app, &base, stages.add(), "BSL"))
-
-	var cluRes *engine.Result
-	clu, err := core.NewAgent(app, core.AgentConfig{Arch: ar, Indexing: app.Partition()})
+	sims := []sim{
+		simOf("BSL", Spec{}, app, ar),
+		simOf("CLU", Spec{Scheme: "CLU"}, app, ar),
+		simOf("SWZ(dieblock)", Spec{Swizzle: "dieblock"}, app, ar),
+		simOf("CLU+SWZ(dieblock)", Spec{Swizzle: "dieblock", Scheme: "CLU"}, app, ar),
+	}
+	res, err := runSims(opt.context(), rn, cfg, fmt.Sprintf("chiplet-compare %s/%s", app.Name(), ar.Name), sims)
 	if err != nil {
 		return nil, err
 	}
-	jobs = append(jobs, sim(clu, &cluRes, stages.add(), "CLU"))
-
-	var swzRes *engine.Result
-	swz, err := swizzle.WrapFor("dieblock", app, ar)
-	if err != nil {
-		return nil, err
-	}
-	jobs = append(jobs, sim(swz, &swzRes, stages.add(), "SWZ(dieblock)"))
-
-	var bothRes *engine.Result
-	bothK, err := swizzle.WrapFor("dieblock", app, ar)
-	if err != nil {
-		return nil, err
-	}
-	both, err := core.NewAgent(bothK, core.AgentConfig{Arch: ar, Indexing: app.Partition()})
-	if err != nil {
-		return nil, err
-	}
-	jobs = append(jobs, sim(both, &bothRes, stages.add(), "CLU+SWZ(dieblock)"))
-
-	rn.do(jobs...)
-	if err := stages.first(); err != nil {
-		return nil, err
-	}
+	base := res[0]
 
 	cell := func(label string, res *engine.Result) ChipletCell {
 		c := ChipletCell{
@@ -146,12 +103,9 @@ func compareChiplet(ar *arch.Arch, app *workloads.App, opt Options, rn *runner) 
 	}
 
 	out := &ChipletComparison{App: app, Arch: ar}
-	out.Cells = append(out.Cells,
-		cell("BSL", base),
-		cell("CLU", cluRes),
-		cell("SWZ(dieblock)", swzRes),
-		cell("CLU+SWZ(dieblock)", bothRes),
-	)
+	for i, s := range sims {
+		out.Cells = append(out.Cells, cell(s.label, res[i]))
+	}
 	out.Best = out.Cells[0].Label
 	bestCycles := out.Cells[0].Cycles
 	for _, c := range out.Cells[1:] {
@@ -163,24 +117,12 @@ func compareChiplet(ar *arch.Arch, app *workloads.App, opt Options, rn *runner) 
 }
 
 // CompareChipletMatrix runs the comparison over every (arch, app) cell,
-// arch-major in input order, fanning each cell's simulations out over
+// arch-major in input order, fanning the cells' simulations out over
 // opt.Parallelism workers. Every platform must already be a chiplet
 // descriptor (cli.Chiplet applies arch.WithChiplets before this is
 // reached). The result is byte-identical for every worker count.
 func CompareChipletMatrix(platforms []*arch.Arch, apps []*workloads.App, opt Options, progress func(string)) ([]*ChipletComparison, error) {
-	rn := newRunner(opt.Parallelism)
-	var out []*ChipletComparison
-	for _, ar := range platforms {
-		for _, app := range apps {
-			if progress != nil {
-				progress(fmt.Sprintf("chiplet-compare %s on %s", app.Name(), ar.Name))
-			}
-			c, err := compareChiplet(ar, app, opt, rn)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, c)
-		}
-	}
-	return out, nil
+	return eachCell(platforms, apps, opt, progress, "chiplet-compare ", func(ar *arch.Arch, app *workloads.App, rn *Runner) (*ChipletComparison, error) {
+		return compareChiplet(ar, app, opt, rn)
+	})
 }

@@ -22,7 +22,7 @@ func TestCompareChipletMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompareChiplet(ar, app, Options{})
+	c, err := compareChipletOne(ar, app, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +74,8 @@ func TestCompareChipletRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompareChiplet(arch.TeslaK40(), app, Options{}); err == nil {
-		t.Error("CompareChiplet accepted a monolithic descriptor")
+	if _, err := compareChipletOne(arch.TeslaK40(), app, Options{}); err == nil {
+		t.Error("CompareChipletMatrix accepted a monolithic descriptor")
 	} else if !strings.Contains(err.Error(), "monolithic") {
 		t.Errorf("monolithic rejection = %q, want it to name the problem", err)
 	}
@@ -83,8 +83,8 @@ func TestCompareChipletRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompareChiplet(ar, app, Options{Swizzle: "xor"}); err == nil {
-		t.Error("CompareChiplet accepted Options.Swizzle")
+	if _, err := compareChipletOne(ar, app, Options{Swizzle: "xor"}); err == nil {
+		t.Error("CompareChipletMatrix accepted Options.Swizzle")
 	} else if !strings.Contains(err.Error(), "Swizzle") {
 		t.Errorf("swizzle rejection = %q, want it to name Options.Swizzle", err)
 	}
@@ -102,15 +102,25 @@ func TestCompareChipletParallelDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := CompareChiplet(ar, app, Options{Parallelism: 1})
+	serial, err := compareChipletOne(ar, app, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := CompareChiplet(ar, app, Options{Parallelism: 8})
+	wide, err := compareChipletOne(ar, app, Options{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, wide) {
-		t.Error("CompareChiplet differs between Parallelism 1 and 8")
+		t.Error("CompareChipletMatrix differs between Parallelism 1 and 8")
 	}
+}
+
+// compareChipletOne runs CompareChipletMatrix on the single (ar, app)
+// cell.
+func compareChipletOne(ar *arch.Arch, app *workloads.App, opt Options) (*ChipletComparison, error) {
+	m, err := CompareChipletMatrix([]*arch.Arch{ar}, []*workloads.App{app}, opt, nil)
+	if err != nil {
+		return nil, err
+	}
+	return m[0], nil
 }

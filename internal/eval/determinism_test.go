@@ -66,20 +66,25 @@ func compareResults(t *testing.T, serial, parallel []*eval.AppResult) {
 	}
 }
 
+// evaluate runs the sweep on one platform and returns its per-app
+// results.
+func evaluate(t *testing.T, ar *arch.Arch, apps []*workloads.App, opt eval.Options) []*eval.AppResult {
+	t.Helper()
+	all, err := eval.EvaluateAll([]*arch.Arch{ar}, apps, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return all[0].Results
+}
+
 // TestParallelSweepMatchesSerial runs the Figure-12 sweep serially and
 // with Parallelism=8 and requires deep equality of every metric.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	ar := arch.TeslaK40()
 	apps := sweepApps(t)
 
-	serial, err := eval.Evaluate(ar, apps, eval.Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := eval.Evaluate(ar, apps, eval.Options{Parallelism: 8}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := evaluate(t, ar, apps, eval.Options{})
+	parallel := evaluate(t, ar, apps, eval.Options{Parallelism: 8})
 	compareResults(t, serial, parallel)
 
 	// The rendered Figure 12 and 13 tables must be byte-identical: this
@@ -99,7 +104,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 
 // TestEvaluateAllMatchesPerPlatformSerial checks the cross-platform
 // fan-out: EvaluateAll over several architectures must reproduce the
-// serial per-platform Evaluate loop exactly, platforms and apps both in
+// serial per-platform sweeps exactly, platforms and apps both in
 // presentation order.
 func TestEvaluateAllMatchesPerPlatformSerial(t *testing.T) {
 	platforms := []*arch.Arch{arch.GTX570(), arch.GTX1080()}
@@ -119,11 +124,7 @@ func TestEvaluateAllMatchesPerPlatformSerial(t *testing.T) {
 		if pr.Arch.Name != platforms[i].Name {
 			t.Fatalf("platform %d is %s, want %s", i, pr.Arch.Name, platforms[i].Name)
 		}
-		serial, err := eval.Evaluate(platforms[i], apps, eval.Options{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareResults(t, serial, pr.Results)
+		compareResults(t, evaluate(t, platforms[i], apps, eval.Options{}), pr.Results)
 	}
 }
 

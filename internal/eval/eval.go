@@ -2,7 +2,9 @@
 // application under the six schemes of Figures 12 and 13 — BSL, RD, CLU,
 // CLU+TOT, CLU+TOT+BPS and PFH+TOT — on each architecture, sweeping the
 // throttling degree the way the paper's dynamic CTA voting scheme picks
-// the optimal number of active agents.
+// the optimal number of active agents. Every kernel it simulates is
+// built by Spec, and every batch of independent simulations fans out
+// through Runner.Each (parallel.go).
 package eval
 
 import (
@@ -13,9 +15,6 @@ import (
 	"ctacluster/internal/arch"
 	"ctacluster/internal/core"
 	"ctacluster/internal/engine"
-	"ctacluster/internal/kernel"
-	"ctacluster/internal/prof"
-	"ctacluster/internal/swizzle"
 	"ctacluster/internal/workloads"
 )
 
@@ -115,25 +114,6 @@ func cellFrom(s Scheme, res *engine.Result, base *engine.Result, agents int) Cel
 	return c
 }
 
-// throttleCandidates picks the agent counts the voting sweep tries.
-func throttleCandidates(max int) []int {
-	set := map[int]bool{}
-	var out []int
-	add := func(v int) {
-		if v >= 1 && v <= max && !set[v] {
-			set[v] = true
-			out = append(out, v)
-		}
-	}
-	add(1)
-	add(2)
-	add(3)
-	add(4)
-	add(max / 2)
-	add(max)
-	return out
-}
-
 // Options tunes an evaluation run.
 type Options struct {
 	// Ctx cancels an in-flight evaluation. Every simulation the sweep
@@ -149,14 +129,6 @@ type Options struct {
 	// run serially. Results are byte-identical for every setting (see
 	// parallel.go for the determinism contract).
 	Parallelism int
-	// ProfileDir, when non-empty, attaches a profiler to every
-	// simulation the sweep runs and writes one Chrome trace JSON and
-	// one nvprof-style metrics CSV per cell into the directory (see
-	// profile.go). Output bytes are identical for every Parallelism.
-	ProfileDir string
-	// ProfileInterval is the counter-snapshot period in cycles for
-	// profiled sweeps; 0 means DefaultProfileInterval.
-	ProfileInterval int64
 	// Swizzle, when non-empty, applies the named CTA tile swizzle
 	// (internal/swizzle) to every application before any scheme
 	// transform, so the whole matrix — including the clustered schemes —
@@ -177,179 +149,77 @@ func (o Options) context() context.Context {
 // EvaluateApp runs the full scheme matrix for one application on one
 // architecture.
 func EvaluateApp(ar *arch.Arch, app *workloads.App, opt Options) (*AppResult, error) {
-	return evaluateApp(ar, app, opt, newRunner(opt.Parallelism))
+	return evaluateApp(ar, app, opt, NewRunner(opt.Parallelism))
 }
 
 // evaluateApp runs the scheme matrix on rn. The BSL, RD, CLU and
 // throttle-sweep simulations are mutually independent, so they form the
-// first wave of jobs; CLU+TOT+BPS and PFH+TOT need the swept optimal
-// agent count and form the second. All selection (the sweep argmin,
-// error precedence) scans gathered results in the serial stage order,
-// keeping the outcome identical for any worker count.
-func evaluateApp(ar *arch.Arch, app *workloads.App, opt Options, rn *runner) (*AppResult, error) {
+// first wave; CLU+TOT+BPS and PFH+TOT need the swept optimal agent
+// count and form the second. The swizzle (opt.Swizzle) wraps underneath
+// every scheme: BSL becomes the pure swizzled kernel, and the
+// clustering transforms regroup the swizzled rasterization.
+func evaluateApp(ar *arch.Arch, app *workloads.App, opt Options, rn *Runner) (*AppResult, error) {
 	cfg := engine.DefaultConfig(ar)
 	if opt.Seed != 0 {
 		cfg.Seed = opt.Seed
 	}
-
-	// The swizzle wraps underneath every scheme: BSL becomes the pure
-	// swizzled kernel, and the clustering transforms regroup the
-	// swizzled rasterization (partition direction still derives from
-	// the app's reference structure, which the wrapper forwards).
-	var baseK kernel.Kernel = app
-	if opt.Swizzle != "" {
-		// WrapFor, not Wrap: the die-aware family (dieblock) derives its
-		// permutation from the platform descriptor.
-		sw, err := swizzle.WrapFor(opt.Swizzle, app, ar)
-		if err != nil {
-			return nil, err
-		}
-		baseK = sw
-	}
-
-	// sim builds a job that runs its own engine instance over k and
-	// parks the result (or the scheme-labelled error) in its own slots.
-	// Profiled sweeps attach a per-job trace and dump it on completion;
-	// each job writes its own distinct files.
 	ctx := opt.context()
-	sim := func(k kernel.Kernel, dst **engine.Result, slot *error, label string) func() {
-		return func() {
-			runCfg := cfg
-			var tr *prof.Trace
-			if opt.ProfileDir != "" {
-				tr = newProfileTrace(ar, app, label, opt)
-				runCfg.Profiler = tr
-			}
-			r, err := engine.RunContext(ctx, runCfg, k)
-			if err != nil {
-				*slot = fmt.Errorf("eval %s/%s %s: %w", app.Name(), ar.Name, label, err)
-				return
-			}
-			*dst = r
-			if tr != nil {
-				if err := writeProfile(opt.ProfileDir, tr, r); err != nil {
-					*slot = err
+	where := fmt.Sprintf("eval %s/%s", app.Name(), ar.Name)
+	clu := func(agents int) Spec { return Spec{Swizzle: opt.Swizzle, Scheme: "CLU", Agents: agents} }
+
+	wave1 := []sim{
+		simOf("BSL", Spec{Swizzle: opt.Swizzle}, app, ar),
+		simOf("RD", Spec{Swizzle: opt.Swizzle, Scheme: "RD"}, app, ar),
+		simOf("CLU", clu(0), app, ar),
+	}
+	// CLU+TOT sweep candidates (the dynamic voting scheme): one
+	// simulation per throttle degree below the maximum, which CLU
+	// already measures.
+	var maxAgents int
+	var cands []int
+	if wave1[2].err == nil {
+		maxAgents = wave1[2].k.(*core.AgentKernel).MaxAgents()
+		if !opt.Quick {
+			for _, a := range core.ThrottleCandidates(maxAgents) {
+				if a != maxAgents {
+					cands = append(cands, a)
+					wave1 = append(wave1, simOf(fmt.Sprintf("CLU+TOT(%d)", a), clu(a), app, ar))
 				}
 			}
 		}
 	}
-
-	// First wave: construct every independent kernel up front
-	// (construction is cheap and deterministic), then simulate.
-	var stages stageList
-	var jobs []func()
-
-	var base *engine.Result
-	jobs = append(jobs, sim(baseK, &base, stages.add(), "BSL"))
-
-	// RD: redirection-based clustering along the app's partition order.
-	var rdRes *engine.Result
-	rd, rdErr := core.Redirect(baseK, ar.SMs, app.Partition(), nil)
-	if rdErr != nil {
-		stages.addErr(rdErr)
-	} else {
-		jobs = append(jobs, sim(rd, &rdRes, stages.add(), "RD"))
-	}
-
-	// CLU: agent-based clustering, all allowable agents active.
-	var cluRes *engine.Result
-	clu, cluErr := core.NewAgent(baseK, core.AgentConfig{Arch: ar, Indexing: app.Partition()})
-	if cluErr != nil {
-		stages.addErr(cluErr)
-	} else {
-		jobs = append(jobs, sim(clu, &cluRes, stages.add(), "CLU"))
-	}
-
-	// CLU+TOT sweep candidates (the dynamic voting scheme): one
-	// independent simulation per throttle degree. candRes is sized
-	// before any job captures an element pointer.
-	var cands []int
-	var candRes []*engine.Result
-	if cluErr == nil && !opt.Quick {
-		for _, a := range throttleCandidates(clu.MaxAgents()) {
-			if a != clu.MaxAgents() { // max is already measured as CLU
-				cands = append(cands, a)
-			}
-		}
-		candRes = make([]*engine.Result, len(cands))
-		for i, a := range cands {
-			tk, err := core.NewAgent(baseK, core.AgentConfig{Arch: ar, Indexing: app.Partition(), ActiveAgents: a})
-			if err != nil {
-				stages.addErr(err)
-				cands, candRes = cands[:i], candRes[:i]
-				break
-			}
-			jobs = append(jobs, sim(tk, &candRes[i], stages.add(),
-				fmt.Sprintf("CLU+TOT(%d)", a)))
-		}
-	}
-
-	rn.do(jobs...)
-	if err := stages.first(); err != nil {
+	res, err := runSims(ctx, rn, cfg, where, wave1)
+	if err != nil {
 		return nil, err
 	}
+	base, cluRes := res[0], res[2]
 
 	out := &AppResult{App: app, Arch: ar, Cells: map[Scheme]Cell{}}
 	out.Cells[BSL] = cellFrom(BSL, base, base, 0)
-	out.Cells[RD] = cellFrom(RD, rdRes, base, 0)
-	out.Cells[CLU] = cellFrom(CLU, cluRes, base, clu.MaxAgents())
+	out.Cells[RD] = cellFrom(RD, res[1], base, 0)
+	out.Cells[CLU] = cellFrom(CLU, cluRes, base, maxAgents)
 
-	// Pick the optimal throttle by scanning in candidate order — the
-	// same first-best-wins tie-break the serial sweep applied.
-	bestRes, bestAgents := cluRes, clu.MaxAgents()
-	for i, r := range candRes {
+	// Pick the optimal throttle by scanning in candidate order: the
+	// first strictly faster candidate wins, CLU the incumbent.
+	bestRes, bestAgents := cluRes, maxAgents
+	for i, r := range res[3:] {
 		if r.Cycles < bestRes.Cycles {
 			bestRes, bestAgents = r, cands[i]
 		}
 	}
 	out.Cells[CLUTOT] = cellFrom(CLUTOT, bestRes, base, bestAgents)
 
-	// Second wave: the two schemes that depend on the swept optimum.
-	var phase2 stageList
-	var wave2 []func()
-
-	// CLU+TOT+BPS: bypass streaming accesses at the optimal throttle.
-	var bpsRes *engine.Result
-	bps, bpsErr := core.NewAgent(baseK, core.AgentConfig{
-		Arch: ar, Indexing: app.Partition(), ActiveAgents: bestAgents, Bypass: true,
-	})
-	if bpsErr != nil {
-		phase2.addErr(bpsErr)
-	} else {
-		wave2 = append(wave2, sim(bps, &bpsRes, phase2.add(), "BPS"))
-	}
-
-	// PFH+TOT: reshaped order + prefetching at the optimal throttle.
-	var pfhRes *engine.Result
-	pfh, pfhErr := core.NewAgent(baseK, core.AgentConfig{
-		Arch: ar, Indexing: app.Partition(), ActiveAgents: bestAgents, Prefetch: true,
-	})
-	if pfhErr != nil {
-		phase2.addErr(pfhErr)
-	} else {
-		wave2 = append(wave2, sim(pfh, &pfhRes, phase2.add(), "PFH"))
-	}
-
-	rn.do(wave2...)
-	if err := phase2.first(); err != nil {
-		return nil, err
-	}
-	out.Cells[CLUTOTBPS] = cellFrom(CLUTOTBPS, bpsRes, base, bestAgents)
-	out.Cells[PFHTOT] = cellFrom(PFHTOT, pfhRes, base, bestAgents)
-
-	return out, nil
-}
-
-// Evaluate runs the scheme matrix for a set of apps, reporting progress.
-// With opt.Parallelism > 1 the per-app evaluations (and the simulations
-// within each) fan out across workers; the returned slice is always in
-// input order and byte-identical to the serial result.
-func Evaluate(ar *arch.Arch, apps []*workloads.App, opt Options, progress func(string)) ([]*AppResult, error) {
-	m, err := evaluateMatrix(newRunner(opt.Parallelism), []*arch.Arch{ar}, apps, opt, progress)
+	// Second wave: bypass and reshaped-order prefetching at the swept
+	// optimum.
+	bps, pfh := clu(bestAgents), clu(bestAgents)
+	bps.Bypass, pfh.Prefetch = true, true
+	res, err = runSims(ctx, rn, cfg, where, []sim{simOf("BPS", bps, app, ar), simOf("PFH", pfh, app, ar)})
 	if err != nil {
 		return nil, err
 	}
-	return m[0], nil
+	out.Cells[CLUTOTBPS] = cellFrom(CLUTOTBPS, res[0], base, bestAgents)
+	out.Cells[PFHTOT] = cellFrom(PFHTOT, res[1], base, bestAgents)
+	return out, nil
 }
 
 // GeoMean returns the geometric mean of xs (1.0 for empty input).

@@ -2,9 +2,11 @@ package eval
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ctacluster/internal/arch"
+	"ctacluster/internal/core"
 	"ctacluster/internal/workloads"
 )
 
@@ -35,23 +37,44 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
+// legacyThrottleCandidates is the sweep list evaluateApp used before
+// core.ThrottleCandidates existed, kept verbatim as the reference.
+func legacyThrottleCandidates(max int) []int {
+	set := map[int]bool{}
+	var out []int
+	add := func(v int) {
+		if v >= 1 && v <= max && !set[v] {
+			set[v] = true
+			out = append(out, v)
+		}
+	}
+	add(1)
+	add(2)
+	add(3)
+	add(4)
+	add(max / 2)
+	add(max)
+	return out
+}
+
+// TestThrottleCandidates pins that the throttle sweep tries exactly the
+// candidates it always did: core.ThrottleCandidates minus max (already
+// measured as CLU) equals the legacy list minus max, in order.
 func TestThrottleCandidates(t *testing.T) {
-	c := throttleCandidates(8)
-	seen := map[int]bool{}
-	for _, v := range c {
-		if v < 1 || v > 8 {
-			t.Fatalf("candidate %d out of range", v)
+	without := func(xs []int, max int) []int {
+		var out []int
+		for _, x := range xs {
+			if x != max {
+				out = append(out, x)
+			}
 		}
-		if seen[v] {
-			t.Fatalf("duplicate candidate %d", v)
+		return out
+	}
+	for max := 1; max <= 64; max++ {
+		got := without(core.ThrottleCandidates(max), max)
+		if want := without(legacyThrottleCandidates(max), max); !slices.Equal(got, want) {
+			t.Errorf("max=%d: candidates %v, want %v", max, got, want)
 		}
-		seen[v] = true
-	}
-	if !seen[1] || !seen[8] {
-		t.Error("sweep must include 1 and max")
-	}
-	if got := throttleCandidates(1); len(got) != 1 || got[0] != 1 {
-		t.Errorf("max=1 candidates = %v", got)
 	}
 }
 
@@ -115,12 +138,12 @@ func TestEvaluateList(t *testing.T) {
 		apps = append(apps, a)
 	}
 	var progressed int
-	res, err := Evaluate(ar, apps, Options{Quick: true}, func(string) { progressed++ })
+	res, err := EvaluateAll([]*arch.Arch{ar}, apps, Options{Quick: true}, func(string) { progressed++ })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 2 || progressed != 2 {
-		t.Errorf("results = %d, progress calls = %d", len(res), progressed)
+	if len(res) != 1 || len(res[0].Results) != 2 || progressed != 2 {
+		t.Errorf("results = %+v, progress calls = %d", res, progressed)
 	}
 }
 

@@ -64,30 +64,20 @@ func (a *FrameworkAccuracy) DirectionRate() float64 {
 func EvaluateFramework(ar *arch.Arch, apps []*workloads.App, opt Options) (*FrameworkAccuracy, error) {
 	ctx := opt.context()
 	analyses := make([]*locality.Analysis, len(apps))
-	errs := make([]error, len(apps))
-	jobs := make([]func(), len(apps))
-	for i, app := range apps {
-		i, app := i, app
-		jobs[i] = func() {
-			if err := ctx.Err(); err != nil {
-				errs[i] = fmt.Errorf("eval: framework on %s cancelled: %w", app.Name(), err)
-				return
-			}
-			an, err := locality.Analyze(app, ar)
-			if err != nil {
-				errs[i] = fmt.Errorf("eval: framework on %s: %w", app.Name(), err)
-				return
-			}
-			analyses[i] = an
+	err := NewRunner(opt.Parallelism).Each(len(apps), func(i int) error {
+		an, err := locality.Analyze(ctx, apps[i], ar)
+		if err != nil {
+			return fmt.Errorf("eval: framework on %s: %w", apps[i].Name(), err)
 		}
+		analyses[i] = an
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	newRunner(opt.Parallelism).do(jobs...)
 
 	out := &FrameworkAccuracy{}
 	for i, app := range apps {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
 		an := analyses[i]
 		v := FrameworkVerdict{
 			App:         app.Name(),

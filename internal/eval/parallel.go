@@ -7,111 +7,129 @@
 // workload descriptors are read-only after package init — so the jobs
 // share nothing mutable and fan out across workers freely.
 //
-// Determinism contract: results are reassembled in the serial
-// presentation order and every selection decision (the throttle-sweep
-// argmin, error precedence) is made by scanning gathered results in
-// that fixed order. Output is therefore byte-identical to the serial
-// path for any Parallelism value; the golden tests in
-// determinism_test.go pin this.
+// Runner.Each is the one fan-out primitive: every sweep, comparison
+// matrix and calibration pass in the tree runs its simulations through
+// it. A capacity-1 runner is the serial case, not a separate path.
+//
+// Determinism contract: each job writes only its own result slot, and
+// every selection decision (the throttle-sweep argmin, error
+// precedence) is made after Each returns by scanning the slots in job
+// order. Output is therefore byte-identical for any Parallelism value;
+// the golden tests in determinism_test.go pin this.
 package eval
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
 	"ctacluster/internal/arch"
+	"ctacluster/internal/engine"
+	"ctacluster/internal/kernel"
 	"ctacluster/internal/workloads"
 )
 
-// runner bounds the number of simulations in flight. A capacity-1
-// runner executes jobs inline in submission order — the serial path —
-// so serial and parallel evaluation share one code path.
-type runner struct {
+// Runner bounds the number of jobs in flight.
+type Runner struct {
 	sem chan struct{}
 }
 
-// newRunner builds a runner with the given worker count; values below
-// one mean serial.
-func newRunner(parallelism int) *runner {
+// NewRunner builds a Runner bounded to the given worker count; values
+// below one mean a capacity-1 (serial) runner.
+func NewRunner(parallelism int) *Runner {
 	if parallelism < 1 {
 		parallelism = 1
 	}
-	return &runner{sem: make(chan struct{}, parallelism)}
+	return &Runner{sem: make(chan struct{}, parallelism)}
 }
 
-// serial reports whether the runner executes jobs inline.
-func (r *runner) serial() bool { return cap(r.sem) == 1 }
-
-// do runs the given independent jobs, each bounded by the worker
-// semaphore, and waits for all of them. Jobs communicate outcomes
-// through captured variables; each job owns its own result slot, so no
-// further synchronization is needed beyond the completion barrier.
-func (r *runner) do(fns ...func()) {
-	if r.serial() || len(fns) <= 1 {
-		for _, fn := range fns {
-			fn()
-		}
-		return
-	}
+// Each runs fn(0) .. fn(n-1), never more than the runner's capacity at
+// once, waits for all of them, and returns the error with the lowest
+// index (nil if none failed). fn(i) must write only state owned by
+// index i.
+func (r *Runner) Each(n int, fn func(i int) error) error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for _, fn := range fns {
+	for i := range n {
 		wg.Add(1)
-		go func(fn func()) {
+		go func() {
 			defer wg.Done()
 			r.sem <- struct{}{}
 			defer func() { <-r.sem }()
-			fn()
-		}(fn)
+			errs[i] = fn(i)
+		}()
 	}
 	wg.Wait()
-}
-
-// Runner is the exported face of the deterministic worker pool, for
-// sibling harnesses (internal/calib's correlation report) that fan
-// independent simulations out under the same contract: jobs own their
-// result slots, Do is a completion barrier, and any selection logic
-// runs after the barrier by scanning slots in serial order — so output
-// is byte-identical at every worker count.
-type Runner struct {
-	rn *runner
-}
-
-// NewRunner builds a Runner bounded to the given worker count; values
-// below one mean serial (jobs run inline in submission order).
-func NewRunner(parallelism int) *Runner {
-	return &Runner{rn: newRunner(parallelism)}
-}
-
-// Do runs the given independent jobs and waits for all of them.
-func (r *Runner) Do(jobs ...func()) { r.rn.do(jobs...) }
-
-// stageList orders error slots the way the serial evaluation would
-// encounter them, so the parallel path reports the same first error.
-type stageList struct {
-	slots []*error
-}
-
-// add reserves the next slot in serial order and returns it.
-func (s *stageList) add() *error {
-	e := new(error)
-	s.slots = append(s.slots, e)
-	return e
-}
-
-// addErr reserves a slot already holding a (build) error.
-func (s *stageList) addErr(err error) {
-	e := err
-	s.slots = append(s.slots, &e)
-}
-
-// first returns the earliest error in serial stage order.
-func (s *stageList) first() error {
-	for _, e := range s.slots {
-		if *e != nil {
-			return *e
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// sim is one simulation of a cell: the kernel a Spec built (or the
+// error building it) and the label a run error carries.
+type sim struct {
+	label string
+	k     kernel.Kernel
+	err   error
+}
+
+// simOf builds sp's kernel for app on ar as a labelled simulation.
+func simOf(label string, sp Spec, app *workloads.App, ar *arch.Arch) sim {
+	k, _, err := sp.Kernel(app, ar)
+	return sim{label: label, k: k, err: err}
+}
+
+// runSims simulates every sim on rn under cfg and returns the results in
+// sim order. A build error travels in its sim's slot, so the error
+// returned is the first in sim order whether it came from building or
+// running; run errors are prefixed with where and the sim's label.
+func runSims(ctx context.Context, rn *Runner, cfg engine.Config, where string, sims []sim) ([]*engine.Result, error) {
+	out := make([]*engine.Result, len(sims))
+	err := rn.Each(len(sims), func(i int) error {
+		s := sims[i]
+		if s.err != nil {
+			return s.err
+		}
+		r, err := engine.RunContext(ctx, cfg, s.k)
+		if err != nil {
+			return fmt.Errorf("%s %s: %w", where, s.label, err)
+		}
+		out[i] = r
+		return nil
+	})
+	return out, err
+}
+
+// eachCell runs cell over every (platform, app) pair, arch-major, and
+// returns the results in that order. Every cell gets its own slot on
+// the outer runner (cells only assemble jobs and wait); the simulations
+// inside them contend for the bounded sweep runner they are handed, so
+// total concurrency stays bounded by opt.Parallelism. progress, when
+// non-nil, fires once per cell as the cell finishes, failed or not;
+// calls are serialized, so progress need not be safe for concurrent use.
+func eachCell[T any](platforms []*arch.Arch, apps []*workloads.App, opt Options, progress func(string), what string,
+	cell func(ar *arch.Arch, app *workloads.App, rn *Runner) (T, error)) ([]T, error) {
+	rn := NewRunner(opt.Parallelism)
+	out := make([]T, len(platforms)*len(apps))
+	var progressMu sync.Mutex
+	err := NewRunner(len(out)).Each(len(out), func(i int) error {
+		ar, app := platforms[i/len(apps)], apps[i%len(apps)]
+		var err error
+		out[i], err = cell(ar, app, rn)
+		if progress != nil {
+			progressMu.Lock()
+			progress(fmt.Sprintf("%s%s on %s", what, app.Name(), ar.Name))
+			progressMu.Unlock()
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // PlatformResult pairs one architecture with its per-app results, in
@@ -124,82 +142,18 @@ type PlatformResult struct {
 // EvaluateAll runs the full (architecture x application) matrix — the
 // complete Figure 12/13 sweep — fanning the underlying simulations out
 // across opt.Parallelism workers. Results come back grouped by
-// platform, both levels in input order, byte-identical to running
-// Evaluate serially per platform.
+// platform, both levels in input order, byte-identical at every
+// Parallelism; the first error in presentation order wins.
 func EvaluateAll(platforms []*arch.Arch, apps []*workloads.App, opt Options, progress func(string)) ([]PlatformResult, error) {
-	m, err := evaluateMatrix(newRunner(opt.Parallelism), platforms, apps, opt, progress)
+	cells, err := eachCell(platforms, apps, opt, progress, "", func(ar *arch.Arch, app *workloads.App, rn *Runner) (*AppResult, error) {
+		return evaluateApp(ar, app, opt, rn)
+	})
 	if err != nil {
 		return nil, err
 	}
 	out := make([]PlatformResult, len(platforms))
 	for i, ar := range platforms {
-		out[i] = PlatformResult{Arch: ar, Results: m[i]}
+		out[i] = PlatformResult{Arch: ar, Results: cells[i*len(apps) : (i+1)*len(apps) : (i+1)*len(apps)]}
 	}
 	return out, nil
-}
-
-// evaluateMatrix evaluates every (platform, app) pair on rn. Each pair
-// gets a coordinator goroutine (cheap: it only assembles jobs and
-// waits); the actual simulations contend on the runner's worker
-// semaphore, so total concurrency stays bounded by opt.Parallelism.
-// The first error in presentation order wins, matching the serial path.
-func evaluateMatrix(rn *runner, platforms []*arch.Arch, apps []*workloads.App, opt Options, progress func(string)) ([][]*AppResult, error) {
-	results := make([][]*AppResult, len(platforms))
-	errs := make([][]error, len(platforms))
-	for pi := range platforms {
-		results[pi] = make([]*AppResult, len(apps))
-		errs[pi] = make([]error, len(apps))
-	}
-
-	var progressMu sync.Mutex
-	note := func(app *workloads.App, ar *arch.Arch) {
-		if progress == nil {
-			return
-		}
-		progressMu.Lock()
-		progress(fmt.Sprintf("%s on %s", app.Name(), ar.Name))
-		progressMu.Unlock()
-	}
-
-	ctx := opt.context()
-	if rn.serial() {
-		// Serial path: run in order, stop at the first error — exactly
-		// the historical behaviour.
-		for pi, ar := range platforms {
-			for ai, app := range apps {
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("eval: sweep cancelled: %w", err)
-				}
-				note(app, ar)
-				r, err := evaluateApp(ar, app, opt, rn)
-				if err != nil {
-					return nil, err
-				}
-				results[pi][ai] = r
-			}
-		}
-		return results, nil
-	}
-
-	var wg sync.WaitGroup
-	for pi, ar := range platforms {
-		for ai, app := range apps {
-			wg.Add(1)
-			go func(pi, ai int, ar *arch.Arch, app *workloads.App) {
-				defer wg.Done()
-				note(app, ar)
-				results[pi][ai], errs[pi][ai] = evaluateApp(ar, app, opt, rn)
-			}(pi, ai, ar, app)
-		}
-	}
-	wg.Wait()
-
-	for pi := range platforms {
-		for ai := range apps {
-			if errs[pi][ai] != nil {
-				return nil, errs[pi][ai]
-			}
-		}
-	}
-	return results, nil
 }

@@ -12,9 +12,7 @@ import (
 	"fmt"
 
 	"ctacluster/internal/arch"
-	"ctacluster/internal/core"
 	"ctacluster/internal/engine"
-	"ctacluster/internal/kernel"
 	"ctacluster/internal/swizzle"
 	"ctacluster/internal/workloads"
 )
@@ -62,21 +60,16 @@ type SwizzleComparison struct {
 	PredictionHit bool
 }
 
-// CompareSwizzle runs the three-way comparison for one app on one
-// architecture. Results are byte-identical for every opt.Parallelism.
-func CompareSwizzle(ar *arch.Arch, app *workloads.App, opt Options) (*SwizzleComparison, error) {
-	return compareSwizzle(ar, app, opt, newRunner(opt.Parallelism))
-}
-
-func compareSwizzle(ar *arch.Arch, app *workloads.App, opt Options, rn *runner) (*SwizzleComparison, error) {
+// compareSwizzle runs the three-way comparison for one app on one
+// architecture, its simulations fanned out on rn.
+func compareSwizzle(ar *arch.Arch, app *workloads.App, opt Options, rn *Runner) (*SwizzleComparison, error) {
 	if opt.Swizzle != "" {
-		return nil, fmt.Errorf("eval: CompareSwizzle sweeps every swizzle itself; Options.Swizzle must be empty, got %q", opt.Swizzle)
+		return nil, fmt.Errorf("eval: CompareSwizzleMatrix sweeps every swizzle itself; Options.Swizzle must be empty, got %q", opt.Swizzle)
 	}
 	cfg := engine.DefaultConfig(ar)
 	if opt.Seed != 0 {
 		cfg.Seed = opt.Seed
 	}
-	ctx := opt.context()
 
 	// Analyzer predictions first: cheap, serial, deterministic.
 	pred, err := swizzle.NewAnalyzer().PredictBest(app, ar)
@@ -88,68 +81,31 @@ func compareSwizzle(ar *arch.Arch, app *workloads.App, opt Options, rn *runner) 
 		quants[pred.Scores[i].Swizzle] = &pred.Scores[i].Quant
 	}
 
-	sim := func(k kernel.Kernel, dst **engine.Result, slot *error, label string) func() {
-		return func() {
-			r, err := engine.RunContext(ctx, cfg, k)
-			if err != nil {
-				*slot = fmt.Errorf("swizzle-compare %s/%s %s: %w", app.Name(), ar.Name, label, err)
-				return
-			}
-			*dst = r
-		}
-	}
-
-	// Wave 1: BSL (= identity rasterization), every non-identity
-	// swizzle, plain CLU, and CLU over the predicted-best swizzle — all
-	// mutually independent. Selection below scans in construction order,
-	// keeping the outcome identical for any worker count.
-	var stages stageList
-	var jobs []func()
-
-	var base *engine.Result
-	jobs = append(jobs, sim(app, &base, stages.add(), "BSL"))
-
+	// BSL (= identity rasterization), every non-identity swizzle, plain
+	// CLU, and CLU over the predicted-best swizzle — all mutually
+	// independent. Selection below scans in construction order, keeping
+	// the outcome identical for any worker count.
+	sims := []sim{simOf("BSL", Spec{}, app, ar)}
 	var swzNames []string
 	for _, name := range swizzle.Names() {
 		if name != "identity" { // BSL is the identity rasterization
 			swzNames = append(swzNames, name)
+			sims = append(sims, simOf("SWZ("+name+")", Spec{Swizzle: name}, app, ar))
 		}
 	}
-	swzRes := make([]*engine.Result, len(swzNames))
-	for i, name := range swzNames {
-		sk, err := swizzle.Wrap(name, app)
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, sim(sk, &swzRes[i], stages.add(), "SWZ("+name+")"))
-	}
-
-	var cluRes *engine.Result
-	clu, err := core.NewAgent(app, core.AgentConfig{Arch: ar, Indexing: app.Partition()})
-	if err != nil {
-		return nil, err
-	}
-	jobs = append(jobs, sim(clu, &cluRes, stages.add(), "CLU"))
-
 	// "Both": clustering over the predicted-best swizzle — the policy a
 	// deployment would apply, since the measured best is not known until
 	// after the runs the analyzer exists to avoid.
-	var bothRes *engine.Result
-	bothK, err := swizzle.Wrap(pred.Best, app)
-	if err != nil {
-		return nil, err
-	}
-	both, err := core.NewAgent(bothK, core.AgentConfig{Arch: ar, Indexing: app.Partition()})
-	if err != nil {
-		return nil, err
-	}
 	bothLabel := "CLU+SWZ(" + pred.Best + ")"
-	jobs = append(jobs, sim(both, &bothRes, stages.add(), bothLabel))
-
-	rn.do(jobs...)
-	if err := stages.first(); err != nil {
+	sims = append(sims,
+		simOf("CLU", Spec{Scheme: "CLU"}, app, ar),
+		simOf(bothLabel, Spec{Swizzle: pred.Best, Scheme: "CLU"}, app, ar))
+	res, err := runSims(opt.context(), rn, cfg, fmt.Sprintf("swizzle-compare %s/%s", app.Name(), ar.Name), sims)
+	if err != nil {
 		return nil, err
 	}
+	base, swzRes := res[0], res[1:1+len(swzNames)]
+	cluRes, bothRes := res[1+len(swzNames)], res[2+len(swzNames)]
 
 	cell := func(label, swz string, q *swizzle.Quant, res *engine.Result) SwizzleCell {
 		c := SwizzleCell{
@@ -194,23 +150,11 @@ func compareSwizzle(ar *arch.Arch, app *workloads.App, opt Options, rn *runner) 
 }
 
 // CompareSwizzleMatrix runs the comparison over every (arch, app) cell,
-// arch-major in input order, fanning each cell's simulations out over
+// arch-major in input order, fanning the cells' simulations out over
 // opt.Parallelism workers. The result is byte-identical for every
 // worker count.
 func CompareSwizzleMatrix(platforms []*arch.Arch, apps []*workloads.App, opt Options, progress func(string)) ([]*SwizzleComparison, error) {
-	rn := newRunner(opt.Parallelism)
-	var out []*SwizzleComparison
-	for _, ar := range platforms {
-		for _, app := range apps {
-			if progress != nil {
-				progress(fmt.Sprintf("swizzle-compare %s on %s", app.Name(), ar.Name))
-			}
-			c, err := compareSwizzle(ar, app, opt, rn)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, c)
-		}
-	}
-	return out, nil
+	return eachCell(platforms, apps, opt, progress, "swizzle-compare ", func(ar *arch.Arch, app *workloads.App, rn *Runner) (*SwizzleComparison, error) {
+		return compareSwizzle(ar, app, opt, rn)
+	})
 }

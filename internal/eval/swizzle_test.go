@@ -19,7 +19,7 @@ func TestCompareSwizzleMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompareSwizzle(ar, app, Options{})
+	c, err := compareSwizzleOne(ar, app, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestCompareSwizzleMM(t *testing.T) {
 	}
 }
 
-// TestCompareSwizzleDeterministicAcrossWorkers pins the two-wave
+// TestCompareSwizzleDeterministicAcrossWorkers pins the
 // construction-order selection: the comparison is byte-identical for
 // every Parallelism.
 func TestCompareSwizzleDeterministicAcrossWorkers(t *testing.T) {
@@ -96,16 +96,16 @@ func TestCompareSwizzleDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := CompareSwizzle(ar, app, Options{Parallelism: 1})
+	serial, err := compareSwizzleOne(ar, app, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CompareSwizzle(ar, app, Options{Parallelism: 4})
+	par, err := compareSwizzleOne(ar, app, Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, par) {
-		t.Fatal("CompareSwizzle differs between Parallelism 1 and 4")
+		t.Fatal("CompareSwizzleMatrix differs between Parallelism 1 and 4")
 	}
 }
 
@@ -117,8 +117,8 @@ func TestCompareSwizzleRejectsOptionsSwizzle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompareSwizzle(ar, app, Options{Swizzle: "xor"}); err == nil {
-		t.Fatal("CompareSwizzle accepted Options.Swizzle")
+	if _, err := compareSwizzleOne(ar, app, Options{Swizzle: "xor"}); err == nil {
+		t.Fatal("CompareSwizzleMatrix accepted Options.Swizzle")
 	}
 }
 
@@ -151,4 +151,14 @@ func TestEvaluateAppWithSwizzle(t *testing.T) {
 	if _, err := EvaluateApp(ar, app, Options{Quick: true, Swizzle: "bogus"}); err == nil {
 		t.Fatal("EvaluateApp accepted an unknown swizzle")
 	}
+}
+
+// compareSwizzleOne runs CompareSwizzleMatrix on the single (ar, app)
+// cell.
+func compareSwizzleOne(ar *arch.Arch, app *workloads.App, opt Options) (*SwizzleComparison, error) {
+	m, err := CompareSwizzleMatrix([]*arch.Arch{ar}, []*workloads.App{app}, opt, nil)
+	if err != nil {
+		return nil, err
+	}
+	return m[0], nil
 }

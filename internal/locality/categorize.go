@@ -106,20 +106,6 @@ func DirectionLabel(ix kernel.Indexing) string {
 	}
 }
 
-// CategoryHinter lets workloads expose their ground-truth category so
-// the framework's estimate can be validated against Table 2.
-type CategoryHinter interface {
-	Category() Category
-}
-
-// HintOf returns the workload's declared category, if any.
-func HintOf(k kernel.Kernel) (Category, bool) {
-	if h, ok := k.(CategoryHinter); ok {
-		return h.Category(), true
-	}
-	return Uncategorized, false
-}
-
 // ParseCategory parses a Table 2 category label.
 func ParseCategory(s string) (Category, error) {
 	for _, c := range []Category{Algorithm, CacheLine, Data, Write, Streaming} {

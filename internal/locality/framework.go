@@ -1,6 +1,7 @@
 package locality
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -60,7 +61,21 @@ const (
 // Analyze runs the framework's estimation pipeline on k for ar: the
 // reuse quantification, a redirection probe (imposed CTA order), and an
 // L1-off probe, then classifies the locality source per Figure 11.
-func Analyze(k kernel.Kernel, ar *arch.Arch) (*Analysis, error) {
+// Every probe runs under ctx, so cancelling it stops the pipeline at
+// the next CTA-dispatch boundary with an error wrapping ctx.Err().
+func Analyze(ctx context.Context, k kernel.Kernel, ar *arch.Arch) (*Analysis, error) {
+	a, _, err := analyze(ctx, k, ar)
+	return a, err
+}
+
+// probeRuns keeps the probe results a Plan reuses instead of simulating
+// them again.
+type probeRuns struct {
+	base, clu *engine.Result
+}
+
+func analyze(ctx context.Context, k kernel.Kernel, ar *arch.Arch) (*Analysis, probeRuns, error) {
+	var runs probeRuns
 	a := &Analysis{Kernel: k.Name(), Arch: ar.Name, Category: Uncategorized}
 
 	a.Quant = Quantify(k, ar.L2Line)
@@ -78,21 +93,23 @@ func Analyze(k kernel.Kernel, ar *arch.Arch) (*Analysis, error) {
 	}
 	a.Direction = PartitionDirection(k.GridDim(), refs)
 
-	base, err := engine.Run(engine.DefaultConfig(ar), k)
+	cfg := engine.DefaultConfig(ar)
+	base, err := engine.RunContext(ctx, cfg, k)
 	if err != nil {
-		return nil, fmt.Errorf("locality: baseline probe: %w", err)
+		return nil, runs, fmt.Errorf("locality: baseline probe: %w", err)
 	}
+	runs.base = base
 	a.Probes.BaselineCycles = base.Cycles
 	a.Probes.BaselineL1Hit = base.L1.HitRate()
 	a.Probes.BaselineL2Txn = base.L2ReadTransactions()
 
 	rd, err := core.Redirect(k, ar.SMs, a.Direction, nil)
 	if err != nil {
-		return nil, fmt.Errorf("locality: redirect probe: %w", err)
+		return nil, runs, fmt.Errorf("locality: redirect probe: %w", err)
 	}
-	rres, err := engine.Run(engine.DefaultConfig(ar), rd)
+	rres, err := engine.RunContext(ctx, cfg, rd)
 	if err != nil {
-		return nil, fmt.Errorf("locality: redirect probe: %w", err)
+		return nil, runs, fmt.Errorf("locality: redirect probe: %w", err)
 	}
 	a.Probes.RedirectCycles = rres.Cycles
 	a.Probes.RedirectL1Hit = rres.L1.HitRate()
@@ -104,36 +121,37 @@ func Analyze(k kernel.Kernel, ar *arch.Arch) (*Analysis, error) {
 	// throttled variant exposes capacity-bound reuse (KMN-style).
 	clu, err := core.NewAgent(k, core.AgentConfig{Arch: ar, Indexing: a.Direction})
 	if err != nil {
-		return nil, fmt.Errorf("locality: cluster probe: %w", err)
+		return nil, runs, fmt.Errorf("locality: cluster probe: %w", err)
 	}
-	cres, err := engine.Run(engine.DefaultConfig(ar), clu)
+	cres, err := engine.RunContext(ctx, cfg, clu)
 	if err != nil {
-		return nil, fmt.Errorf("locality: cluster probe: %w", err)
+		return nil, runs, fmt.Errorf("locality: cluster probe: %w", err)
 	}
 	a.Probes.ClusterL1Hit = cres.L1.HitRate()
 	a.Probes.ClusterL2Txn = cres.L2ReadTransactions()
+	runs.clu = cres
 
 	tot, err := core.NewAgent(k, core.AgentConfig{Arch: ar, Indexing: a.Direction, ActiveAgents: 1})
 	if err != nil {
-		return nil, fmt.Errorf("locality: throttle probe: %w", err)
+		return nil, runs, fmt.Errorf("locality: throttle probe: %w", err)
 	}
-	tres, err := engine.Run(engine.DefaultConfig(ar), tot)
+	tres, err := engine.RunContext(ctx, cfg, tot)
 	if err != nil {
-		return nil, fmt.Errorf("locality: throttle probe: %w", err)
+		return nil, runs, fmt.Errorf("locality: throttle probe: %w", err)
 	}
 	a.Probes.ThrottleL2Txn = tres.L2ReadTransactions()
 
-	offCfg := engine.DefaultConfig(ar)
+	offCfg := cfg
 	offCfg.L1Enabled = false
-	ores, err := engine.Run(offCfg, k)
+	ores, err := engine.RunContext(ctx, offCfg, k)
 	if err != nil {
-		return nil, fmt.Errorf("locality: L1-off probe: %w", err)
+		return nil, runs, fmt.Errorf("locality: L1-off probe: %w", err)
 	}
 	a.Probes.L1OffL2Txn = ores.L2ReadTransactions()
 
 	a.Category = classify(a.Probes)
 	a.Exploitable = a.Category.Exploitable()
-	return a, nil
+	return a, runs, nil
 }
 
 func classify(p Probes) Category {
@@ -194,14 +212,20 @@ type Plan struct {
 	Clustered kernel.Kernel
 	// Description explains the decision.
 	Description string
+	// Baseline is the untransformed kernel's run (the baseline probe)
+	// and Optimized is Clustered's run, so callers report before/after
+	// without simulating either again.
+	Baseline, Optimized *engine.Result
 }
 
 // Optimize analyses k and applies the optimization strategy of Figure 5:
 // exploitable inter-CTA locality gets agent-based CTA-Clustering along
 // the derived partition direction; everything else gets CTA-order
-// reshaping with CTA prefetching.
-func Optimize(k kernel.Kernel, ar *arch.Arch) (*Plan, error) {
-	a, err := Analyze(k, ar)
+// reshaping with CTA prefetching. The clustering plan is exactly the
+// cluster probe, so its run is reused; the prefetch plan is simulated
+// once more. Every run happens under ctx.
+func Optimize(ctx context.Context, k kernel.Kernel, ar *arch.Arch) (*Plan, error) {
+	a, runs, err := analyze(ctx, k, ar)
 	if err != nil {
 		return nil, err
 	}
@@ -215,10 +239,14 @@ func Optimize(k kernel.Kernel, ar *arch.Arch) (*Plan, error) {
 	}
 	desc := fmt.Sprintf("category=%s exploitable=%t partition=%s scheme=",
 		a.Category, a.Exploitable, DirectionLabel(a.Direction))
+	opt := runs.clu
 	if a.Exploitable {
 		desc += "agent-clustering"
 	} else {
 		desc += "reshape+prefetch"
+		if opt, err = engine.RunContext(ctx, engine.DefaultConfig(ar), ag); err != nil {
+			return nil, fmt.Errorf("locality: optimized run: %w", err)
+		}
 	}
-	return &Plan{Analysis: a, Clustered: ag, Description: desc}, nil
+	return &Plan{Analysis: a, Clustered: ag, Description: desc, Baseline: runs.base, Optimized: opt}, nil
 }

@@ -1,9 +1,13 @@
 package locality
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"ctacluster/internal/arch"
+	"ctacluster/internal/engine"
 	"ctacluster/internal/kernel"
 )
 
@@ -190,7 +194,7 @@ func TestAnalyzeSharedTableKernel(t *testing.T) {
 		return ops
 	}
 	k.ops = work
-	a, err := Analyze(k, ar)
+	a, err := Analyze(context.Background(), k, ar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +216,7 @@ func TestOptimizeRoutesByExploitability(t *testing.T) {
 			kernel.Store(uint64(0x200000+cta*128), 4, 32, 4),
 		}
 	}}
-	plan, err := Optimize(stream, ar)
+	plan, err := Optimize(context.Background(), stream, ar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,6 +225,35 @@ func TestOptimizeRoutesByExploitability(t *testing.T) {
 	}
 	if plan.Clustered == nil {
 		t.Fatal("no transformed kernel")
+	}
+	// The plan carries the before/after runs, so callers need not
+	// simulate again; they must be exactly what a fresh run produces.
+	for _, c := range []struct {
+		name string
+		k    kernel.Kernel
+		got  *engine.Result
+	}{{"Baseline", stream, plan.Baseline}, {"Optimized", plan.Clustered, plan.Optimized}} {
+		want, err := engine.Run(engine.DefaultConfig(ar), c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(c.got, want) {
+			t.Errorf("plan.%s differs from a fresh run of %s", c.name, c.k.Name())
+		}
+	}
+}
+
+// TestOptimizeCancelled pins that the probes run under the caller's
+// context: an already-cancelled context stops the pipeline with an
+// error wrapping context.Canceled.
+func TestOptimizeCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	k := &patKernel{ctas: 64, ops: func(cta int) []kernel.Op {
+		return []kernel.Op{kernel.Load(uint64(0x10000+cta*128), 4, 32, 4)}
+	}}
+	if _, err := Optimize(ctx, k, arch.GTX570()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Optimize under a cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"ctacluster/internal/arch"
 	"ctacluster/internal/engine"
 	"ctacluster/internal/eval"
-	"ctacluster/internal/kernel"
 	"ctacluster/internal/locality"
 	"ctacluster/internal/workloads"
 )
@@ -320,7 +319,3 @@ func Sparkline(values []float64, width int) string {
 	}
 	return b.String()
 }
-
-// PartitionLabel re-exports the Table 2 label for an indexing (keeps cmd
-// packages from importing locality directly just for this).
-func PartitionLabel(ix kernel.Indexing) string { return locality.DirectionLabel(ix) }

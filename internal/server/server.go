@@ -30,10 +30,8 @@ import (
 	"ctacluster/internal/api"
 	"ctacluster/internal/arch"
 	"ctacluster/internal/cli"
-	"ctacluster/internal/core"
 	"ctacluster/internal/engine"
 	"ctacluster/internal/eval"
-	"ctacluster/internal/kernel"
 	"ctacluster/internal/locality"
 	"ctacluster/internal/prof"
 	"ctacluster/internal/report"
@@ -271,45 +269,6 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, key string, tim
 	writeJSON(w, http.StatusOK, disposition, body)
 }
 
-// schemeKernel builds the kernel for a simulate request's scheme —
-// wrapping the app in the resolved swizzle (canonical name, "" = none)
-// before any clustering transform — and returns its canonical scheme
-// label.
-func schemeKernel(req api.SimulateRequest, app *workloads.App, ar *arch.Arch, swz string) (kernel.Kernel, string, error) {
-	scheme := strings.ToUpper(strings.TrimSpace(req.Scheme))
-	if scheme == "" {
-		scheme = "BSL"
-	}
-	if scheme != "CLU" && (req.Agents != 0 || req.Bypass || req.Prefetch) {
-		return nil, "", fmt.Errorf("agents/bypass/prefetch only apply to scheme CLU, got %s", scheme)
-	}
-	var base kernel.Kernel = app
-	if swz != "" {
-		// WrapFor, not Wrap: ar may be a chiplet descriptor and the
-		// die-aware swizzle family derives its permutation from it.
-		sk, err := swizzle.WrapFor(swz, app, ar)
-		if err != nil {
-			return nil, "", err
-		}
-		base = sk
-	}
-	switch scheme {
-	case "BSL":
-		return base, scheme, nil
-	case "RD":
-		k, err := core.Redirect(base, ar.SMs, app.Partition(), nil)
-		return k, scheme, err
-	case "CLU":
-		k, err := core.NewAgent(base, core.AgentConfig{
-			Arch: ar, Indexing: app.Partition(),
-			ActiveAgents: req.Agents, Bypass: req.Bypass, Prefetch: req.Prefetch,
-		})
-		return k, scheme, err
-	default:
-		return nil, "", fmt.Errorf("unknown scheme %q (known: BSL, RD, CLU)", req.Scheme)
-	}
-}
-
 // swizzleFor resolves a request's swizzle, falling back to the daemon's
 // configured default.
 func (s *Server) swizzleFor(req string) (string, error) {
@@ -357,7 +316,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	k, scheme, err := schemeKernel(req, app, ar, swz)
+	spec := eval.Spec{Swizzle: swz, Scheme: req.Scheme, Agents: req.Agents, Bypass: req.Bypass, Prefetch: req.Prefetch}
+	k, scheme, err := spec.Kernel(app, ar)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -468,20 +428,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	s.compute(w, r, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
-		plan, err := locality.Optimize(app, ar)
+		plan, err := locality.Optimize(ctx, app, ar)
 		if err != nil {
 			return nil, err
 		}
-		cfg := engine.DefaultConfig(ar)
-		base, err := engine.RunContext(ctx, cfg, app)
-		if err != nil {
-			return nil, err
-		}
-		opt, err := engine.RunContext(ctx, cfg, plan.Clustered)
-		if err != nil {
-			return nil, err
-		}
-		return api.Marshal(api.OptimizeResponseFrom(app, ar, plan, base, opt))
+		return api.Marshal(api.OptimizeResponseFrom(app, ar, plan))
 	})
 	s.logf("optimize %s on %s in %v", app.Name(), ar.Name, time.Since(start))
 }
@@ -501,7 +452,7 @@ func (s *Server) handleTable2(w http.ResponseWriter, r *http.Request) {
 // monolithic platforms), so clients must see it.
 func (s *Server) handleTransforms(w http.ResponseWriter, r *http.Request) {
 	s.serveStatic(w, api.TransformsResponse{
-		Schemes:  []string{"BSL", "CLU", "RD"},
+		Schemes:  eval.SpecSchemes(),
 		Swizzles: swizzle.AllNames(),
 	})
 }

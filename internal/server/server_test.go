@@ -216,6 +216,21 @@ func TestSweepDeadlineExpires(t *testing.T) {
 	}
 }
 
+// TestOptimizeDeadlineExpires: the framework's probe simulations run
+// under the request deadline, so an expired /v1/optimize answers 504
+// and counts as cancelled.
+func TestOptimizeDeadlineExpires(t *testing.T) {
+	c := newDaemon(t, server.Config{Workers: 1})
+	_, err := c.Optimize(context.Background(), api.OptimizeRequest{App: "MM", Arch: "TeslaK40", TimeoutMS: 1})
+	if err == nil || !strings.Contains(err.Error(), "504") {
+		t.Fatalf("err = %v, want HTTP 504", err)
+	}
+	m := waitForIdle(t, c, 30*time.Second)
+	if m.Queue.Cancelled == 0 {
+		t.Fatalf("cancelled counter = 0 after deadline: %+v", m.Queue)
+	}
+}
+
 // TestQueueSheddingWhenFull: with one worker and no wait queue, a
 // second concurrent request is rejected with 503 instead of piling up.
 func TestQueueSheddingWhenFull(t *testing.T) {
@@ -272,13 +287,15 @@ func TestBadRequests(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("unknown arch err = %v, want 400", err)
 	}
+	// eval.TestSpecKernel pins the scheme validation messages; here
+	// they must surface as 400s.
 	_, err = c.Simulate(ctx, api.SimulateRequest{App: "MM", Arch: "TeslaK40", Scheme: "WAT"})
-	if err == nil || !strings.Contains(err.Error(), "unknown scheme") {
-		t.Fatalf("unknown scheme err = %v", err)
+	if err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("unknown scheme err = %v, want 400", err)
 	}
 	_, err = c.Simulate(ctx, api.SimulateRequest{App: "MM", Arch: "TeslaK40", Scheme: "BSL", Agents: 2})
-	if err == nil || !strings.Contains(err.Error(), "only apply to scheme CLU") {
-		t.Fatalf("agents-on-BSL err = %v", err)
+	if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "only apply to scheme CLU") {
+		t.Fatalf("agents-on-BSL err = %v, want 400", err)
 	}
 }
 

@@ -59,24 +59,6 @@ func (q Quant) SharedFraction() float64 {
 	return float64(q.SharedLines) / float64(q.Fetches)
 }
 
-// CrossReuseFraction is the fraction of all read requests served by a
-// line a co-resident *other* CTA fetched first.
-func (q Quant) CrossReuseFraction() float64 {
-	if q.Accesses == 0 {
-		return 0
-	}
-	return float64(q.CrossReuses) / float64(q.Accesses)
-}
-
-// WindowHitRate is the upper-bound L2 hit rate of a cache that retains
-// exactly one co-residency window's footprint.
-func (q Quant) WindowHitRate() float64 {
-	if q.Accesses == 0 {
-		return 0
-	}
-	return float64(q.Accesses-q.Fetches) / float64(q.Accesses)
-}
-
 // lineState tracks one resident line within the current window.
 type lineState struct {
 	firstCTA int32
