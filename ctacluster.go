@@ -43,7 +43,10 @@ type (
 	// Kernel is the executable unit the simulator runs and the
 	// transforms rewrite.
 	Kernel = kernel.Kernel
-	// Launch is the runtime placement context a CTA observes.
+	// Launch is the runtime placement context a CTA observes. Its Buf
+	// field is the storage Work appends the CTA's warp traces to (nil,
+	// or one trace per warp, possibly holding a prefix to keep); use
+	// Launch.WarpBufs to get it.
 	Launch = kernel.Launch
 	// CTAWork is a dispatched CTA's op traces.
 	CTAWork = kernel.CTAWork

@@ -51,9 +51,13 @@ func (h *heat1D) ArrayRefs() []ctacluster.ArrayRef {
 	}
 }
 
+// Work appends the CTA's one warp trace to l.Buf, as every kernel must:
+// the simulator recycles trace storage through it, and the clustering
+// transforms pass their accumulated traces for the kernel to extend.
 func (h *heat1D) Work(l ctacluster.Launch) ctacluster.CTAWork {
 	seg := h.rod + uint64(l.CTA*512)
-	var ops []ctacluster.Op
+	ws := l.WarpBufs(1)
+	ops := ws[0]
 	for s := 0; s < h.sweeps; s++ {
 		// Own segment: four 128B lines.
 		for j := 0; j < 4; j++ {
@@ -65,7 +69,8 @@ func (h *heat1D) Work(l ctacluster.Launch) ctacluster.CTAWork {
 		ops = append(ops, ctacluster.Compute(20))
 		ops = append(ops, ctacluster.Store(h.out+uint64(l.CTA*512), 4, 32, 4))
 	}
-	return ctacluster.CTAWork{Warps: [][]ctacluster.Op{ops}}
+	ws[0] = ops
+	return ctacluster.CTAWork{Warps: ws}
 }
 
 func main() {

@@ -154,7 +154,7 @@ type Cache struct {
 	tags    []uint64
 	lru     []uint64 // larger = more recently used
 	dirty   []bool
-	pending map[uint64]int64 // MSHR: line+sector key -> fill-completion cycle
+	pending mshr // MSHR: line+sector key -> fill-completion cycle (mshr.go)
 	clock   uint64
 	stats   Stats
 }
@@ -176,12 +176,11 @@ func New(cfg Config) *Cache {
 	}
 	n := cfg.Sectors * nsets * cfg.Assoc
 	return &Cache{
-		cfg:     cfg,
-		nsets:   uint64(nsets),
-		tags:    make([]uint64, n),
-		lru:     make([]uint64, n),
-		dirty:   make([]bool, n),
-		pending: make(map[uint64]int64),
+		cfg:   cfg,
+		nsets: uint64(nsets),
+		tags:  make([]uint64, n),
+		lru:   make([]uint64, n),
+		dirty: make([]bool, n),
 	}
 }
 
@@ -263,7 +262,7 @@ func (c *Cache) Read(addr uint64, sectorID int, at int64) (Result, int64) {
 // Reserve records that the fetch for a Miss on addr's line in the given
 // sector completes at cycle at; reads before then merge onto it.
 func (c *Cache) Reserve(addr uint64, sectorID int, at int64) {
-	c.pending[pendKey(addr/uint64(c.cfg.Line), sectorID)] = at
+	c.pending.put(pendKey(addr/uint64(c.cfg.Line), sectorID), at)
 }
 
 // BypassRead records a read that skipped this level (ld.global.cg).
@@ -323,14 +322,14 @@ func (c *Cache) Fill(addr uint64, sectorID int) {
 // at; otherwise it reports whether one is in flight and when it lands.
 func (c *Cache) settle(idx uint64, sectorID int, at int64) (int64, bool) {
 	key := pendKey(idx, sectorID)
-	fillAt, ok := c.pending[key]
+	fillAt, ok := c.pending.get(key)
 	if !ok {
 		return 0, false
 	}
 	if fillAt > at {
 		return fillAt, true
 	}
-	delete(c.pending, key)
+	c.pending.del(key)
 	c.install(idx, sectorID)
 	return 0, false
 }

@@ -14,8 +14,7 @@ func smallL1() *Cache {
 // inFlight reports the MSHR entry for addr's line in the given sector:
 // the cycle its fill lands, and whether there is one.
 func (c *Cache) inFlight(addr uint64, sectorID int) (int64, bool) {
-	at, ok := c.pending[pendKey(addr/uint64(c.cfg.Line), sectorID)]
-	return at, ok
+	return c.pending.get(pendKey(addr/uint64(c.cfg.Line), sectorID))
 }
 
 func TestColdMissThenHit(t *testing.T) {

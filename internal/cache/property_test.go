@@ -298,11 +298,11 @@ func runRandomSequence(t *testing.T, cfg Config, seed int64, steps int) {
 
 	// Every fill still in flight must match its MSHR entry, and the
 	// table must hold nothing else.
-	if len(c.pending) != len(m.inFlight) {
-		t.Fatalf("%d MSHR entries, want %d in flight", len(c.pending), len(m.inFlight))
+	if c.pending.n != len(m.inFlight) {
+		t.Fatalf("%d MSHR entries, want %d in flight", c.pending.n, len(m.inFlight))
 	}
 	for key, at := range m.inFlight {
-		if got, ok := c.pending[key]; !ok || got != at {
+		if got, ok := c.pending.get(key); !ok || got != at {
 			t.Fatalf("MSHR entry %#x = (%d, %v), want fill at %d", key, got, ok, at)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ctacluster/internal/arch"
 	"ctacluster/internal/kernel"
@@ -57,6 +58,12 @@ type AgentKernel struct {
 	maxAgents int
 	active    int
 	counters  []int // per-SM dynamic agent-id counters (%smid-indexed)
+
+	// Work scratch, reused across calls: each warp's length before the
+	// current task, and prefetchOps' successor trace and preamble.
+	start []int
+	pfBuf [][]kernel.Op
+	pre   []kernel.Op
 }
 
 // NewAgent builds the agent-based clustering transform of orig for the
@@ -91,6 +98,7 @@ func NewAgent(orig kernel.Kernel, cfg AgentConfig) (*AgentKernel, error) {
 		maxAgents: occ.CTAsPerSM,
 		active:    active,
 		counters:  make([]int, cfg.Arch.SMs),
+		start:     make([]int, orig.WarpsPerCTA()),
 	}, nil
 }
 
@@ -174,8 +182,9 @@ func (k *AgentKernel) Tasks(sm, agentID int) []int {
 	return out
 }
 
-// Work binds the agent to its SM's cluster and builds the concatenated
-// task-loop trace.
+// Work binds the agent to its SM's cluster and appends its task loop to
+// l.Buf: the binding preamble, then per task an index op and the task's
+// trace, which the original kernel appends in place.
 func (k *AgentKernel) Work(l kernel.Launch) kernel.CTAWork {
 	sm := l.SM
 	if sm < 0 || sm >= k.part.M {
@@ -183,69 +192,68 @@ func (k *AgentKernel) Work(l kernel.Launch) kernel.CTAWork {
 	}
 
 	// SM-based binding: obtain agent_id.
+	static := k.cfg.Arch.StaticWarpSlotBinding
 	var agentID int
-	var bind [][]kernel.Op // per-warp binding preamble
-	warps := k.orig.WarpsPerCTA()
-	bind = make([][]kernel.Op, warps)
-	if k.cfg.Arch.StaticWarpSlotBinding {
+	if static {
 		// Fermi/Kepler: agent_id = %warpid / WARPS_PER_CTA.
 		agentID = l.Slot
-		for i := range bind {
-			bind[i] = []kernel.Op{kernel.Compute(staticBindCost)}
-		}
 	} else {
-		// Maxwell/Pascal: primary thread bids via a global atomic and
-		// broadcasts through shared memory; everyone else waits.
 		agentID = k.counters[sm]
 		k.counters[sm]++
-		ctr := agentCounterBase + uint64(sm)*4
-		for i := range bind {
-			if i == 0 {
-				bind[i] = []kernel.Op{
-					kernel.Compute(dynamicCalcCost),
-					kernel.AtomicAdd(ctr, 4),
-					kernel.Barrier(),
-				}
-			} else {
-				bind[i] = []kernel.Op{kernel.Barrier()}
-			}
-		}
 	}
-
 	if agentID >= k.active {
 		// CTA throttling: surplus agents retire immediately.
 		return kernel.CTAWork{Skip: true}
 	}
 
-	tasks := k.Tasks(sm, agentID)
-	out := make([][]kernel.Op, warps)
-	for i := range out {
-		out[i] = append(out[i], bind[i]...)
+	out := l.WarpBufs(k.orig.WarpsPerCTA())
+	for w := range out {
+		switch {
+		case static:
+			out[w] = append(out[w], kernel.Compute(staticBindCost))
+		case w == 0:
+			// Maxwell/Pascal: the primary thread bids via a global
+			// atomic and broadcasts through shared memory; everyone
+			// else waits.
+			out[w] = append(out[w],
+				kernel.Compute(dynamicCalcCost),
+				kernel.AtomicAdd(agentCounterBase+uint64(sm)*4, 4),
+				kernel.Barrier())
+		default:
+			out[w] = append(out[w], kernel.Barrier())
+		}
 	}
-	idxc := indexCost(k.cfg.Indexing) + taskLoopCost
+
+	tasks := k.Tasks(sm, agentID)
+	idx := kernel.Compute(indexCost(k.cfg.Indexing) + taskLoopCost)
+	inner := l
 	for ti, target := range tasks {
-		inner := l
-		inner.CTA = target
-		tw := k.orig.Work(inner)
-		if len(tw.Warps) != warps {
-			panic(fmt.Sprintf("core: kernel %s produced %d warps, want %d", k.orig.Name(), len(tw.Warps), warps))
+		for w, ops := range out {
+			k.start[w] = len(ops)
 		}
-		var pre []kernel.Op
-		if k.cfg.Prefetch && ti+1 < len(tasks) {
-			pre = k.prefetchOps(l, tasks[ti+1])
+		inner.CTA, inner.Buf = target, out
+		out = kernel.WorkAfter(k.orig, inner, idx).Warps
+		if len(out) != len(k.start) {
+			panic(fmt.Sprintf("core: kernel %s produced %d warps, want %d", k.orig.Name(), len(out), len(k.start)))
 		}
-		for i := range out {
-			out[i] = append(out[i], kernel.Compute(idxc))
-			for _, op := range tw.Warps[i] {
-				if k.cfg.Bypass && op.Kind == kernel.OpMem && op.Mem.Streaming && !op.Mem.Write {
-					op.Mem.Bypass = true
+		if k.cfg.Bypass {
+			for w, ops := range out {
+				for i := k.start[w]; i < len(ops); i++ {
+					if m := &ops[i].Mem; ops[i].Kind == kernel.OpMem && m.Streaming && !m.Write {
+						m.Bypass = true
+					}
 				}
-				out[i] = append(out[i], op)
 			}
-			// Preload the successor task's first lines before the
-			// current task expires (Section 4.3-III).
-			if i == 0 && len(pre) > 0 {
-				out[i] = append(out[i], pre...)
+		}
+		// Preload the successor task's first lines before the current
+		// task expires (Section 4.3-III).
+		if k.cfg.Prefetch && ti+1 < len(tasks) {
+			out[0] = append(out[0], k.prefetchOps(l, tasks[ti+1])...)
+		}
+		if ti == 0 {
+			// Capacity hint: the remaining tasks at this one's length.
+			for w, ops := range out {
+				out[w] = slices.Grow(ops, (len(ops)-k.start[w])*(len(tasks)-1))
 			}
 		}
 	}
@@ -254,26 +262,28 @@ func (k *AgentKernel) Work(l kernel.Launch) kernel.CTAWork {
 
 // prefetchOps derives the prefetch preamble for the successor task:
 // recompute its addresses and issue non-blocking loads for its first
-// PrefetchDepth reads.
+// PrefetchDepth reads, taken from its raw trace (before any bypass
+// rewrite). The trace and the returned ops live in per-kernel scratch
+// reused across tasks; the caller copies the ops out.
 func (k *AgentKernel) prefetchOps(l kernel.Launch, nextTarget int) []kernel.Op {
-	inner := l
-	inner.CTA = nextTarget
-	tw := k.orig.Work(inner)
-	ops := []kernel.Op{kernel.Compute(idxCostArbitrary)} // address recalculation
-	n := 0
-	for _, wops := range tw.Warps {
-		for _, op := range wops {
+	for w := range k.pfBuf {
+		k.pfBuf[w] = k.pfBuf[w][:0]
+	}
+	l.CTA, l.Buf = nextTarget, k.pfBuf
+	k.pfBuf = k.orig.Work(l).Warps
+	k.pre = append(k.pre[:0], kernel.Compute(idxCostArbitrary)) // address recalculation
+	for _, ops := range k.pfBuf {
+		for _, op := range ops {
 			if op.Kind == kernel.OpMem && !op.Mem.Write {
-				ops = append(ops, op.Prefetched())
-				n++
-				if n >= k.cfg.PrefetchDepth {
-					return ops
+				k.pre = append(k.pre, op.Prefetched())
+				if len(k.pre) > k.cfg.PrefetchDepth {
+					return k.pre
 				}
 			}
 		}
 	}
-	if n == 0 {
+	if len(k.pre) == 1 {
 		return nil
 	}
-	return ops
+	return k.pre
 }

@@ -107,10 +107,6 @@ func (k *RedirectKernel) Target(u int) int {
 
 // Work redirects CTA u to its target and charges the remapping cost.
 func (k *RedirectKernel) Work(l kernel.Launch) kernel.CTAWork {
-	target := k.Target(l.CTA)
-	inner := l
-	inner.CTA = target
-	work := k.orig.Work(inner)
-	work.Warps = kernel.PrependCompute(work.Warps, indexCost(k.ix))
-	return work
+	l.CTA = k.Target(l.CTA)
+	return kernel.WorkAfter(k.orig, l, kernel.Compute(indexCost(k.ix)))
 }

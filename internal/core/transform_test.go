@@ -22,15 +22,15 @@ func (k *gridKernel) WarpsPerCTA() int                  { return k.warps }
 func (k *gridKernel) RegsPerThread(arch.Generation) int { return 16 }
 func (k *gridKernel) SharedMemPerCTA() int              { return 0 }
 func (k *gridKernel) Work(l kernel.Launch) kernel.CTAWork {
-	ws := make([][]kernel.Op, k.warps)
+	ws := l.WarpBufs(k.warps)
 	for w := range ws {
-		ws[w] = []kernel.Op{
+		ws[w] = append(ws[w],
 			// Tag the trace with the CTA id via the address.
 			kernel.Load(uint64(0x10000+l.CTA*256), 4, 32, 4),
 			kernel.Compute(4),
 			kernel.Load(uint64(0x80000), 4, 32, 4).StreamingHint(),
 			kernel.Store(uint64(0x100000+l.CTA*256), 4, 32, 4),
-		}
+		)
 	}
 	return kernel.CTAWork{Warps: ws}
 }

@@ -148,8 +148,9 @@ type smState struct {
 	id        int
 	l1        *cache.Cache // owns the SM's MSHR table of in-flight fills
 	issueFree int64
-	slots     []*ctaState // fixed-capacity CTA slots; nil = free
-	resident  int         // resident warps (occupancy tracking)
+	slots     []*ctaState     // fixed-capacity CTA slots; nil = free
+	bufs      [][][]kernel.Op // per slot: its last CTA's warp traces, recycled as Launch.Buf
+	resident  int             // resident warps (occupancy tracking)
 }
 
 // sim is the run state.
@@ -183,8 +184,9 @@ type sim struct {
 	// Per-run slabs: warp and CTA states are carved out of two presized
 	// arrays instead of being allocated one object per dispatch
 	// (sm.go newWarp/newCTA). Slab addresses are stable for the run —
-	// events and slots hold pointers into them. finishWarp drops a dead
-	// warp's trace so slab retention cannot pin every CTA's ops at once.
+	// events and slots hold pointers into them. A warp's ops live in its
+	// slot's recycled buffer (smState.bufs), so the slab pins no traces
+	// beyond the resident CTAs'.
 	warpSlab []warpState
 	ctaSlab  []ctaState
 
@@ -291,6 +293,7 @@ func run(ctx context.Context, cfg Config, k kernel.Kernel, refQueue bool) (*Resu
 				Policy:  cache.WriteEvict,
 			}),
 			slots: make([]*ctaState, occ.CTAsPerSM),
+			bufs:  make([][][]kernel.Op, occ.CTAsPerSM),
 		}
 	}
 	s.q = newScheduler(refQueue)

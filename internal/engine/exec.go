@@ -158,7 +158,6 @@ func drains(op *kernel.Op) bool {
 
 func (s *sim) finishWarp(w *warpState) {
 	w.done = true
-	w.ops = nil // the slab retains w; don't let it pin the trace too
 	cta := w.cta
 	cta.live--
 	if cta.live == 0 {

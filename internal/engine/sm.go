@@ -92,13 +92,19 @@ func (s *sim) dispatchTo(sm *smState, slot int, at int64) {
 	s.nextCTA++
 	s.dispatched++
 
-	launch := kernel.Launch{
+	// The slot's previous CTA has retired, so its traces are dead: hand
+	// their storage back to the kernel to append this CTA's into.
+	buf := sm.bufs[slot]
+	for w := range buf {
+		buf[w] = buf[w][:0]
+	}
+	work := s.kern.Work(kernel.Launch{
 		CTA:      id,
 		SM:       sm.id,
 		Slot:     slot,
 		WarpSlot: slot * s.warpsPerCTA,
-	}
-	work := s.kern.Work(launch)
+		Buf:      buf,
+	})
 
 	cta := s.newCTA()
 	cta.sm = sm
@@ -127,6 +133,7 @@ func (s *sim) dispatchTo(sm *smState, slot int, at int64) {
 	}
 
 	sm.slots[slot] = cta
+	sm.bufs[slot] = work.Warps
 	cta.warps = make([]*warpState, len(work.Warps))
 	cta.live = len(work.Warps)
 	for i, ops := range work.Warps {

@@ -110,20 +110,6 @@ type Op struct {
 // Compute returns a compute op occupying the warp for n cycles.
 func Compute(n int) Op { return Op{Kind: OpCompute, Cycles: n} }
 
-// PrependCompute returns copies of the warp traces, each headed by a
-// compute op of c cycles: the per-thread index recomputation a CTA
-// transform adds to every warp. The original traces are not mutated.
-func PrependCompute(warps [][]Op, c int) [][]Op {
-	out := make([][]Op, len(warps))
-	for i, ops := range warps {
-		w := make([]Op, 0, len(ops)+1)
-		w = append(w, Compute(c))
-		w = append(w, ops...)
-		out[i] = w
-	}
-	return out
-}
-
 // Barrier returns a CTA-wide barrier op.
 func Barrier() Op { return Op{Kind: OpBarrier} }
 
@@ -337,6 +323,52 @@ type Launch struct {
 	SM       int // physical SM the CTA was dispatched to
 	Slot     int // CTA slot index on that SM
 	WarpSlot int // first hardware warp slot occupied by the CTA
+
+	// Buf is the storage Work appends the CTA's warp traces to: nil, or
+	// exactly WarpsPerCTA traces whose contents (possibly a non-empty
+	// prefix) Work keeps. The engine recycles one Buf per CTA slot; the
+	// transforms pass their accumulated traces so an inner kernel
+	// appends in place instead of being copied.
+	Buf [][]Op
+}
+
+// WarpBufs returns l.Buf if it holds n traces, and n empty traces
+// otherwise: the slices a Work implementation appends warp w's ops to.
+func (l Launch) WarpBufs(n int) [][]Op {
+	if len(l.Buf) == n {
+		return l.Buf
+	}
+	return make([][]Op, n)
+}
+
+// WorkAfter is how a CTA transform runs the kernel it wraps, in place:
+// it appends pre to each of l's warp traces (fresh ones when l.Buf is
+// nil), then has k append the ops of CTA l.CTA after it. A Skip result
+// is returned as is. It panics if k returns the wrong number of warps
+// or a warp shorter than the prefix it was given, the usual sign of a
+// kernel that ignores Launch.Buf.
+func WorkAfter(k Kernel, l Launch, pre Op) CTAWork {
+	var stack [32]int // CUDA caps a CTA at 32 warps; more spill to the heap
+	prefix := stack[:0]
+	l.Buf = l.WarpBufs(k.WarpsPerCTA())
+	for w := range l.Buf {
+		l.Buf[w] = append(l.Buf[w], pre)
+		prefix = append(prefix, len(l.Buf[w]))
+	}
+	work := k.Work(l)
+	if work.Skip {
+		return work
+	}
+	if len(work.Warps) != len(prefix) {
+		panic(fmt.Sprintf("kernel: %s produced %d warps, want %d", k.Name(), len(work.Warps), len(prefix)))
+	}
+	for w, ops := range work.Warps {
+		if len(ops) < prefix[w] {
+			panic(fmt.Sprintf("kernel: %s returned warp %d with %d ops, shorter than its %d-op Launch.Buf prefix: Work must append to l.Buf",
+				k.Name(), w, len(ops), prefix[w]))
+		}
+	}
+	return work
 }
 
 // CTAWork is everything a dispatched CTA will execute.
@@ -364,7 +396,12 @@ type Kernel interface {
 	RegsPerThread(g arch.Generation) int
 	// SharedMemPerCTA is the static shared-memory cost in bytes.
 	SharedMemPerCTA() int
-	// Work produces the op traces for the CTA described by l.
+	// Work produces the op traces for the CTA described by l: it
+	// appends warp w's ops to l.Buf[w] (l.WarpBufs does the nil case),
+	// keeping any prefix already there, and returns the extended slices.
+	// The returned slices belong to the caller, which may truncate them
+	// and pass them back as a later Buf, so Work must never return
+	// storage it keeps for itself.
 	Work(l Launch) CTAWork
 }
 

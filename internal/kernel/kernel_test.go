@@ -65,27 +65,24 @@ func TestOpConstructors(t *testing.T) {
 	}
 }
 
-// TestPrependCompute pins the transform helper: every warp gains a
-// leading compute op and the caller's traces are left untouched.
-func TestPrependCompute(t *testing.T) {
-	orig := [][]Op{{Load(0, 4, 32, 4)}, {}, {Barrier(), Compute(2)}}
-	got := PrependCompute(orig, 7)
-	if len(got) != len(orig) {
-		t.Fatalf("%d warps, want %d", len(got), len(orig))
+// TestWarpBufs pins the Buf helper: a Buf of the right length is
+// returned as is (prefix and all), anything else yields fresh empty
+// traces.
+func TestWarpBufs(t *testing.T) {
+	buf := [][]Op{{Compute(1)}, nil}
+	if got := (Launch{Buf: buf}).WarpBufs(2); &got[0] != &buf[0] || len(got[0]) != 1 {
+		t.Errorf("WarpBufs(2) with a 2-trace Buf = %v, want the Buf itself", got)
 	}
-	for i, w := range got {
-		if len(w) != len(orig[i])+1 || w[0].Kind != OpCompute || w[0].Cycles != 7 {
-			t.Fatalf("warp %d = %+v, want Compute(7) then %+v", i, w, orig[i])
+	for _, l := range []Launch{{}, {Buf: buf}} {
+		got := l.WarpBufs(3)
+		if len(got) != 3 {
+			t.Fatalf("WarpBufs(3) returned %d traces", len(got))
 		}
-		for j := range orig[i] {
-			if w[j+1].Kind != orig[i][j].Kind || w[j+1].Cycles != orig[i][j].Cycles {
-				t.Fatalf("warp %d op %d = %+v, want %+v", i, j, w[j+1], orig[i][j])
+		for w, ops := range got {
+			if len(ops) != 0 {
+				t.Errorf("WarpBufs(3) warp %d = %v, want empty", w, ops)
 			}
 		}
-	}
-	got[0][1] = Compute(1)
-	if orig[0][0].Kind != OpMem || len(orig[2]) != 2 {
-		t.Error("PrependCompute shares or mutates the original traces")
 	}
 }
 

@@ -23,10 +23,9 @@ func (k *pairKernel) Work(l kernel.Launch) kernel.CTAWork {
 	// CTA c shares a block with its partner (c + n/2) % n.
 	group := l.CTA % (k.n / 2)
 	base := uint64(0x10000 + group*512)
-	return kernel.CTAWork{Warps: [][]kernel.Op{{
-		kernel.Load(base, 4, 32, 4),
-		kernel.Load(base+128, 4, 32, 4),
-	}}}
+	ws := l.WarpBufs(1)
+	ws[0] = append(ws[0], kernel.Load(base, 4, 32, 4), kernel.Load(base+128, 4, 32, 4))
+	return kernel.CTAWork{Warps: ws}
 }
 
 func TestInspectorPermutationIsAPermutation(t *testing.T) {

@@ -32,7 +32,9 @@ func (k *patKernel) RegsPerThread(arch.Generation) int { return 16 }
 func (k *patKernel) SharedMemPerCTA() int              { return 0 }
 func (k *patKernel) ArrayRefs() []kernel.ArrayRef      { return k.refs }
 func (k *patKernel) Work(l kernel.Launch) kernel.CTAWork {
-	return kernel.CTAWork{Warps: [][]kernel.Op{k.ops(l.CTA)}}
+	ws := l.WarpBufs(1)
+	ws[0] = append(ws[0], k.ops(l.CTA)...)
+	return kernel.CTAWork{Warps: ws}
 }
 
 func TestQuantifyAllShared(t *testing.T) {

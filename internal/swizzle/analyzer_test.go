@@ -23,9 +23,9 @@ func (k *pairKernel) WarpsPerCTA() int                  { return 1 }
 func (k *pairKernel) RegsPerThread(arch.Generation) int { return 16 }
 func (k *pairKernel) SharedMemPerCTA() int              { return 0 }
 func (k *pairKernel) Work(l kernel.Launch) kernel.CTAWork {
-	return kernel.CTAWork{Warps: [][]kernel.Op{{
-		kernel.Load(uint64((l.CTA/2)*64), 0, 1, 4),
-	}}}
+	ws := l.WarpBufs(1)
+	ws[0] = append(ws[0], kernel.Load(uint64((l.CTA/2)*64), 0, 1, 4))
+	return kernel.CTAWork{Warps: ws}
 }
 
 // TestAnalyzeWindowGolden pins the analyzer's arithmetic on the
@@ -98,9 +98,9 @@ func TestAnalyzerNonPowerOfTwoLine(t *testing.T) {
 type storeKernel struct{ pairKernel }
 
 func (k *storeKernel) Work(l kernel.Launch) kernel.CTAWork {
-	return kernel.CTAWork{Warps: [][]kernel.Op{{
-		kernel.Store(uint64((l.CTA/2)*64), 0, 1, 4),
-	}}}
+	ws := l.WarpBufs(1)
+	ws[0] = append(ws[0], kernel.Store(uint64((l.CTA/2)*64), 0, 1, 4))
+	return kernel.CTAWork{Warps: ws}
 }
 
 func TestAnalyzerIgnoresWrites(t *testing.T) {

@@ -241,17 +241,11 @@ func (k *Kernel) Target(u int) int {
 // Work remaps CTA u to its swizzled tile and charges the per-CTA index
 // recomputation, exactly the way core.RedirectKernel does.
 func (k *Kernel) Work(l kernel.Launch) kernel.CTAWork {
-	target := k.Target(l.CTA)
-	if target == l.CTA && k.cost == 0 {
+	l.CTA = k.Target(l.CTA)
+	if k.cost == 0 {
 		return k.orig.Work(l)
 	}
-	inner := l
-	inner.CTA = target
-	work := k.orig.Work(inner)
-	if k.cost > 0 {
-		work.Warps = kernel.PrependCompute(work.Warps, k.cost)
-	}
-	return work
+	return kernel.WorkAfter(k.orig, l, kernel.Compute(k.cost))
 }
 
 // xorPerm is the bit-twiddle swizzle: within each row, tile x is

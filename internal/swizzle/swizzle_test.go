@@ -27,13 +27,13 @@ func (k *tagKernel) ArrayRefs() []kernel.ArrayRef {
 	return []kernel.ArrayRef{{Array: "A", DependsBX: true}}
 }
 func (k *tagKernel) Work(l kernel.Launch) kernel.CTAWork {
-	ws := make([][]kernel.Op, k.warps)
+	ws := l.WarpBufs(k.warps)
 	for w := range ws {
-		ws[w] = []kernel.Op{
+		ws[w] = append(ws[w],
 			kernel.Load(uint64(0x10000+l.CTA*256), 4, 32, 4),
 			kernel.Compute(4),
 			kernel.Store(uint64(0x100000+l.CTA*256), 4, 32, 4),
-		}
+		)
 	}
 	return kernel.CTAWork{Warps: ws}
 }

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"slices"
+
 	"ctacluster/internal/kernel"
 	"ctacluster/internal/locality"
 )
@@ -53,8 +55,9 @@ func newMM() *App {
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
 		bx, by := l.CTA%grid.X, l.CTA/grid.X
-		warps := warpRange(tile, func(ty int) []kernel.Op {
-			ops := make([]kernel.Op, 0, 6*n/tile+2)
+		warps := l.WarpBufs(tile)
+		for ty := range warps {
+			ops := slices.Grow(warps[ty], 6*n/tile+2)
 			for k := 0; k < n/tile; k++ {
 				// As[ty][tx] = A[by*tile+ty][k*tile+tx]
 				ops = append(ops, kernel.Load(aBase+uint64(((by*tile+ty)*n+k*tile)*4), 4, tile, 4))
@@ -65,8 +68,8 @@ func newMM() *App {
 				ops = append(ops, kernel.Barrier())
 			}
 			ops = append(ops, kernel.Store(cBase+uint64(((by*tile+ty)*n+bx*tile)*4), 4, tile, 4))
-			return ops
-		})
+			warps[ty] = ops
+		}
 		return kernel.CTAWork{Warps: warps}
 	}
 	return app
@@ -106,10 +109,11 @@ func newKMN() *App {
 		},
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
-		ws := warpRange(warps, func(w int) []kernel.Op {
+		ws := l.WarpBufs(warps)
+		for w := range ws {
 			gwarp := l.CTA*warps + w
 			pbase := points + uint64(gwarp*32*features*4)
-			ops := make([]kernel.Op, 0, nclusters*3+4)
+			ops := slices.Grow(ws[w], nclusters*3+4)
 			// Rodinia kmeans re-reads each point's features from global
 			// memory on every centroid iteration: the warp's 1KB point
 			// block is the hot set a CTA needs resident. One CTA's
@@ -124,8 +128,8 @@ func newKMN() *App {
 				}
 			}
 			ops = append(ops, kernel.Store(member+uint64(gwarp*32*4), 4, 32, 4))
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app
@@ -164,8 +168,9 @@ func newNN() *App {
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
 		bx, by := l.CTA%gx, l.CTA/gx
-		ws := warpRange(1, func(int) []kernel.Op {
-			ops := make([]kernel.Op, 0, 8+wloads+8)
+		ws := l.WarpBufs(1)
+		for w := range ws {
+			ops := slices.Grow(ws[w], 8+wloads+8)
 			// 8x8 input window with stride 4: half of it is shared with
 			// the X-neighbour CTA.
 			for r := 0; r < 8; r++ {
@@ -181,8 +186,8 @@ func newNN() *App {
 				}
 			}
 			ops = append(ops, kernel.Store(out+uint64(l.CTA*32*4), 4, 32, 4))
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app
@@ -216,8 +221,9 @@ func newIMD() *App {
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
 		bx, by := l.CTA%gx, l.CTA/gx
-		ws := warpRange(2, func(w int) []kernel.Op {
-			ops := make([]kernel.Op, 0, 24)
+		ws := l.WarpBufs(2)
+		for w := range ws {
+			ops := slices.Grow(ws[w], 24)
 			// NLM search window rows: each warp reads its 128B row
 			// segment plus a 64B apron reaching into the X-neighbour's
 			// tile — the search windows of adjacent tiles overlap.
@@ -231,8 +237,8 @@ func newIMD() *App {
 			}
 			ops = append(ops, kernel.Compute(20))
 			ops = append(ops, kernel.Store(out+uint64((l.CTA*64+w*32)*4), 4, 32, 4))
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app
@@ -267,9 +273,10 @@ func newBKP() *App {
 		},
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
-		ws := warpRange(warps, func(w int) []kernel.Op {
+		ws := l.WarpBufs(warps)
+		for w := range ws {
 			gwarp := l.CTA*warps + w
-			ops := make([]kernel.Op, 0, 16)
+			ops := slices.Grow(ws[w], 16)
 			// Shared input vector (two 128B lines).
 			ops = append(ops, kernel.Load(inputv, 4, 32, 4))
 			ops = append(ops, kernel.Load(inputv+128, 4, 32, 4))
@@ -283,8 +290,8 @@ func newBKP() *App {
 			ops = append(ops, kernel.Barrier()) // smem reduction
 			ops = append(ops, kernel.Compute(8))
 			ops = append(ops, kernel.Store(hidden+uint64(gwarp*32*4), 4, 32, 4))
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app
@@ -322,8 +329,9 @@ func newDCT() *App {
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
 		bx, by := l.CTA%gx, l.CTA/gx
-		ws := warpRange(2, func(w int) []kernel.Op {
-			ops := make([]kernel.Op, 0, 24)
+		ws := l.WarpBufs(2)
+		for w := range ws {
+			ops := slices.Grow(ws[w], 24)
 			for r := 0; r < 4; r++ {
 				row := by*8 + w*4 + r
 				ops = append(ops, kernel.Load(img+uint64((row*width+bx*8)*4), 4, 8, 4))
@@ -339,8 +347,8 @@ func newDCT() *App {
 				row := by*8 + w*4 + r
 				ops = append(ops, kernel.Store(out+uint64((row*width+bx*8)*4), 4, 8, 4))
 			}
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app
@@ -379,8 +387,9 @@ func newSGM() *App {
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
 		bx, by := l.CTA%gx, l.CTA/gx
-		ws := warpRange(4, func(w int) []kernel.Op {
-			ops := make([]kernel.Op, 0, kTiles*4+2)
+		ws := l.WarpBufs(4)
+		for w := range ws {
+			ops := slices.Grow(ws[w], kTiles*4+2)
 			for k := 0; k < kTiles; k++ {
 				// A panel rows (row-based reuse, same by).
 				ops = append(ops, kernel.Load(aBase+uint64(((by*tile+w*8)*n+k*tile)*4), 4, 32, 4))
@@ -390,8 +399,8 @@ func newSGM() *App {
 				ops = append(ops, kernel.Barrier())
 			}
 			ops = append(ops, kernel.Store(cBase+uint64(((by*tile+w*8)*n+bx*tile)*4), 4, 32, 4))
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app
@@ -429,10 +438,11 @@ func newHS() *App {
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
 		bx, by := l.CTA%gx, l.CTA/gx
-		ws := warpRange(8, func(w int) []kernel.Op {
+		ws := l.WarpBufs(8)
+		for w := range ws {
 			row := by*8 + w
 			base := uint64((row*rowLen + bx*64) * 4)
-			ops := make([]kernel.Op, 0, 12)
+			ops := slices.Grow(ws[w], 12)
 			// Row above, own row (with one-column halo skew), row below.
 			ops = append(ops, kernel.Load(temp+base-uint64(rowLen*4), 8, 32, 4))
 			ops = append(ops, kernel.Load(temp+base-4, 8, 32, 4))
@@ -442,8 +452,8 @@ func newHS() *App {
 			ops = append(ops, kernel.Compute(18))
 			ops = append(ops, kernel.Barrier())
 			ops = append(ops, kernel.Store(out+base, 8, 32, 4))
-			return ops
-		})
+			ws[w] = ops
+		}
 		_ = side
 		return kernel.CTAWork{Warps: ws}
 	}

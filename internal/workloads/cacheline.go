@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"slices"
+
 	"ctacluster/internal/kernel"
 	"ctacluster/internal/locality"
 )
@@ -51,8 +53,9 @@ func columnWalk(name, long string, ctas, colsPerCTA, rows int, regs Regs, opt Re
 	rowBytes := int64(ncols * 4)
 	rowsPerWarp := rows / warps
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
-		ws := warpRange(warps, func(w int) []kernel.Op {
-			ops := make([]kernel.Op, 0, colsPerCTA*2+4)
+		ws := l.WarpBufs(warps)
+		for w := range ws {
+			ops := slices.Grow(ws[w], colsPerCTA*2+4)
 			// Shared vector segment for this warp's rows.
 			ops = append(ops, kernel.Load(vec+uint64(w*rowsPerWarp*4), 4, rowsPerWarp, 4))
 			for c := 0; c < colsPerCTA; c++ {
@@ -64,8 +67,8 @@ func columnWalk(name, long string, ctas, colsPerCTA, rows int, regs Regs, opt Re
 				ops = append(ops, kernel.Compute(10))
 			}
 			ops = append(ops, kernel.Store(out+uint64(l.CTA*colsPerCTA*4), 4, colsPerCTA, 4))
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app
@@ -134,8 +137,9 @@ func rankK(name, long string, twoPanels bool, regs Regs, opt Regs) *App {
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
 		bx, by := l.CTA%gx, l.CTA/gx
-		ws := warpRange(8, func(w int) []kernel.Op {
-			ops := make([]kernel.Op, 0, kIters*3+2)
+		ws := l.WarpBufs(8)
+		for w := range ws {
+			ops := slices.Grow(ws[w], kIters*3+2)
 			for k := 0; k < kIters; k++ {
 				// A[j-block rows]: shared by the whole grid column (same bx).
 				ops = append(ops, kernel.Load(aBase+uint64(((bx*32+w*4)*pitch+k*32)*4), 4, 32, 4))
@@ -147,8 +151,8 @@ func rankK(name, long string, twoPanels bool, regs Regs, opt Regs) *App {
 				ops = append(ops, kernel.Compute(12))
 			}
 			ops = append(ops, kernel.Store(cBase+uint64((l.CTA*1024+w*128)*4), 4, 32, 4))
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app
@@ -185,8 +189,9 @@ func newNBO() *App {
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
 		bx, by := l.CTA%gx, l.CTA/gx
-		ws := warpRange(8, func(w int) []kernel.Op {
-			ops := make([]kernel.Op, 0, tiles*2+4)
+		ws := l.WarpBufs(8)
+		for w := range ws {
+			ops := slices.Grow(ws[w], tiles*2+4)
 			// Own body positions (AoS: 16B of each 32B record).
 			own := (by*gx + bx) % (bodies / 256)
 			ops = append(ops, kernel.Load(bodyArr+uint64(own*256*stride+w*32*stride), stride, 32, 16))
@@ -198,8 +203,8 @@ func newNBO() *App {
 				ops = append(ops, kernel.Compute(20))
 			}
 			ops = append(ops, kernel.Store(outArr+uint64(l.CTA*4096+w*512), 16, 32, 16))
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app
@@ -236,9 +241,10 @@ func new3CV() *App {
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
 		bx, by := l.CTA%gx, l.CTA/gx
-		ws := warpRange(8, func(w int) []kernel.Op {
+		ws := l.WarpBufs(8)
+		for w := range ws {
 			z := w % depth
-			ops := make([]kernel.Op, 0, 16)
+			ops := slices.Grow(ws[w], 16)
 			base := vol + uint64(z*plane+(by+1)*rowLen*4+bx*128)
 			// z-1, z, z+1 planes with -1/+1 column skews: the skewed
 			// loads cross into the neighbour CTA's lines.
@@ -250,8 +256,8 @@ func new3CV() *App {
 			ops = append(ops, kernel.Load(base+uint64(rowLen*4), 4, 32, 4))
 			ops = append(ops, kernel.Compute(16))
 			ops = append(ops, kernel.Store(out+uint64(z*rowLen*gy*4+by*rowLen*4+bx*128+(w/depth)*64), 4, 16, 4))
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"slices"
+
 	"ctacluster/internal/kernel"
 	"ctacluster/internal/locality"
 )
@@ -48,8 +50,9 @@ func newCOR() *App {
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
 		bx, by := l.CTA%gx, l.CTA/gx
-		ws := warpRange(8, func(w int) []kernel.Op {
-			ops := make([]kernel.Op, 0, kIters*3+5)
+		ws := l.WarpBufs(8)
+		for w := range ws {
+			ops := slices.Grow(ws[w], kIters*3+5)
 			for k := 0; k < kIters; k++ {
 				// data[·][j1-block]: shared by the whole grid column (same bx).
 				ops = append(ops, kernel.Load(dataA+uint64(((bx*32+w*4)*pitch+k*32)*4), 4, 32, 4))
@@ -63,8 +66,8 @@ func newCOR() *App {
 			ops = append(ops, kernel.Load(stats+uint64((gx+by)*32*2*4), 4, 32, 8))
 			ops = append(ops, kernel.Compute(8))
 			ops = append(ops, kernel.Store(symmat+uint64((l.CTA*1024+w*128)*4), 4, 32, 4))
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"slices"
+
 	"ctacluster/internal/kernel"
 	"ctacluster/internal/locality"
 )
@@ -107,19 +109,19 @@ func stencilApp(name, long string, gx, gy, warps, haloBytes, compute int,
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
 		bx, by := l.CTA%gx, l.CTA/gx
-		ws := warpRange(warps, func(w int) []kernel.Op {
+		ws := l.WarpBufs(warps)
+		for w := range ws {
 			row := by*warps + w
 			base := in + uint64((row+1)*rowLen+bx*128)
-			ops := []kernel.Op{
+			ws[w] = append(ws[w],
 				kernel.Load(base-uint64(rowLen), 4, 32, 4),
 				kernel.Load(base-uint64(haloBytes), 4, 32, 4),
 				kernel.Load(base+uint64(haloBytes), 4, 32, 4),
 				kernel.Load(base+uint64(rowLen), 4, 32, 4),
 				kernel.Compute(compute),
 				kernel.Store(out+uint64(row*rowLen+bx*128), 4, 32, 4),
-			}
-			return ops
-		})
+			)
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app
@@ -151,9 +153,10 @@ func tableApp(name, long string, ctas, warps, tableLoads, streamLoads int,
 		},
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
-		ws := warpRange(warps, func(w int) []kernel.Op {
+		ws := l.WarpBufs(warps)
+		for w := range ws {
 			gwarp := l.CTA*warps + w
-			ops := make([]kernel.Op, 0, tableLoads+streamLoads+3)
+			ops := slices.Grow(ws[w], tableLoads+streamLoads+3)
 			for j := 0; j < streamLoads; j++ {
 				ops = append(ops, kernel.Load(in+uint64((gwarp*streamLoads+j)*32*4), 4, 32, 4).StreamingHint())
 			}
@@ -164,8 +167,8 @@ func tableApp(name, long string, ctas, warps, tableLoads, streamLoads int,
 				}
 			}
 			ops = append(ops, kernel.Store(out+uint64(gwarp*32*4), 4, 32, 4))
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app
@@ -196,10 +199,11 @@ func gatherApp(name, long string, ctas, warps, gathers, reachRecords int, regs R
 		},
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
-		ws := warpRange(warps, func(w int) []kernel.Op {
+		ws := l.WarpBufs(warps)
+		for w := range ws {
 			gwarp := l.CTA*warps + w
 			rng := lcg(uint64(gwarp)*11400714819323 + 99)
-			ops := make([]kernel.Op, 0, gathers+3)
+			ops := slices.Grow(ws[w], gathers+3)
 			ops = append(ops, kernel.Load(keys+uint64(gwarp*32*4), 4, 32, 4).StreamingHint())
 			for j := 0; j < gathers; j++ {
 				addrs := make([]uint64, 32)
@@ -210,8 +214,8 @@ func gatherApp(name, long string, ctas, warps, gathers, reachRecords int, regs R
 				ops = append(ops, kernel.Compute(6))
 			}
 			ops = append(ops, kernel.Store(out+uint64(gwarp*32*4), 4, 32, 4))
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app
@@ -240,9 +244,10 @@ func butterflyApp(name, long string, ctas, warps, passes int, regs Regs) *App {
 		},
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
-		ws := warpRange(warps, func(w int) []kernel.Op {
+		ws := l.WarpBufs(warps)
+		for w := range ws {
 			gwarp := l.CTA*warps + w
-			ops := make([]kernel.Op, 0, passes*3+1)
+			ops := slices.Grow(ws[w], passes*3+1)
 			for p := 0; p < passes; p++ {
 				stride := int64(4 << p)
 				base := data + uint64((gwarp*32*4)<<1)
@@ -250,8 +255,8 @@ func butterflyApp(name, long string, ctas, warps, passes int, regs Regs) *App {
 				ops = append(ops, kernel.Compute(6))
 				ops = append(ops, kernel.Store(base, stride, 32, 4))
 			}
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app

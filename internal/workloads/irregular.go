@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"slices"
+
 	"ctacluster/internal/kernel"
 	"ctacluster/internal/locality"
 )
@@ -48,10 +50,11 @@ func newHST() *App {
 		},
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
-		ws := warpRange(warps, func(w int) []kernel.Op {
+		ws := l.WarpBufs(warps)
+		for w := range ws {
 			gwarp := l.CTA*warps + w
 			rng := lcg(uint64(gwarp)*2654435761 + 12345)
-			ops := make([]kernel.Op, 0, 20)
+			ops := slices.Grow(ws[w], 20)
 			for j := 0; j < 8; j++ {
 				ops = append(ops, kernel.Load(data+uint64((gwarp*8*32+j*32)*4), 4, 32, 4).StreamingHint())
 				ops = append(ops, kernel.Compute(4))
@@ -69,8 +72,8 @@ func newHST() *App {
 				ops = append(ops, kernel.Gather(4, addrs...))
 				ops = append(ops, kernel.Scatter(4, addrs...))
 			}
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app
@@ -111,10 +114,11 @@ func newBTR() *App {
 		},
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
-		ws := warpRange(warps, func(w int) []kernel.Op {
+		ws := l.WarpBufs(warps)
+		for w := range ws {
 			gwarp := l.CTA*warps + w
 			rng := lcg(uint64(gwarp)*40503 + 7)
-			ops := make([]kernel.Op, 0, levels+4)
+			ops := slices.Grow(ws[w], levels+4)
 			ops = append(ops, kernel.Load(keys+uint64(gwarp*32*4), 4, 32, 4).StreamingHint())
 			nodes := 1
 			for lv := 0; lv < levels; lv++ {
@@ -127,8 +131,8 @@ func newBTR() *App {
 				nodes *= 16
 			}
 			ops = append(ops, kernel.Store(out+uint64(gwarp*32*4), 4, 32, 4))
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app
@@ -162,10 +166,11 @@ func newNW() *App {
 		},
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
-		ws := warpRange(1, func(int) []kernel.Op {
+		ws := l.WarpBufs(1)
+		for w := range ws {
 			b := l.CTA
 			base := score + uint64(b*cellsPer*4)
-			ops := make([]kernel.Op, 0, 16)
+			ops := slices.Grow(ws[w], 16)
 			// Read the boundary cells the previous tile produced (same
 			// line another CTA writes) plus the reference sequence.
 			ops = append(ops, kernel.Load(base-4, 4, cellsPer, 4))
@@ -179,8 +184,8 @@ func newNW() *App {
 				ops = append(ops, kernel.Load(base, 4, cellsPer, 4))
 			}
 			ops = append(ops, kernel.Store(base, 4, cellsPer, 4))
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app
@@ -216,10 +221,11 @@ func newBFS() *App {
 		},
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
-		ws := warpRange(warps, func(w int) []kernel.Op {
+		ws := l.WarpBufs(warps)
+		for w := range ws {
 			gwarp := l.CTA*warps + w
 			rng := lcg(uint64(gwarp)*920419823 + 3)
-			ops := make([]kernel.Op, 0, 16)
+			ops := slices.Grow(ws[w], 16)
 			ops = append(ops, kernel.Load(frontier+uint64(gwarp*32*4), 4, 32, 4).StreamingHint())
 			for j := 0; j < 4; j++ {
 				// Neighbour gathers: skewed towards low node ids so some
@@ -238,8 +244,8 @@ func newBFS() *App {
 				addrs[i] = cost + uint64(rng.intn(nodes))*4
 			}
 			ops = append(ops, kernel.Scatter(4, addrs...))
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app
@@ -268,9 +274,10 @@ func streamApp(name, long string, ctas, warps, nLoads, nStores, compute int,
 		},
 	}
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
-		ws := warpRange(warps, func(w int) []kernel.Op {
+		ws := l.WarpBufs(warps)
+		for w := range ws {
 			gwarp := l.CTA*warps + w
-			ops := make([]kernel.Op, 0, nLoads+nStores+nLoads/2+1)
+			ops := slices.Grow(ws[w], nLoads+nStores+nLoads/2+1)
 			for j := 0; j < nLoads; j++ {
 				ops = append(ops, kernel.Load(in+uint64((gwarp*nLoads+j)*32*4), 4, 32, 4).StreamingHint())
 				if j%2 == 1 {
@@ -280,8 +287,8 @@ func streamApp(name, long string, ctas, warps, nLoads, nStores, compute int,
 			for j := 0; j < nStores; j++ {
 				ops = append(ops, kernel.Store(out+uint64((gwarp*nStores+j)*32*4), 4, 32, 4))
 			}
-			return ops
-		})
+			ws[w] = ops
+		}
 		return kernel.CTAWork{Warps: ws}
 	}
 	return app

@@ -79,7 +79,8 @@ func (m *Microbench) Category() locality.Category { return locality.Algorithm }
 // Work emits the Listing-3 body: optional stagger, then the timed load
 // of input[32*sm_id] by the primary thread.
 func (m *Microbench) Work(l kernel.Launch) kernel.CTAWork {
-	var ops []kernel.Op
+	ws := l.WarpBufs(1)
+	ops := ws[0]
 	if m.staggered {
 		ops = append(ops, kernel.Compute(m.delay*(l.CTA%(m.ar.SMs*m.ar.CTASlots))))
 	}
@@ -91,7 +92,8 @@ func (m *Microbench) Work(l kernel.Launch) kernel.CTAWork {
 		kernel.Barrier(),
 		kernel.Store(m.input+0x100_0000+uint64(l.CTA)*4, 0, 1, 4), // smids/ticks
 	)
-	return kernel.CTAWork{Warps: [][]kernel.Op{ops}}
+	ws[0] = ops
+	return kernel.CTAWork{Warps: ws}
 }
 
 // Figure2Point is one x-axis sample of a Figure 2 subplot: a CTA that

@@ -98,15 +98,6 @@ func (r *lcg) intn(n int) int {
 	return int(r.next() % uint64(n))
 }
 
-// warpRange allocates count warp traces built by f(warp index).
-func warpRange(count int, f func(w int) []kernel.Op) [][]kernel.Op {
-	out := make([][]kernel.Op, count)
-	for w := range out {
-		out[w] = f(w)
-	}
-	return out
-}
-
 // Registry
 
 // registry maps app names to constructors. It is written exclusively by
