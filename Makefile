@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-alloc vet prof prof-golden server fleet-smoke swizzle-smoke chiplet-smoke calib-smoke cover docs-check
+.PHONY: build test race fuzz bench bench-alloc vet prof prof-golden server swizzle-smoke chiplet-smoke calib-smoke cover docs-check
 
 build:
 	$(GO) build ./...
@@ -52,21 +52,15 @@ bench-alloc:
 	$(GO) test -run='^$$' -bench='^BenchmarkRun$$' -benchtime=3x -benchmem ./internal/engine
 
 # The daemon gate the CI enforces: the ctad end-to-end suite (cold/warm
-# byte-identity, 16-way request dedup, client-disconnect cancellation,
-# queue shedding) plus the result-cache/key units and the
-# engine/eval cancellation tests, all under the race detector.
+# byte-identity, sweep bytes identical to the in-process sweep that
+# `evaluate -json` prints, 16-way request dedup, client-disconnect
+# cancellation, queue shedding, restart persistence from the disk
+# tier) plus the result-cache/key units with the disk-cache
+# crash/corruption matrix and the engine/eval cancellation tests, all
+# under the race detector.
 server:
 	$(GO) test -race ./internal/server/... ./internal/rescache ./internal/api
 	$(GO) test -race -run 'Cancel|Deadline|Context' ./internal/engine ./internal/eval
-
-# The fleet gate the CI enforces: the distributed-sweep determinism
-# suite (3 backends with one failing mid-sweep and one dead, merged
-# bytes identical to serial `evaluate -json`), the disk-cache
-# crash/corruption recovery scenarios, and the daemon restart
-# persistence e2e, all under the race detector.
-fleet-smoke:
-	$(GO) test -race ./internal/fleet ./internal/rescache ./internal/cli
-	$(GO) test -race -run 'DiskCache' ./internal/server
 
 # The swizzle gate the CI enforces: the transform-family unit wall
 # (conservation, fuzz-seeded bijectivity, analyzer goldens, zero-alloc

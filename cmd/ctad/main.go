@@ -26,10 +26,9 @@
 // -cache-dir adds a durable content-addressed tier under the in-memory
 // LRU: every computed response is written atomically (tmp + fsync +
 // rename) under its sha256 key, restarts warm-start from disk, and a
-// populated directory can be copied to a new fleet member as a warm
-// cache. Entries failing verification on read are quarantined and
-// recomputed — corruption degrades to a miss, never a wrong hit
-// (DESIGN.md §10).
+// populated directory can be copied to another daemon as a warm cache.
+// Entries failing verification on read are quarantined and recomputed
+// — corruption degrades to a miss, never a wrong hit (DESIGN.md §10).
 //
 // Endpoints: POST /v1/simulate, /v1/sweep, /v1/optimize; GET /v1/table1,
 // /v1/table2, /v1/transforms, /healthz, /metrics. See README "Serving" for a curl

@@ -4,13 +4,17 @@
 // https://ui.perfetto.dev — one lane per SM, CTA lifetime slices, warp
 // stalls, counter series) plus an nvprof-style metrics CSV keyed by the
 // counter names the paper's figures use (l2_read_transactions,
-// achieved_occupancy, l1_global_hit_rate).
+// achieved_occupancy, l1_global_hit_rate). On stdout it prints a run
+// summary and the per-SM placement view (report.PerSMSummary): CTAs,
+// last retirement, memory latency and L1 hit rate per SM, and the
+// spread of SM finish times; -sm N prints SM N's CTA timeline instead.
 //
 // Usage:
 //
 //	ctaprof -app mm -arch teslak40                  # baseline, CTA timeline
 //	ctaprof -app ATX -arch GTX570 -scheme CLU       # agent-clustered
 //	ctaprof -app ATX -arch GTX570 -scheme CLU -agents 2 -bypass
+//	ctaprof -app ATX -arch GTX570 -scheme CLU -sm 0 # SM 0's CTA timeline
 //	ctaprof -app mm -arch teslak40 -events all      # every event class
 //	ctaprof -app mm -arch teslak40 -o /tmp/prof -interval 1024
 //	ctaprof -app mm -arch teslak40 -swizzle xor     # profile the swizzled kernel
@@ -38,6 +42,7 @@ import (
 	"ctacluster/internal/engine"
 	"ctacluster/internal/eval"
 	"ctacluster/internal/prof"
+	"ctacluster/internal/report"
 )
 
 func main() {
@@ -52,6 +57,7 @@ func main() {
 	events := flag.String("events", "cta,stall", "event classes to trace: cta, stall, mem, cache, l2, all")
 	interval := flag.Int64("interval", 4096, "counter-snapshot period in cycles (0 = off)")
 	outDir := flag.String("o", ".", "output directory for the trace and metrics files")
+	smID := flag.Int("sm", -1, "print the CTA timeline of SM N instead of the per-SM summary (-1 = summary)")
 	swizzleFlag := cli.RegisterSwizzleFlag()
 	chipletFlag := cli.RegisterChipletFlag()
 	flag.Parse()
@@ -62,6 +68,9 @@ func main() {
 	}
 	if ar, err = cli.ChipletOne(*chipletFlag, ar); err != nil {
 		log.Fatal(err)
+	}
+	if *smID >= ar.SMs {
+		log.Fatalf("SM %d out of range (0..%d)", *smID, ar.SMs-1)
 	}
 	app, err := cli.App(*appName)
 	if err != nil {
@@ -128,5 +137,10 @@ func main() {
 		res.Kernel, label, ar.Name, res.Cycles, res.L2ReadTransactions(),
 		100*res.L1.HitRate(), res.AchievedOccupancy)
 	fmt.Printf("recorded %d events, %d counter snapshots\n", len(tr.Events()), len(tr.Snapshots()))
-	fmt.Printf("trace:   %s\nmetrics: %s\n", tracePath, metricsPath)
+	fmt.Printf("trace:   %s\nmetrics: %s\n\n", tracePath, metricsPath)
+	if *smID >= 0 {
+		report.SMTimeline(os.Stdout, res, *smID)
+	} else {
+		report.PerSMSummary(os.Stdout, res)
+	}
 }

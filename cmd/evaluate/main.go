@@ -1,6 +1,8 @@
-// Command evaluate reproduces the paper's evaluation section: Table 1,
-// Table 2, and the Figure 12 (speedup, achieved occupancy) and Figure 13
-// (L2 transactions, L1 hit rate) panels for every architecture.
+// Command evaluate reproduces the paper's measurements: Table 1,
+// Table 2, the Figure 2 microbenchmark and Figure 3 reuse split of the
+// motivation section, and the Figure 12 (speedup, achieved occupancy)
+// and Figure 13 (L2 transactions, L1 hit rate) panels for every
+// architecture.
 //
 // Usage:
 //
@@ -8,6 +10,8 @@
 //	evaluate -arch TeslaK40      # one platform
 //	evaluate -apps MM,KMN        # subset of applications
 //	evaluate -table1 -table2     # just the tables
+//	evaluate -figure 2           # Figure 2 microbenchmark (honours -arch)
+//	evaluate -figure 3           # Figure 3 reuse split (honours -apps)
 //	evaluate -quick              # skip the throttle sweep
 //	evaluate -csv DIR            # additionally write CSV files to DIR
 //	evaluate -parallel 8         # fan the sweep out over 8 workers
@@ -39,6 +43,13 @@
 // with -json that emits one api.ChipletCompareResponse document (the
 // BENCH_chiplet.json schema).
 //
+// -figure N prints Figure 2 or 3 and exits. Figure 2 runs the Listing-3
+// microbenchmark on each selected platform; Figure 3 quantifies the
+// inter-/intra-CTA reuse of the -apps selection, by default the 40
+// Figure 3 applications rather than Table 2. With -csv each figure
+// table is also written to DIR. Every other flag is an error with
+// -figure, never silently ignored.
+//
 // -json renders the internal/api response structs the ctad daemon
 // serves, so scripts can consume CLI and HTTP output with one decoder:
 // the sweep becomes one api.SweepResponse document; -table1/-table2
@@ -68,6 +79,7 @@ func main() {
 	appsFlag := flag.String("apps", "", "comma-separated app subset (default: all 24)")
 	table1 := flag.Bool("table1", false, "print Table 1 (platforms) and exit")
 	table2 := flag.Bool("table2", false, "print Table 2 (benchmarks) and exit")
+	figure := flag.Int("figure", 0, "print Figure 2 (microbenchmark) or 3 (reuse split) and exit")
 	quick := flag.Bool("quick", false, "skip the throttle sweep (CLU+TOT = CLU)")
 	csvDir := flag.String("csv", "", "also write CSV files into this directory")
 	parallelFlag := cli.RegisterParallelFlag()
@@ -78,6 +90,13 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit JSON in the ctad daemon's response schema")
 	verbose := flag.Bool("v", false, "print per-app progress")
 	flag.Parse()
+
+	if *figure != 0 {
+		if err := printFigure(*figure, *archName, *appsFlag, *csvDir); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
 
 	if *table1 || *table2 {
 		if *jsonOut {
@@ -220,6 +239,55 @@ func main() {
 			}
 		}
 	}
+}
+
+// printFigure prints Figure n (2 or 3) and writes its tables to csvDir
+// when set. Figure 2 takes -arch, Figure 3 -apps; any other flag is
+// rejected.
+func printFigure(n int, archName, appsFlag, csvDir string) error {
+	selector := map[int]string{2: "arch", 3: "apps"}[n]
+	if selector == "" {
+		return fmt.Errorf("-figure must be 2 or 3, got %d", n)
+	}
+	var extra error
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name != "figure" && f.Name != "csv" && f.Name != selector && extra == nil {
+			extra = fmt.Errorf("-figure %d does not take -%s", n, f.Name)
+		}
+	})
+	if extra != nil {
+		return extra
+	}
+
+	var tables []*report.Table
+	if n == 2 {
+		platforms, err := cli.Platforms(archName)
+		if err != nil {
+			return err
+		}
+		for _, ar := range platforms {
+			def, stag, err := workloads.RunMicrobench(ar)
+			if err != nil {
+				return err
+			}
+			tables = append(tables, report.Figure2Panel(os.Stdout, ar, def, stag)...)
+		}
+	} else {
+		apps := workloads.Figure3()
+		if appsFlag != "" {
+			var err error
+			if apps, err = cli.Apps(appsFlag); err != nil {
+				return err
+			}
+		}
+		tables = append(tables, report.Figure3Panel(os.Stdout, apps))
+	}
+	if csvDir != "" {
+		for _, t := range tables {
+			writeCSV(csvDir, t)
+		}
+	}
+	return nil
 }
 
 func writeCSV(dir string, t *report.Table) {

@@ -1,5 +1,5 @@
 // Package cli resolves the flag arguments shared by the command-line
-// tools (cmd/evaluate, cmd/ctacluster, cmd/ctatrace): platform and
+// tools (cmd/evaluate, cmd/ctacluster, cmd/ctaprof): platform and
 // application names and the evaluation parallelism. Centralizing the
 // resolution guarantees every tool fails the same way — a clear message
 // on stderr and a non-zero exit — on an unknown name instead of
@@ -122,7 +122,7 @@ func Chiplet(n int, platforms []*arch.Arch) ([]*arch.Arch, error) {
 }
 
 // ChipletOne is Chiplet for the single-platform CLIs (ctacluster,
-// ctatrace, ctaprof): 0 passes the monolithic descriptor through
+// ctaprof): 0 passes the monolithic descriptor through
 // unchanged, >= 2 derives its chiplet variant.
 func ChipletOne(n int, a *arch.Arch) (*arch.Arch, error) {
 	if n == 0 {

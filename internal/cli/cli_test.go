@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -88,6 +87,7 @@ func TestApps(t *testing.T) {
 		{name: "subset keeps order", arg: "KMN,MM,NN", want: []string{"KMN", "MM", "NN"}},
 		{name: "spaces are trimmed", arg: " MM , KMN ", want: []string{"MM", "KMN"}},
 		{name: "case insensitive", arg: "mm,kmn", want: []string{"MM", "KMN"}},
+		{name: "Figure-3-only app, lower case", arg: "lud", want: []string{"LUD"}},
 		{name: "unknown app", arg: "MM,NOPE", errPart: `unknown application "NOPE"`},
 		{name: "empty element is an error not a skip", arg: "MM,,KMN", errPart: "missing application name"},
 		{name: "trailing comma is an error", arg: "MM,", errPart: "missing application name"},
@@ -244,49 +244,5 @@ func TestUnknownNameErrorsListSortedOptions(t *testing.T) {
 	// or sorting regression is caught even if both sides change together.
 	if !strings.Contains(err.Error(), "known: 3CV, ATX, BC, BFS") {
 		t.Fatalf("App error = %q, want it to start with the sorted prefix 3CV, ATX, BC, BFS", err)
-	}
-}
-
-func TestBackends(t *testing.T) {
-	good := []struct {
-		csv  string
-		want []string
-	}{
-		{"http://a:8321", []string{"http://a:8321"}},
-		{"http://a:8321,http://b:8321", []string{"http://a:8321", "http://b:8321"}},
-		{" http://a:8321 , https://b ", []string{"http://a:8321", "https://b"}},
-		// Trailing slashes normalize away so equal backends compare equal.
-		{"http://a:8321/", []string{"http://a:8321"}},
-	}
-	for _, tt := range good {
-		got, err := Backends(tt.csv)
-		if err != nil {
-			t.Fatalf("Backends(%q): %v", tt.csv, err)
-		}
-		if !reflect.DeepEqual(got, tt.want) {
-			t.Fatalf("Backends(%q) = %v, want %v", tt.csv, got, tt.want)
-		}
-	}
-
-	bad := []struct {
-		csv     string
-		wantSub string
-	}{
-		{"", "missing -backends"},
-		{"   ", "missing -backends"},
-		{"http://a:8321,,http://b:8321", "empty element"},
-		{"ftp://a:8321", "need http(s)"},
-		{"a:8321", "need http(s)"},
-		{"http://", "need http(s)"},
-		{"http://a:8321,http://a:8321", "duplicate backend"},
-		// Same backend spelled with and without the trailing slash is
-		// still a duplicate after normalization.
-		{"http://a:8321,http://a:8321/", "duplicate backend"},
-	}
-	for _, tt := range bad {
-		_, err := Backends(tt.csv)
-		if err == nil || !strings.Contains(err.Error(), tt.wantSub) {
-			t.Fatalf("Backends(%q) err = %v, want substring %q", tt.csv, err, tt.wantSub)
-		}
 	}
 }

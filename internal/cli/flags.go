@@ -3,17 +3,14 @@ package cli
 // Shared flag registration. Before this file, each engine-running CLI
 // registered its own copies of the shared flags with hand-duplicated
 // help strings — several places to drift apart whenever a knob changed
-// meaning. The Register* helpers below are the single
-// source for those registrations (and for the fleet-era -cache-dir and
-// -backends flags), and tools/docscheck resolves them transitively, so
-// a flag registered here is cross-checked against README.md and
-// EXPERIMENTS.md exactly as if it had been registered in the command's
-// own main.go.
+// meaning. The Register* helpers below are the single source for those
+// registrations (and for ctad's -cache-dir), and tools/docscheck
+// resolves them transitively, so a flag registered here is
+// cross-checked against README.md and EXPERIMENTS.md exactly as if it
+// had been registered in the command's own main.go.
 
 import (
 	"flag"
-	"fmt"
-	"net/url"
 	"strings"
 
 	"ctacluster/internal/swizzle"
@@ -52,43 +49,4 @@ func RegisterChipletFlag() *int {
 // ctad: empty keeps the cache memory-only.
 func RegisterCacheDirFlag() *string {
 	return flag.String("cache-dir", "", "directory for the persistent result-cache tier (empty = memory only)")
-}
-
-// RegisterBackendsFlag registers -backends, the comma-separated ctad
-// base-URL list a fleet coordinator fans out to.
-func RegisterBackendsFlag() *string {
-	return flag.String("backends", "", "comma-separated ctad base URLs to fan the sweep out to (e.g. http://host:8321,http://host:8322)")
-}
-
-// Backends resolves a -backends value: every comma-separated element
-// must be a well-formed http(s) base URL; duplicates and empty elements
-// are an error rather than a silent skip — a fleet that thinks it has
-// three backends and has two is exactly the misconfiguration this
-// catches. Trailing slashes are normalized away so equal backends
-// compare equal.
-func Backends(csv string) ([]string, error) {
-	if strings.TrimSpace(csv) == "" {
-		return nil, fmt.Errorf("missing -backends (comma-separated ctad base URLs)")
-	}
-	seen := make(map[string]bool)
-	var out []string
-	for _, raw := range strings.Split(csv, ",") {
-		b := strings.TrimRight(strings.TrimSpace(raw), "/")
-		if b == "" {
-			return nil, fmt.Errorf("empty element in -backends %q", csv)
-		}
-		u, err := url.Parse(b)
-		if err != nil {
-			return nil, fmt.Errorf("bad backend URL %q: %v", b, err)
-		}
-		if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			return nil, fmt.Errorf("bad backend URL %q: need http(s)://host[:port]", b)
-		}
-		if seen[b] {
-			return nil, fmt.Errorf("duplicate backend %q", b)
-		}
-		seen[b] = true
-		out = append(out, b)
-	}
-	return out, nil
 }

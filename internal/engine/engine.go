@@ -11,7 +11,7 @@
 //
 // A run is one serial event loop over a single (cycle, seq)-ordered
 // queue. Independent runs parallelize outside the engine (eval's worker
-// pool, the ctad daemon, ctafleet); DESIGN.md §9 records why a single
+// pool, the ctad daemon); DESIGN.md §9 records why a single
 // run is not split across goroutines.
 package engine
 

@@ -1,6 +1,7 @@
 // Package report renders the reproduction's tables and figure series as
 // aligned text tables (and CSV), one renderer per paper artifact:
-// Table 1, Table 2, Figure 2, Figure 3, Figure 12 and Figure 13.
+// Table 1, Table 2, Figure 2, Figure 3, Figure 12 and Figure 13, plus
+// the per-SM placement view of a single run (placement.go).
 package report
 
 import (
@@ -131,10 +132,15 @@ func Table2(apps []*workloads.App) *Table {
 	return t
 }
 
+// figure2Points caps a Figure 2 table's rows; the full series is what
+// ctacalib seed writes to curves_*.csv.
+const figure2Points = 24
+
 // Figure2 renders one microbenchmark scenario: the access cycles of the
-// CTAs scheduled on the SM holding CTA-0, with the profiler counters the
-// paper annotates (L1 read transactions and L1->L2 read transactions).
-func Figure2(ar *arch.Arch, scenario string, res *engine.Result, maxPoints int) *Table {
+// CTAs scheduled on the SM holding CTA-0, sampled to at most
+// figure2Points rows, with the profiler counters the paper annotates
+// (L1 read transactions and L1->L2 read transactions).
+func Figure2(ar *arch.Arch, scenario string, res *engine.Result) *Table {
 	points, l1Reads, l1Misses := workloads.Figure2Series(res)
 	t := &Table{
 		Title: fmt.Sprintf("Figure 2 (%s, %s): L1 Read Trans=%d, L1-L2 Read Trans=%d, L1 Latency=~%d cycles, L2 Latency=~%d cycles",
@@ -143,13 +149,57 @@ func Figure2(ar *arch.Arch, scenario string, res *engine.Result, maxPoints int) 
 		Header: []string{"CTA id on SM_0", "access cycles"},
 	}
 	step := 1
-	if maxPoints > 0 && len(points) > maxPoints {
-		step = (len(points) + maxPoints - 1) / maxPoints
+	if len(points) > figure2Points {
+		step = (len(points) + figure2Points - 1) / figure2Points
 	}
 	for i := 0; i < len(points); i += step {
 		p := points[i]
 		t.Add(fmt.Sprint(p.CTA), fmt.Sprintf("%.0f", p.Cycles))
 	}
+	return t
+}
+
+// Figure2Panel writes one platform's Figure 2 to w: the
+// microbenchmark's launch shape, the default (temporal locality) and
+// staggered (spatial locality) scenario tables, and a sparkline of each
+// full series. It returns the two tables for CSV export.
+func Figure2Panel(w io.Writer, ar *arch.Arch, def, stag *engine.Result) []*Table {
+	mb := workloads.NewMicrobench(ar, false)
+	fmt.Fprintf(w, "== %s (%s): %d CTAs = %d SMs x %d CTA slots x %d turnarounds ==\n",
+		ar.Name, ar.Gen, mb.GridDim().Count(), ar.SMs, ar.CTASlots, mb.Turnarounds())
+	tables := []*Table{
+		Figure2(ar, "default: temporal locality", def),
+		Figure2(ar, "staggered: spatial locality", stag),
+	}
+	for _, t := range tables {
+		t.Write(w)
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintf(w, "  shape (default):   %s\n", figure2Shape(def))
+	fmt.Fprintf(w, "  shape (staggered): %s\n\n", figure2Shape(stag))
+	return tables
+}
+
+func figure2Shape(res *engine.Result) string {
+	pts, _, _ := workloads.Figure2Series(res)
+	vals := make([]float64, len(pts))
+	for i, p := range pts {
+		vals[i] = p.Cycles
+	}
+	return Sparkline(vals, 64)
+}
+
+// figure3Line is the reuse-tracking granularity of Figure 3 in bytes.
+const figure3Line = 32
+
+// Figure3Panel writes Figure 3 for apps to w — the table and the
+// footnote defining its columns — and returns the table for CSV export.
+func Figure3Panel(w io.Writer, apps []*workloads.App) *Table {
+	t := Figure3(apps, figure3Line)
+	t.Write(w)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Inter_CTA + Intra_CTA split the reused requests; 'reuse fraction'")
+	fmt.Fprintln(w, "is the share of all pre-L1 read requests that are reuses at all.")
 	return t
 }
 
@@ -288,8 +338,8 @@ func Figure13(ar *arch.Arch, results []*eval.AppResult) []*Table {
 	return tables
 }
 
-// Sparkline renders a compact unicode plot of a series (used by the
-// microbenchmark CLI to echo the Figure 2 shape).
+// Sparkline renders a compact unicode plot of a series (used by
+// Figure2Panel to echo the Figure 2 shape).
 func Sparkline(values []float64, width int) string {
 	if len(values) == 0 {
 		return ""

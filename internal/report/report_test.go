@@ -1,6 +1,10 @@
 package report
 
 import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -74,9 +78,9 @@ func TestFigure2Table(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := Figure2(ar, "default", res, 10)
-	if len(tab.Rows) == 0 || len(tab.Rows) > 11 {
-		t.Errorf("Figure 2 rows = %d, want <= 11 (sampled)", len(tab.Rows))
+	tab := Figure2(ar, "default", res)
+	if len(tab.Rows) == 0 || len(tab.Rows) > figure2Points {
+		t.Errorf("Figure 2 rows = %d, want <= %d (sampled)", len(tab.Rows), figure2Points)
 	}
 	if !strings.Contains(tab.Title, "L1-L2 Read Trans=4") {
 		t.Errorf("Kepler L1-L2 transactions per miss should be 4: %s", tab.Title)
@@ -148,5 +152,71 @@ func TestSparkline(t *testing.T) {
 		if c != '▁' {
 			t.Error("flat series should render the lowest block")
 		}
+	}
+}
+
+// TestRenderingGoldens pins the Figure 2, Figure 3 and per-SM renderings
+// byte-for-byte. The testdata files were captured from the standalone
+// binaries these renderers replaced, so evaluate -figure and ctaprof
+// stay cmp-identical to them.
+func TestRenderingGoldens(t *testing.T) {
+	gtx980 := arch.GTX980()
+	gtx570 := arch.GTX570()
+	clustered := func(t *testing.T) *engine.Result {
+		app, err := workloads.New("ATX")
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, _, err := eval.Spec{Scheme: "CLU"}.Kernel(app, gtx570)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := engine.Run(engine.DefaultConfig(gtx570), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cases := []struct {
+		golden string
+		render func(t *testing.T, w io.Writer)
+	}{
+		{"figure2_GTX980.txt", func(t *testing.T, w io.Writer) {
+			def, stag, err := workloads.RunMicrobench(gtx980)
+			if err != nil {
+				t.Fatal(err)
+			}
+			Figure2Panel(w, gtx980, def, stag)
+		}},
+		{"figure3_MM_KMN_ATX.txt", func(t *testing.T, w io.Writer) {
+			var apps []*workloads.App
+			for _, n := range []string{"MM", "KMN", "ATX"} {
+				a, err := workloads.New(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				apps = append(apps, a)
+			}
+			Figure3Panel(w, apps)
+		}},
+		{"persm_ATX_GTX570_CLU.txt", func(t *testing.T, w io.Writer) {
+			PerSMSummary(w, clustered(t))
+		}},
+		{"timeline_ATX_GTX570_CLU_sm0.txt", func(t *testing.T, w io.Writer) {
+			SMTimeline(w, clustered(t), 0)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			tc.render(t, &got)
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("rendering differs from %s:\n--- got\n%s\n--- want\n%s", tc.golden, got.Bytes(), want)
+			}
+		})
 	}
 }

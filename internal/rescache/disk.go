@@ -10,8 +10,8 @@ package rescache
 // record — and anything that fails verification is quarantined and
 // treated as a miss: the cache may forget under corruption, but it can
 // never serve wrong bytes. Because entries are keyed by the canonical
-// content hash (key.go), a warm directory can be shipped to a new fleet
-// member and is immediately valid there.
+// content hash (key.go), a warm directory copied to another daemon is
+// immediately valid there.
 
 import (
 	"bytes"

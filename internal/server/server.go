@@ -76,7 +76,7 @@ type Config struct {
 	// CacheDir, when non-empty, adds a persistent content-addressed
 	// tier under the in-memory LRU (rescache.DiskCache): every computed
 	// response is also written durably, restarts warm-start from disk,
-	// and a populated directory can be shipped to a new fleet member.
+	// and a populated directory can be copied to another daemon.
 	// Corrupt entries are quarantined on read and recomputed — the tier
 	// can forget, never lie. Empty keeps the cache memory-only.
 	CacheDir string

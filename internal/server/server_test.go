@@ -24,10 +24,13 @@ import (
 	"time"
 
 	"ctacluster/internal/api"
+	"ctacluster/internal/arch"
+	"ctacluster/internal/eval"
 	"ctacluster/internal/prof"
 	"ctacluster/internal/server"
 	"ctacluster/internal/server/client"
 	"ctacluster/internal/swizzle"
+	"ctacluster/internal/workloads"
 )
 
 // newDaemon starts a daemon on an ephemeral port and returns its client.
@@ -429,8 +432,9 @@ func TestOptimizeEndpoint(t *testing.T) {
 	}
 }
 
-// TestQuickSweepEndToEnd runs a small real sweep through the daemon and
-// checks the schema content.
+// TestQuickSweepEndToEnd runs a small real sweep through the daemon,
+// checks the schema content, and requires the response bytes to equal
+// the single-process sweep's (what `evaluate -json` prints).
 func TestQuickSweepEndToEnd(t *testing.T) {
 	c := newDaemon(t, server.Config{Workers: 1, Parallelism: 4})
 	ctx := context.Background()
@@ -465,6 +469,26 @@ func TestQuickSweepEndToEnd(t *testing.T) {
 	}
 	if !bytes.Equal(raw1, raw2) {
 		t.Fatal("warm sweep bytes differ from decoded cold response re-encoding")
+	}
+
+	var apps []*workloads.App
+	for _, n := range []string{"MM", "KMN"} {
+		a, err := workloads.New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps = append(apps, a)
+	}
+	sweep, err := eval.EvaluateAll([]*arch.Arch{arch.TeslaK40()}, apps, eval.Options{Quick: true, Parallelism: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := api.Marshal(api.SweepResponseFrom(sweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw2, serial) {
+		t.Fatalf("daemon sweep bytes differ from the serial in-process sweep:\ndaemon %d bytes, serial %d bytes", len(raw2), len(serial))
 	}
 }
 

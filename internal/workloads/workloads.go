@@ -175,9 +175,8 @@ var figure3Extra = []string{
 	"SR2", "NE", "SP", "BNO", "SLA", "FTD", "LPS", "GES", "HRT",
 }
 
-// Figure3 instantiates the full Figure 3 application set (Table 2 plus
-// the extra quantification-only apps), 33 kernels hashed by the paper's
-// x-axis plus the microbenchmark excluded.
+// Figure3 instantiates the full Figure 3 application set: the 24
+// Table 2 apps plus the 16 quantification-only apps, 40 in all.
 func Figure3() []*App {
 	out := Table2()
 	for _, n := range figure3Extra {

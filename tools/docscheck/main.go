@@ -1,6 +1,6 @@
 // Command docscheck enforces the repo's documentation invariants. It is
 // wired to `make docs-check` and the `docs` CI job, and fails (non-zero
-// exit, one line per problem) when either invariant is violated:
+// exit, one line per problem) when any invariant is violated:
 //
 //  1. Every package under internal/ and cmd/ must carry a package-level
 //     doc comment (a comment block immediately above the package clause
@@ -9,7 +9,10 @@
 //     one of this repo's commands must actually be registered by that
 //     command. This catches the classic drift where a flag is renamed
 //     or removed but a documented invocation keeps advertising it.
-//  3. The result-affecting shared flags (-swizzle, -chiplet — the ones
+//  3. Every `./cmd/NAME` path that README.md or EXPERIMENTS.md shows in
+//     a code line must name an existing command directory, so an
+//     invocation of a deleted command cannot linger in the docs.
+//  4. The result-affecting shared flags (-swizzle, -chiplet — the ones
 //     that change what is computed and therefore ride in cache keys)
 //     must be demonstrated in the docs for every command that registers
 //     them: each such command needs at least one code line in README.md
@@ -326,13 +329,16 @@ func flagsInDir(dir string, helperFlags map[string]map[string]bool) (map[string]
 
 var flagToken = regexp.MustCompile(`^-{1,2}([a-zA-Z][a-zA-Z0-9-]*)`)
 
-// resultAffectingSharedFlags lists the flags invariant 3 holds to
+// cmdPath matches a ./cmd/NAME command path (not the ./cmd/... pattern).
+var cmdPath = regexp.MustCompile(`^\./cmd/([a-zA-Z0-9_-]+)/?$`)
+
+// resultAffectingSharedFlags lists the flags invariant 4 holds to
 // docs coverage: shared across commands via internal/cli helpers and
 // result-affecting (part of the cache key), so an undocumented
 // registration is a served-but-invisible knob.
 var resultAffectingSharedFlags = []string{"swizzle", "chiplet"}
 
-// checkSharedFlagCoverage is invariant 3: every command registering a
+// checkSharedFlagCoverage is invariant 4: every command registering a
 // result-affecting shared flag must be shown taking it somewhere in the
 // scanned docs.
 func checkSharedFlagCoverage(cmdFlags, demonstrated map[string]map[string]bool) []string {
@@ -356,7 +362,8 @@ func checkSharedFlagCoverage(cmdFlags, demonstrated map[string]map[string]bool) 
 // checkDocFlags scans code lines of a markdown document and verifies
 // every -flag passed to a known command against that command's
 // registered flag set, recording each (command, flag) pair it sees into
-// demonstrated. Returns one problem string per unknown flag.
+// demonstrated. Returns one problem string per unknown flag and per
+// ./cmd/NAME path naming no command.
 func checkDocFlags(docName, text string, cmdFlags map[string]map[string]bool, demonstrated map[string]map[string]bool) []string {
 	var problems []string
 	inFence := false
@@ -373,6 +380,11 @@ func checkDocFlags(docName, text string, cmdFlags map[string]map[string]bool, de
 		cmd := ""
 		for _, tok := range strings.Fields(trimmed) {
 			tok = strings.Trim(tok, "`\"'();|&")
+			if m := cmdPath.FindStringSubmatch(tok); m != nil && cmdFlags[m[1]] == nil {
+				problems = append(problems,
+					fmt.Sprintf("%s:%d: %s names no command (no cmd/%s directory)", docName, i+1, tok, m[1]))
+				continue
+			}
 			if cmd == "" {
 				if c := commandName(tok, cmdFlags); c != "" {
 					cmd = c
