@@ -122,10 +122,12 @@ var (
 	Load = kernel.Load
 	// Store is the write counterpart of Load.
 	Store = kernel.Store
-	// Gather returns an irregular read with explicit lane addresses.
-	Gather = kernel.Gather
-	// Scatter returns an irregular write with explicit lane addresses.
-	Scatter = kernel.Scatter
+	// AppendGather appends an irregular read with explicit lane
+	// addresses to a warp trace: a head op followed by the lane ops
+	// that carry the addresses inline.
+	AppendGather = kernel.AppendGather
+	// AppendScatter is the write counterpart of AppendGather.
+	AppendScatter = kernel.AppendScatter
 	// AtomicAdd returns a global atomic read-modify-write.
 	AtomicAdd = kernel.AtomicAdd
 	// Dim1 and Dim2 build 1D/2D extents.

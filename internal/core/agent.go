@@ -263,7 +263,8 @@ func (k *AgentKernel) Work(l kernel.Launch) kernel.CTAWork {
 // prefetchOps derives the prefetch preamble for the successor task:
 // recompute its addresses and issue non-blocking loads for its first
 // PrefetchDepth reads, taken from its raw trace (before any bypass
-// rewrite). The trace and the returned ops live in per-kernel scratch
+// rewrite). A gather is copied with its lane ops and counts as one
+// read. The trace and the returned ops live in per-kernel scratch
 // reused across tasks; the caller copies the ops out.
 func (k *AgentKernel) prefetchOps(l kernel.Launch, nextTarget int) []kernel.Op {
 	for w := range k.pfBuf {
@@ -272,17 +273,19 @@ func (k *AgentKernel) prefetchOps(l kernel.Launch, nextTarget int) []kernel.Op {
 	l.CTA, l.Buf = nextTarget, k.pfBuf
 	k.pfBuf = k.orig.Work(l).Warps
 	k.pre = append(k.pre[:0], kernel.Compute(idxCostArbitrary)) // address recalculation
+	reads := 0
 	for _, ops := range k.pfBuf {
-		for _, op := range ops {
+		for i, op := range ops {
 			if op.Kind == kernel.OpMem && !op.Mem.Write {
 				k.pre = append(k.pre, op.Prefetched())
-				if len(k.pre) > k.cfg.PrefetchDepth {
+				k.pre = append(k.pre, ops[i+1:i+op.Span()]...)
+				if reads++; reads >= k.cfg.PrefetchDepth {
 					return k.pre
 				}
 			}
 		}
 	}
-	if len(k.pre) == 1 {
+	if reads == 0 {
 		return nil
 	}
 	return k.pre

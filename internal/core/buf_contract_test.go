@@ -7,6 +7,7 @@ package core_test
 // accumulated traces in place instead of copying them.
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -23,15 +24,41 @@ import (
 // (TeslaK40) and a sectored L1 with dynamic binding (GTX980).
 var contractArchs = []*arch.Arch{arch.TeslaK40(), arch.GTX980()}
 
-// opsEqual compares two traces op for op, gather addresses included.
-func opsEqual(a, b []kernel.Op) bool {
-	return slices.EqualFunc(a, b, func(x, y kernel.Op) bool {
-		xm, ym := x.Mem, y.Mem
-		return x.Kind == y.Kind && x.Cycles == y.Cycles &&
-			xm.Base == ym.Base && xm.Stride == ym.Stride && xm.Lanes == ym.Lanes && xm.Size == ym.Size &&
-			xm.Write == ym.Write && xm.Bypass == ym.Bypass && xm.Prefetch == ym.Prefetch && xm.Streaming == ym.Streaming &&
-			slices.Equal(xm.Addrs, ym.Addrs)
-	})
+// agentSchemes are the agent-transform configurations the conformance
+// tests cover: clustering alone and with each of TOT, BPS and PFH.
+var agentSchemes = []struct {
+	name                  string
+	tot, bypass, prefetch bool
+}{
+	{"CLU", false, false, false},
+	{"TOT", true, false, false},
+	{"BPS", false, true, false},
+	{"PFH", false, false, true},
+	{"TOT+BPS+PFH", true, true, true},
+}
+
+// wellFormed reports the first place a trace breaks the inline gather
+// encoding: every gather or scatter head must be followed by exactly
+// kernel.LaneOps(Lanes) lane ops, and a lane op may stand nowhere else.
+func wellFormed(ops []kernel.Op) error {
+	for i := 0; i < len(ops); {
+		op := ops[i]
+		if op.Kind == kernel.OpLanes {
+			return fmt.Errorf("op %d: lane op without a gather head", i)
+		}
+		if op.Mem.Gather && op.Kind != kernel.OpMem {
+			return fmt.Errorf("op %d: %s op marked as a gather", i, op.Kind)
+		}
+		span := op.Span()
+		for j := i + 1; j < i+span; j++ {
+			if j >= len(ops) || ops[j].Kind != kernel.OpLanes {
+				return fmt.Errorf("op %d: %d-lane gather followed by %d lane ops, want %d",
+					i, op.Mem.Lanes, j-i-1, span-1)
+			}
+		}
+		i += span
+	}
+	return nil
 }
 
 // reset clears a kernel's per-launch state (the agent's binding
@@ -76,7 +103,7 @@ func checkAppends(t *testing.T, k kernel.Kernel, l kernel.Launch) {
 		t.Fatalf("%s CTA %d: seeded Work gave %d warps, want %d", k.Name(), l.CTA, len(got.Warps), n)
 	}
 	for w, ops := range got.Warps {
-		if exp := append(prefix[w], want.Warps[w]...); !opsEqual(ops, exp) {
+		if exp := append(prefix[w], want.Warps[w]...); !slices.Equal(ops, exp) {
 			t.Fatalf("%s CTA %d warp %d: seeded Work returned %d ops, want the %d-op prefix then the %d nil-Buf ops",
 				k.Name(), l.CTA, w, len(ops), len(prefix[w]), len(want.Warps[w]))
 		}
@@ -148,23 +175,13 @@ func TestWorkBufContract(t *testing.T) {
 // scheme, every agent of the launched grid, dispatched in first-wave
 // order through one recycled Buf, gets exactly the reference's trace.
 func TestAgentMatchesCopyingReference(t *testing.T) {
-	schemes := []struct {
-		name                  string
-		tot, bypass, prefetch bool
-	}{
-		{"CLU", false, false, false},
-		{"TOT", true, false, false},
-		{"BPS", false, true, false},
-		{"PFH", false, false, true},
-		{"TOT+BPS+PFH", true, true, true},
-	}
 	for _, ar := range contractArchs {
 		for _, name := range workloads.Names() {
 			app, err := workloads.New(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, sc := range schemes {
+			for _, sc := range agentSchemes {
 				cfg := core.AgentConfig{Arch: ar, Indexing: app.Partition(), Bypass: sc.bypass, Prefetch: sc.prefetch}
 				if sc.tot {
 					cfg.ActiveAgents = app.OptAgents(ar.Gen)
@@ -191,7 +208,7 @@ func TestAgentMatchesCopyingReference(t *testing.T) {
 							name, sc.name, ar.Name, u, got.Skip, len(got.Warps), want.Skip, len(want.Warps))
 					}
 					for w := range got.Warps {
-						if !opsEqual(got.Warps[w], want.Warps[w]) {
+						if !slices.Equal(got.Warps[w], want.Warps[w]) {
 							t.Fatalf("%s %s on %s agent %d warp %d: %d ops differ from the reference's %d",
 								name, sc.name, ar.Name, u, w, len(got.Warps[w]), len(want.Warps[w]))
 						}
@@ -241,6 +258,61 @@ func TestEngineToleratesBufIgnoringKernel(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s on %s: the Buf-ignoring run differs from the Buf-honouring one", k.Name(), ar.Name)
+			}
+		}
+	}
+}
+
+// TestTracesWellFormedUnderTransforms runs the gather-encoding
+// validator over every CTA (or agent) of every app under every
+// transform the engine runs: plain, swizzled, redirected and
+// agent-clustered with each of TOT, BPS and PFH alone and together. PFH
+// copies a successor task's gathers into the prefetch preamble and the
+// agent loop concatenates tasks in place, so both must carry each
+// gather's lane ops along with its head.
+func TestTracesWellFormedUnderTransforms(t *testing.T) {
+	for _, ar := range contractArchs {
+		for _, name := range workloads.Names() {
+			app, err := workloads.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			swz, err := swizzle.WrapFor("xor", app, ar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd, err := core.Redirect(app, ar.SMs, app.Partition(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			schemes := map[string]kernel.Kernel{"plain": app, "swizzle": swz, "redirect": rd}
+			for _, sc := range agentSchemes {
+				cfg := core.AgentConfig{Arch: ar, Indexing: app.Partition(), Bypass: sc.bypass, Prefetch: sc.prefetch}
+				if sc.tot {
+					cfg.ActiveAgents = app.OptAgents(ar.Gen)
+				}
+				if schemes[sc.name], err = core.NewAgent(app, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for scheme, k := range schemes {
+				reset(k)
+				var buf [][]kernel.Op
+				for u := 0; u < k.GridDim().Count(); u++ {
+					for w := range buf {
+						buf[w] = buf[w][:0]
+					}
+					work := k.Work(kernel.Launch{CTA: u, SM: u % ar.SMs, Slot: u / ar.SMs, Buf: buf})
+					if work.Skip {
+						continue
+					}
+					for w, ops := range work.Warps {
+						if err := wellFormed(ops); err != nil {
+							t.Fatalf("%s %s on %s, CTA %d warp %d: %v", name, scheme, ar.Name, u, w, err)
+						}
+					}
+					buf = work.Warps
+				}
 			}
 		}
 	}

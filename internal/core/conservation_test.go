@@ -19,7 +19,7 @@ func memFootprint(t *testing.T, work kernel.CTAWork) map[[2]uint64]int {
 	t.Helper()
 	out := map[[2]uint64]int{}
 	for _, warp := range work.Warps {
-		for _, op := range warp {
+		for i, op := range warp {
 			if op.Kind != kernel.OpMem || op.Mem.Prefetch {
 				continue
 			}
@@ -27,7 +27,7 @@ func memFootprint(t *testing.T, work kernel.CTAWork) map[[2]uint64]int {
 			if op.Mem.Write {
 				w = 1
 			}
-			for _, a := range op.Mem.LaneAddrs() {
+			for _, a := range op.Mem.LaneAddrs(warp[i+1:]) {
 				out[[2]uint64{a, w}]++
 			}
 		}

@@ -96,9 +96,10 @@ func (k *AgentKernel) refPrefetchOps(l kernel.Launch, nextTarget int) []kernel.O
 	ops := []kernel.Op{kernel.Compute(idxCostArbitrary)} // address recalculation
 	n := 0
 	for _, wops := range tw.Warps {
-		for _, op := range wops {
+		for i, op := range wops {
 			if op.Kind == kernel.OpMem && !op.Mem.Write {
 				ops = append(ops, op.Prefetched())
+				ops = append(ops, wops[i+1:i+op.Span()]...) // a gather's lane ops
 				n++
 				if n >= k.cfg.PrefetchDepth {
 					return ops

@@ -2,7 +2,7 @@ package engine_test
 
 // The allocation budget table: the enforcement half of the hot-path
 // allocation diet. Each cell pins the whole-run allocation count (and,
-// on the MM and MM+CLU rows, bytes) of a real workload on TeslaK40 —
+// on the MM, MM+CLU and SGM rows, bytes) of a real workload on TeslaK40 —
 // bare and profiled, plain and clustered, monolithic and 2-die — to a
 // budget 5% above the measured post-diet value. A change that
 // reintroduces per-event allocations (queue boxing, per-access
@@ -26,13 +26,14 @@ import (
 // and, where mb is set, whole-run bytes (averaged over 2 runs after a
 // warm-up run); profiled rows include the Trace's own event-buffer
 // growth, which amortized doubling keeps to a few dozen allocations.
-// The byte budgets guard trace recycling: a transform that goes back
-// to copying traces, or an engine that stops recycling its per-slot
-// buffers, multiplies the CLU or BSL bytes. Measured values: MM 4146
-// allocs / 11.9 MB bare, 4190 profiled, MM+CLU 6498 / 42.7 MB, SGM 3109
-// bare / 3140 profiled, MM 2-die 3964 (per-slot trace buffers: one
-// trace allocation per warp of every CTA slot instead of per warp of
-// every CTA).
+// The byte budgets guard trace recycling and the 32-byte op: a
+// transform that goes back to copying traces, an engine that stops
+// recycling its per-slot buffers, a capacity hint that under- or
+// over-reserves, or a fatter kernel.Op multiplies the CLU or BSL bytes.
+// Measured values: MM 4146 allocs / 8.14 MB bare, 4190 profiled, MM+CLU
+// 6306 / 16.63 MB, SGM 3109 / 2.34 MB bare, 3140 profiled, MM 2-die
+// 3964 (per-slot trace buffers: one trace allocation per warp of every
+// CTA slot instead of per warp of every CTA).
 var allocBudgets = []struct {
 	app      string
 	clu      bool // run the agent-based clustering transform of app
@@ -41,10 +42,10 @@ var allocBudgets = []struct {
 	budget   float64 // allocations per run
 	mb       float64 // MB allocated per run; 0 = not pinned
 }{
-	{app: "MM", budget: 4355, mb: 12.5},
+	{app: "MM", budget: 4355, mb: 8.55},
 	{app: "MM", profiled: true, budget: 4400},
-	{app: "MM", clu: true, budget: 6825, mb: 44.8},
-	{app: "SGM", budget: 3265},
+	{app: "MM", clu: true, budget: 6621, mb: 17.46},
+	{app: "SGM", budget: 3265, mb: 2.45},
 	{app: "SGM", profiled: true, budget: 3300},
 	// The chiplet path: per-die slices replace the monolithic L2, and
 	// everything else must stay on the diet — the slice array and link
@@ -116,13 +117,13 @@ func TestAllocationBudgets(t *testing.T) {
 			}
 			allocs, bytes := perRun(2, run)
 			mb := bytes / (1 << 20)
-			t.Logf("%s: %.0f allocs/run (budget %.0f), %.1f MB/run", name, allocs, c.budget, mb)
+			t.Logf("%s: %.0f allocs/run (budget %.0f), %.2f MB/run", name, allocs, c.budget, mb)
 			if allocs > c.budget {
 				t.Errorf("%s allocates %.0f times per run, budget %.0f (+5%% over the measurement) — the allocation diet regressed",
 					name, allocs, c.budget)
 			}
 			if c.mb > 0 && mb > c.mb {
-				t.Errorf("%s allocates %.1f MB per run, budget %.1f MB (+5%% over the measurement) — trace recycling regressed",
+				t.Errorf("%s allocates %.2f MB per run, budget %.2f MB (+5%% over the measurement) — trace recycling regressed",
 					name, mb, c.mb)
 			}
 		})

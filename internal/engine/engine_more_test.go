@@ -150,23 +150,33 @@ func TestAtomicBlocksWarp(t *testing.T) {
 }
 
 // TestGatherGeneratesPerLineTransactions: an irregular gather touching n
-// distinct lines produces n transactions.
+// distinct lines produces n transactions, and its lane ops are consumed
+// with it as one instruction: one blocking memory op whatever the lane
+// count, odd counts (a half-filled last lane op) included.
 func TestGatherGeneratesPerLineTransactions(t *testing.T) {
 	ar := arch.TeslaK40()
-	addrs := []uint64{0x10000, 0x20000, 0x30000, 0x40000}
-	k := simpleKernel(1, 1, func(l kernel.Launch, w int) []kernel.Op {
-		return []kernel.Op{kernel.Gather(4, addrs...)}
-	})
-	res, err := Run(DefaultConfig(ar), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.L1.ReadMisses != 4 {
-		t.Errorf("gather misses = %d, want 4", res.L1.ReadMisses)
-	}
-	// Four 128B fills = 16 L2 transactions on Kepler.
-	if res.L2ReadTransactions() != 16 {
-		t.Errorf("L2 txns = %d, want 16", res.L2ReadTransactions())
+	for _, addrs := range [][]uint64{
+		{0x10000, 0x20000, 0x30000, 0x40000},
+		{0x10000, 0x20000, 0x30000, 0x40000, 0x50000},
+	} {
+		n := uint64(len(addrs))
+		k := simpleKernel(1, 1, func(l kernel.Launch, w int) []kernel.Op {
+			return kernel.AppendGather(nil, 4, addrs...)
+		})
+		res, err := Run(DefaultConfig(ar), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.L1.ReadMisses != n {
+			t.Errorf("%d-lane gather misses = %d, want %d", n, res.L1.ReadMisses, n)
+		}
+		// Each 128B fill is 4 L2 transactions on Kepler.
+		if res.L2ReadTransactions() != 4*n {
+			t.Errorf("%d-lane gather L2 txns = %d, want %d", n, res.L2ReadTransactions(), 4*n)
+		}
+		if got := res.CTAs[0].MemOps; got != 1 {
+			t.Errorf("%d-lane gather issued %d memory ops, want 1", n, got)
+		}
 	}
 }
 

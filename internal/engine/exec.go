@@ -100,7 +100,13 @@ func (s *sim) step(w *warpState) {
 		}
 
 	case kernel.OpMem:
-		done := s.memAccess(sm, cta, &op.Mem, issue)
+		// A gather or scatter is one instruction with its lane ops:
+		// they are coalesced here and never issued on their own.
+		lanes := w.ops[w.pc:]
+		if op.Mem.Gather {
+			w.pc += kernel.LaneOps(int(op.Mem.Lanes))
+		}
+		done := s.memAccess(sm, cta, &op.Mem, lanes, issue)
 		if s.prof != nil {
 			class := prof.MemLoad
 			switch {
@@ -187,8 +193,9 @@ func (s *sim) emitL1(sm *smState, cta *ctaState, addr uint64, res cache.Result, 
 // memAccess routes one warp memory op through the hierarchy and returns
 // the absolute completion time: the SM's L1 and its MSHR table of
 // in-flight fills first, then the shared NoC/L2/DRAM system on a miss,
-// bypass or store.
-func (s *sim) memAccess(sm *smState, cta *ctaState, m *kernel.MemOp, issue int64) int64 {
+// bypass or store. lanes is the trace after the op, which holds a
+// gather's or scatter's lane addresses.
+func (s *sim) memAccess(sm *smState, cta *ctaState, m *kernel.MemOp, lanes []kernel.Op, issue int64) int64 {
 	ar := s.ar
 	if m.Write {
 		// Write-evict: invalidate any cached copy per L1 line (the L1
@@ -196,7 +203,7 @@ func (s *sim) memAccess(sm *smState, cta *ctaState, m *kernel.MemOp, issue int64
 		// them), then forward the coalesced 32B segments to L2.
 		if s.cfg.L1Enabled && !m.Bypass {
 			sector := s.sectorFor(cta)
-			s.txBuf = m.AppendTransactions(s.txBuf[:0], ar.L1Line)
+			s.txBuf = m.AppendTransactions(s.txBuf[:0], lanes, ar.L1Line)
 			for _, a := range s.txBuf {
 				res := sm.l1.Write(a, sector, issue)
 				if s.prof != nil {
@@ -205,7 +212,7 @@ func (s *sim) memAccess(sm *smState, cta *ctaState, m *kernel.MemOp, issue int64
 			}
 		}
 		done := issue + storeAckLatency
-		s.txBuf = m.AppendTransactions(s.txBuf[:0], ar.L2Line)
+		s.txBuf = m.AppendTransactions(s.txBuf[:0], lanes, ar.L2Line)
 		for _, a := range s.txBuf {
 			if t := s.memsys.Write(issue, sm.id, a, ar.L2Line); t > done {
 				_ = t // stores are fire-and-forget; bank pressure still applied
@@ -217,7 +224,7 @@ func (s *sim) memAccess(sm *smState, cta *ctaState, m *kernel.MemOp, issue int64
 	// Read path.
 	if !s.cfg.L1Enabled || m.Bypass {
 		done := issue
-		s.txBuf = m.AppendTransactions(s.txBuf[:0], ar.L2Line)
+		s.txBuf = m.AppendTransactions(s.txBuf[:0], lanes, ar.L2Line)
 		for _, a := range s.txBuf {
 			res := sm.l1.BypassRead()
 			if s.prof != nil {
@@ -235,7 +242,7 @@ func (s *sim) memAccess(sm *smState, cta *ctaState, m *kernel.MemOp, issue int64
 
 	sector := s.sectorFor(cta)
 	done := issue
-	s.txBuf = m.AppendTransactions(s.txBuf[:0], ar.L1Line)
+	s.txBuf = m.AppendTransactions(s.txBuf[:0], lanes, ar.L1Line)
 	for _, a := range s.txBuf {
 		var t int64
 		res, fillAt := sm.l1.Read(a, sector, issue)

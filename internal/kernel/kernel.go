@@ -62,6 +62,11 @@ const (
 	OpBarrier
 	// OpAtomic is a global atomic (serialised at L2, bypasses L1).
 	OpAtomic
+	// OpLanes carries two lane addresses of the gather or scatter head
+	// before it (see AppendGather). It is part of that instruction and
+	// never one of its own: a trace walker either skips it along with
+	// every other kind it does not handle, or consumes it with its head.
+	OpLanes
 )
 
 // String returns the kind name.
@@ -75,20 +80,23 @@ func (k OpKind) String() string {
 		return "barrier"
 	case OpAtomic:
 		return "atomic"
+	case OpLanes:
+		return "lanes"
 	default:
 		return fmt.Sprintf("OpKind(%d)", int(k))
 	}
 }
 
-// MemOp describes one warp-level global-memory instruction. Regular
-// accesses use Base/Stride/Lanes; irregular gathers/scatters list the
-// per-lane addresses explicitly in Addrs.
+// MemOp describes one warp-level global-memory instruction. A regular
+// access covers lanes Base, Base+Stride, ...; an irregular gather or
+// scatter sets Gather, leaves Base and Stride 0 and lists its per-lane
+// addresses in the OpLanes ops that follow it in the trace. MemOp is 24
+// pointer-free bytes, so the GC never scans a trace.
 type MemOp struct {
-	Base   uint64   // address accessed by lane 0
-	Stride int64    // bytes between consecutive active lanes
-	Lanes  int      // number of active lanes (1..32)
-	Size   int      // bytes accessed per lane (typically 4 or 8)
-	Addrs  []uint64 // optional explicit per-lane addresses (irregular)
+	Base   uint64 // address accessed by lane 0
+	Stride int64  // bytes between consecutive active lanes
+	Lanes  uint8  // number of active lanes (1..32; 0 means 1 unless Gather)
+	Size   uint8  // bytes accessed per lane (typically 4 or 8; 0 means 4)
 
 	Write    bool // store rather than load
 	Bypass   bool // skip L1 (ld.global.cg — cache bypassing, §4.3-II)
@@ -98,45 +106,111 @@ type MemOp struct {
 	// (the accesses a developer would rewrite with ld.global.cg). The
 	// bypassing optimization turns hinted ops into Bypass ops.
 	Streaming bool
+
+	// Gather marks an irregular access whose lane addresses follow it as
+	// LaneOps(Lanes) OpLanes ops.
+	Gather bool
 }
 
-// Op is one element of a warp trace.
+// Op is one element of a warp trace: 32 bytes, two per cache line.
 type Op struct {
 	Kind   OpKind
-	Cycles int // OpCompute: busy cycles
+	Cycles int32 // OpCompute: busy cycles
 	Mem    MemOp
 }
 
-// Compute returns a compute op occupying the warp for n cycles.
-func Compute(n int) Op { return Op{Kind: OpCompute, Cycles: n} }
+// Compute returns a compute op occupying the warp for n cycles. It
+// panics if n does not fit in an int32.
+func Compute(n int) Op {
+	if int(int32(n)) != n {
+		panic("kernel: compute cycles must fit in an int32")
+	}
+	return Op{Kind: OpCompute, Cycles: int32(n)}
+}
 
 // Barrier returns a CTA-wide barrier op.
 func Barrier() Op { return Op{Kind: OpBarrier} }
 
+// narrow checks a memory op's lane count and per-lane size against
+// their 0..255 fields.
+func narrow(lanes, size int) (uint8, uint8) {
+	if uint(lanes)|uint(size) > 255 {
+		panic("kernel: memory op lanes and size must be in 0..255")
+	}
+	return uint8(lanes), uint8(size)
+}
+
 // Load returns a coalescable read: lanes consecutive lanes starting at
-// base with the given stride and per-lane size.
+// base with the given stride and per-lane size. It panics if lanes or
+// size falls outside 0..255.
 func Load(base uint64, stride int64, lanes, size int) Op {
-	return Op{Kind: OpMem, Mem: MemOp{Base: base, Stride: stride, Lanes: lanes, Size: size}}
+	l, sz := narrow(lanes, size)
+	return Op{Kind: OpMem, Mem: MemOp{Base: base, Stride: stride, Lanes: l, Size: sz}}
 }
 
 // Store is the write counterpart of Load.
 func Store(base uint64, stride int64, lanes, size int) Op {
-	return Op{Kind: OpMem, Mem: MemOp{Base: base, Stride: stride, Lanes: lanes, Size: size, Write: true}}
+	l, sz := narrow(lanes, size)
+	return Op{Kind: OpMem, Mem: MemOp{Base: base, Stride: stride, Lanes: l, Size: sz, Write: true}}
 }
 
-// Gather returns an irregular read with explicit per-lane addresses.
-func Gather(size int, addrs ...uint64) Op {
-	return Op{Kind: OpMem, Mem: MemOp{Lanes: len(addrs), Size: size, Addrs: addrs}}
+// AppendGather appends an irregular read of size bytes per lane at the
+// given lane addresses to ops and returns the extended trace: an OpMem
+// head with Gather set, Lanes = len(addrs) and Base/Stride 0, then
+// LaneOps(len(addrs)) OpLanes ops carrying the addresses two per op.
+// addrs is only read, so a caller may pass a stack array. It panics if
+// there are more than 255 lanes or size falls outside 0..255.
+func AppendGather(ops []Op, size int, addrs ...uint64) []Op {
+	return appendIrregular(ops, MemOp{}, size, addrs)
 }
 
-// Scatter returns an irregular write with explicit per-lane addresses.
-func Scatter(size int, addrs ...uint64) Op {
-	return Op{Kind: OpMem, Mem: MemOp{Lanes: len(addrs), Size: size, Addrs: addrs, Write: true}}
+// AppendScatter is the write counterpart of AppendGather.
+func AppendScatter(ops []Op, size int, addrs ...uint64) []Op {
+	return appendIrregular(ops, MemOp{Write: true}, size, addrs)
+}
+
+func appendIrregular(ops []Op, m MemOp, size int, addrs []uint64) []Op {
+	m.Lanes, m.Size = narrow(len(addrs), size)
+	m.Gather = true
+	ops = append(ops, Op{Kind: OpMem, Mem: m})
+	for i := 0; i < len(addrs); i += 2 {
+		pair := Op{Kind: OpLanes, Mem: MemOp{Base: addrs[i]}}
+		if i+1 < len(addrs) {
+			pair.Mem.Stride = int64(addrs[i+1])
+		}
+		ops = append(ops, pair)
+	}
+	return ops
+}
+
+// LaneOps returns the number of OpLanes ops that follow a gather or
+// scatter head of the given lane count.
+func LaneOps(lanes int) int { return (lanes + 1) / 2 }
+
+// LaneAddr decodes lane i's address of a gather or scatter from lanes,
+// the trace right after its head: op i/2 holds lanes i and i+1 in its
+// Mem.Base and Mem.Stride. It is the one reader of that encoding.
+func LaneAddr(lanes []Op, i int) uint64 {
+	m := &lanes[i/2].Mem
+	if i%2 == 0 {
+		return m.Base
+	}
+	return uint64(m.Stride)
+}
+
+// Span returns the number of trace elements the instruction headed by o
+// occupies: 1 plus its lane ops for a gather or scatter, 1 otherwise.
+func (o Op) Span() int {
+	if o.Mem.Gather {
+		return 1 + LaneOps(int(o.Mem.Lanes))
+	}
+	return 1
 }
 
 // AtomicAdd returns a global atomic read-modify-write on one address.
 func AtomicAdd(addr uint64, size int) Op {
-	return Op{Kind: OpAtomic, Mem: MemOp{Base: addr, Lanes: 1, Size: size, Write: true, Bypass: true}}
+	_, sz := narrow(1, size)
+	return Op{Kind: OpAtomic, Mem: MemOp{Base: addr, Lanes: 1, Size: sz, Write: true, Bypass: true}}
 }
 
 // Bypassed marks the op's access as L1-bypassing and returns it.
@@ -148,18 +222,29 @@ func (o Op) StreamingHint() Op { o.Mem.Streaming = true; return o }
 // Prefetched marks the op as a non-blocking prefetch and returns it.
 func (o Op) Prefetched() Op { o.Mem.Prefetch = true; return o }
 
-// LaneAddrs returns the effective address of every active lane.
-func (m MemOp) LaneAddrs() []uint64 {
-	if m.Addrs != nil {
-		return m.Addrs
+// laneCount returns the number of lanes the access touches.
+func (m *MemOp) laneCount() int {
+	if m.Lanes == 0 && !m.Gather {
+		return 1
 	}
-	lanes := m.Lanes
-	if lanes <= 0 {
-		lanes = 1
+	return int(m.Lanes)
+}
+
+// laneAddr returns lane i's address; lanes is the trace after the op,
+// read only for a gather or scatter.
+func (m *MemOp) laneAddr(lanes []Op, i int) uint64 {
+	if m.Gather {
+		return LaneAddr(lanes, i)
 	}
-	out := make([]uint64, lanes)
+	return m.Base + uint64(int64(i)*m.Stride)
+}
+
+// LaneAddrs returns the effective address of every active lane; lanes
+// is the trace after the op, read only for a gather or scatter.
+func (m MemOp) LaneAddrs(lanes []Op) []uint64 {
+	out := make([]uint64, m.laneCount())
 	for i := range out {
-		out[i] = m.Base + uint64(int64(i)*m.Stride)
+		out[i] = m.laneAddr(lanes, i)
 	}
 	return out
 }
@@ -167,9 +252,10 @@ func (m MemOp) LaneAddrs() []uint64 {
 // Transactions coalesces the access into the set of distinct
 // segment-aligned transactions of segBytes bytes, the job the SM's
 // load-store unit coalescer performs before the request reaches L1. The
-// result is sorted and deduplicated.
-func (m MemOp) Transactions(segBytes int) []uint64 {
-	return m.AppendTransactions(nil, segBytes)
+// result is sorted and deduplicated. lanes is the trace after the op,
+// read only for a gather or scatter.
+func (m MemOp) Transactions(lanes []Op, segBytes int) []uint64 {
+	return m.AppendTransactions(nil, lanes, segBytes)
 }
 
 // AppendTransactions is Transactions for hot paths: it appends the
@@ -183,27 +269,25 @@ func (m MemOp) Transactions(segBytes int) []uint64 {
 // segments come out sorted by construction and deduplicating is one
 // comparison against the last one emitted. When |Stride| <= Size the
 // lanes cover one contiguous byte range, which is a single run of
-// segments. Gathers, and regular accesses whose lane span wraps past
-// 2^64, go through the general per-lane collect, sort and compact.
-func (m MemOp) AppendTransactions(dst []uint64, segBytes int) []uint64 {
+// segments. Gathers and scatters, which read their addresses from the
+// lane ops, and regular accesses whose lane span wraps past 2^64, go
+// through the general per-lane collect, sort and compact.
+func (m MemOp) AppendTransactions(dst []uint64, lanes []Op, segBytes int) []uint64 {
 	if segBytes <= 0 {
 		panic("kernel: non-positive segment size")
 	}
-	size := m.Size
-	if size <= 0 {
+	size := int(m.Size)
+	if size == 0 {
 		size = 4
 	}
 	seg := uint64(segBytes)
-	if m.Addrs == nil {
-		lanes := m.Lanes
-		if lanes <= 0 {
-			lanes = 1
-		}
-		if lo, step, ok := m.ascending(lanes, uint64(size)); ok {
-			return appendAscending(dst, lo, step, lanes, uint64(size), seg)
+	if !m.Gather {
+		n := m.laneCount()
+		if lo, step, ok := m.ascending(n, uint64(size)); ok {
+			return appendAscending(dst, lo, step, n, uint64(size), seg)
 		}
 	}
-	return m.appendSorted(dst, size, seg)
+	return m.appendSorted(dst, lanes, size, seg)
 }
 
 // ascending returns the lowest lane address and the distance between
@@ -276,32 +360,17 @@ func appendRun(dst []uint64, first, last, seg uint64) []uint64 {
 // appendSorted is the general coalescer: collect every lane's segments,
 // then sort and compact. A lane whose own bytes wrap past 2^64
 // contributes no segment.
-func (m MemOp) appendSorted(dst []uint64, size int, seg uint64) []uint64 {
+func (m MemOp) appendSorted(dst []uint64, lanes []Op, size int, seg uint64) []uint64 {
 	start := len(dst)
-	appendSegs := func(a uint64) []uint64 {
-		first := a / seg
-		last := (a + uint64(size) - 1) / seg
-		for s := first; s <= last; s++ {
+	for i, n := 0, m.laneCount(); i < n; i++ {
+		a := m.laneAddr(lanes, i)
+		for s, last := a/seg, (a+uint64(size)-1)/seg; s <= last; s++ {
 			dst = append(dst, s*seg)
 		}
-		return dst
 	}
-	if m.Addrs != nil {
-		for _, a := range m.Addrs {
-			dst = appendSegs(a)
-		}
-	} else {
-		lanes := m.Lanes
-		if lanes <= 0 {
-			lanes = 1
-		}
-		for i := 0; i < lanes; i++ {
-			dst = appendSegs(m.Base + uint64(int64(i)*m.Stride))
-		}
-	}
-	// Sort and compact in place. The candidate set is tiny (<= 32 lanes,
-	// a few segments each) and often already sorted, which pdqsort's
-	// ascending-run detection makes near-free.
+	// Sort and compact in place. The candidate set is tiny (a warp's
+	// lanes, a few segments each) and often already sorted, which
+	// pdqsort's ascending-run detection makes near-free.
 	sub := dst[start:]
 	slices.Sort(sub)
 	j := 0

@@ -4,9 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDim3Count(t *testing.T) {
@@ -42,9 +45,13 @@ func TestOpConstructors(t *testing.T) {
 	if st.Kind != OpMem || !st.Mem.Write {
 		t.Errorf("Store: %+v", st)
 	}
-	g := Gather(8, 1, 2, 3)
-	if g.Kind != OpMem || g.Mem.Lanes != 3 || g.Mem.Addrs == nil {
-		t.Errorf("Gather: %+v", g)
+	g := AppendGather(nil, 8, 1, 2, 3)
+	if len(g) != 3 || g[0].Kind != OpMem || g[0].Mem.Lanes != 3 || !g[0].Mem.Gather || g[0].Mem.Write ||
+		g[0].Mem.Base != 0 || g[0].Mem.Stride != 0 || g[1].Kind != OpLanes || g[2].Kind != OpLanes {
+		t.Errorf("AppendGather: %+v", g)
+	}
+	if sc := AppendScatter(g[:1], 4, 9); len(sc) != 3 || sc[2].Kind != OpLanes || !sc[1].Mem.Gather || !sc[1].Mem.Write || sc[1].Mem.Lanes != 1 {
+		t.Errorf("AppendScatter: %+v", sc)
 	}
 	at := AtomicAdd(0x2000, 4)
 	if at.Kind != OpAtomic || !at.Mem.Write || !at.Mem.Bypass {
@@ -89,37 +96,128 @@ func TestWarpBufs(t *testing.T) {
 func TestLaneAddrs(t *testing.T) {
 	m := MemOp{Base: 100, Stride: 8, Lanes: 4}
 	want := []uint64{100, 108, 116, 124}
-	got := m.LaneAddrs()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("LaneAddrs = %v, want %v", got, want)
-		}
+	if got := m.LaneAddrs(nil); !slices.Equal(got, want) {
+		t.Fatalf("LaneAddrs = %v, want %v", got, want)
 	}
-	// Explicit addresses win.
-	m = MemOp{Addrs: []uint64{9, 7}, Lanes: 2}
-	if got := m.LaneAddrs(); got[0] != 9 || got[1] != 7 {
-		t.Errorf("explicit LaneAddrs = %v", got)
+	// A gather's addresses come from the lane ops after its head.
+	g := AppendGather(nil, 4, 9, 7, 5)
+	if got := g[0].Mem.LaneAddrs(g[1:]); !slices.Equal(got, []uint64{9, 7, 5}) {
+		t.Errorf("gather LaneAddrs = %v", got)
 	}
 	// Zero lanes still produce one address.
 	m = MemOp{Base: 50}
-	if got := m.LaneAddrs(); len(got) != 1 || got[0] != 50 {
+	if got := m.LaneAddrs(nil); len(got) != 1 || got[0] != 50 {
 		t.Errorf("zero-lane LaneAddrs = %v", got)
+	}
+}
+
+// TestGatherEncoding pins the inline lane encoding: a head, then two
+// addresses per OpLanes op, decoded by LaneAddr and spanned by Span, for
+// every lane count from 0 to 255 appended after a non-empty prefix.
+func TestGatherEncoding(t *testing.T) {
+	for n := 0; n <= 255; n++ {
+		addrs := make([]uint64, n)
+		for i := range addrs {
+			addrs[i] = ^uint64(0) - uint64(i)*77 // exercises the int64 reinterpretation
+		}
+		prefix := []Op{Compute(3)}
+		ops := AppendGather(prefix, 8, addrs...)
+		head := ops[1]
+		if got, want := len(ops), 2+LaneOps(n); got != want {
+			t.Fatalf("%d lanes: trace of %d ops, want %d", n, got, want)
+		}
+		if head.Span() != 1+LaneOps(n) || int(head.Mem.Lanes) != n || head.Mem.Size != 8 {
+			t.Fatalf("%d lanes: head %+v, span %d", n, head, head.Span())
+		}
+		for _, lane := range ops[2:] {
+			if lane.Kind != OpLanes || lane.Span() != 1 {
+				t.Fatalf("%d lanes: lane op %+v", n, lane)
+			}
+		}
+		for i, a := range addrs {
+			if got := LaneAddr(ops[2:], i); got != a {
+				t.Fatalf("%d lanes: LaneAddr(%d) = %#x, want %#x", n, i, got, a)
+			}
+		}
+	}
+	if (Load(0, 4, 32, 4)).Span() != 1 || Compute(1).Span() != 1 {
+		t.Error("regular ops must span one element")
+	}
+}
+
+// TestOpLayout pins what a trace costs: an Op is 32 bytes (two per
+// cache line) and holds no pointer, slice, map or interface, so the
+// GC never scans a trace; and the constructors reject values their
+// narrow fields cannot hold instead of silently truncating them.
+func TestOpLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Op{}) = %d, want 32", got)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Chan, reflect.Func, reflect.String:
+			t.Errorf("%s is a %s: Op must stay pointer-free", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
+	}
+	walk("Op", reflect.TypeOf(Op{}))
+
+	many := make([]uint64, 256)
+	for _, c := range []struct {
+		name  string
+		build func()
+		ok    bool
+	}{
+		{"Load 255 lanes x 255 bytes", func() { Load(0, 4, 255, 255) }, true},
+		{"Load 256 lanes", func() { Load(0, 4, 256, 4) }, false},
+		{"Load 256 bytes", func() { Load(0, 4, 32, 256) }, false},
+		{"Load negative lanes", func() { Load(0, 4, -1, 4) }, false},
+		{"Store negative size", func() { Store(0, 4, 32, -4) }, false},
+		{"AtomicAdd 256 bytes", func() { AtomicAdd(0, 256) }, false},
+		{"AppendGather 255 lanes", func() { AppendGather(nil, 4, many[:255]...) }, true},
+		{"AppendGather 256 lanes", func() { AppendGather(nil, 4, many...) }, false},
+		{"AppendScatter 256 bytes", func() { AppendScatter(nil, 256, 1) }, false},
+		{"Compute max int32", func() { Compute(math.MaxInt32) }, true},
+		{"Compute min int32", func() { Compute(math.MinInt32) }, true},
+		{"Compute max int32 + 1", func() { Compute(math.MaxInt32 + 1) }, false},
+		{"Compute min int32 - 1", func() { Compute(math.MinInt32 - 1) }, false},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if (r == nil) != c.ok {
+					t.Errorf("%s: panic = %v, want panic %v", c.name, r, !c.ok)
+				}
+				if s, _ := r.(string); r != nil && !strings.HasPrefix(s, "kernel: ") {
+					t.Errorf("%s: panic %v lacks a kernel: message", c.name, r)
+				}
+			}()
+			c.build()
+		}()
 	}
 }
 
 func TestTransactionsCoalesced(t *testing.T) {
 	// 32 lanes x 4B contiguous from a 128B boundary: one 128B segment.
 	m := MemOp{Base: 0x1000, Stride: 4, Lanes: 32, Size: 4}
-	if txs := m.Transactions(128); len(txs) != 1 || txs[0] != 0x1000 {
+	if txs := m.Transactions(nil, 128); len(txs) != 1 || txs[0] != 0x1000 {
 		t.Errorf("coalesced: %v", txs)
 	}
 	// Same access at 32B granularity: four segments.
-	if txs := m.Transactions(32); len(txs) != 4 {
+	if txs := m.Transactions(nil, 32); len(txs) != 4 {
 		t.Errorf("32B segments: %v", txs)
 	}
 	// Misaligned by 4 bytes: spills into a second 128B line.
 	m.Base = 0x1000 + 4
-	if txs := m.Transactions(128); len(txs) != 2 {
+	if txs := m.Transactions(nil, 128); len(txs) != 2 {
 		t.Errorf("misaligned: %v", txs)
 	}
 }
@@ -127,12 +225,12 @@ func TestTransactionsCoalesced(t *testing.T) {
 func TestTransactionsStrided(t *testing.T) {
 	// Row-stride access: 8 lanes, 1KB apart -> 8 distinct 128B lines.
 	m := MemOp{Base: 0, Stride: 1024, Lanes: 8, Size: 4}
-	if txs := m.Transactions(128); len(txs) != 8 {
+	if txs := m.Transactions(nil, 128); len(txs) != 8 {
 		t.Errorf("strided: got %d transactions", len(txs))
 	}
 	// Broadcast (stride 0): one line regardless of lanes.
 	m = MemOp{Base: 0x500, Stride: 0, Lanes: 32, Size: 4}
-	if txs := m.Transactions(128); len(txs) != 1 {
+	if txs := m.Transactions(nil, 128); len(txs) != 1 {
 		t.Errorf("broadcast: %v", txs)
 	}
 }
@@ -142,10 +240,10 @@ func TestTransactionsSortedUniqueProperty(t *testing.T) {
 		m := MemOp{
 			Base:   base % (1 << 40),
 			Stride: int64(stride),
-			Lanes:  int(lanes%32) + 1,
-			Size:   int(size%16) + 1,
+			Lanes:  lanes%32 + 1,
+			Size:   size%16 + 1,
 		}
-		txs := m.Transactions(32)
+		txs := m.Transactions(nil, 32)
 		if len(txs) == 0 {
 			return false
 		}
@@ -169,7 +267,7 @@ func TestTransactionsSortedUniqueProperty(t *testing.T) {
 			}
 			return false
 		}
-		for _, la := range m.LaneAddrs() {
+		for _, la := range m.LaneAddrs(nil) {
 			if !covered(la) || !covered(la+uint64(m.Size)-1) {
 				return false
 			}
@@ -184,15 +282,16 @@ func TestTransactionsSortedUniqueProperty(t *testing.T) {
 // refAppendTransactions is the coalescer before the closed-form walk,
 // kept as the oracle AppendTransactions is checked against: it collects
 // every lane's segments one division at a time, then sorts and compacts
-// them. For segBytes 1 it never returns if a lane ends at the last byte
-// of the address space (its loop counter wraps), so callers pass
-// segBytes >= 2.
-func refAppendTransactions(m MemOp, dst []uint64, segBytes int) []uint64 {
+// them. A non-nil addrs lists a gather's lane addresses as the caller
+// built them, before the lane-op encoding. For segBytes 1 it never
+// returns if a lane ends at the last byte of the address space (its
+// loop counter wraps), so callers pass segBytes >= 2.
+func refAppendTransactions(m MemOp, addrs []uint64, dst []uint64, segBytes int) []uint64 {
 	if segBytes <= 0 {
 		panic("kernel: non-positive segment size")
 	}
-	size := m.Size
-	if size <= 0 {
+	size := int(m.Size)
+	if size == 0 {
 		size = 4
 	}
 	seg := uint64(segBytes)
@@ -205,13 +304,13 @@ func refAppendTransactions(m MemOp, dst []uint64, segBytes int) []uint64 {
 		}
 		return dst
 	}
-	if m.Addrs != nil {
-		for _, a := range m.Addrs {
+	if addrs != nil {
+		for _, a := range addrs {
 			dst = appendSegs(a)
 		}
 	} else {
-		lanes := m.Lanes
-		if lanes <= 0 {
+		lanes := int(m.Lanes)
+		if lanes == 0 {
 			lanes = 1
 		}
 		for i := 0; i < lanes; i++ {
@@ -233,18 +332,25 @@ func refAppendTransactions(m MemOp, dst []uint64, segBytes int) []uint64 {
 // checkAgainstReference reports the first way AppendTransactions,
 // appending onto a dirty prefix, differs from the reference coalescer:
 // the prefix must survive and the appended segments must be the same.
-func checkAgainstReference(m MemOp, segBytes int) error {
-	want := refAppendTransactions(m, nil, segBytes)
+// A non-nil addrs makes the access a gather of m.Size bytes per lane,
+// built through AppendGather and coalesced from its lane ops.
+func checkAgainstReference(m MemOp, addrs []uint64, segBytes int) error {
+	want := refAppendTransactions(m, addrs, nil, segBytes)
+	var lanes []Op
+	if addrs != nil {
+		trace := AppendGather(nil, int(m.Size), addrs...)
+		m, lanes = trace[0].Mem, trace[1:]
+	}
 	prefix := []uint64{0xdead, 0xbeef, 0xcafe}
 	dst := append(append([]uint64(nil), prefix...), 7, 7, 7)[:len(prefix)]
-	got := m.AppendTransactions(dst, segBytes)
+	got := m.AppendTransactions(dst, lanes, segBytes)
 	if !slices.Equal(got[:min(len(prefix), len(got))], prefix) {
 		return fmt.Errorf("%+v seg %d: prefix clobbered: %v", m, segBytes, got)
 	}
 	if !slices.Equal(got[len(prefix):], want) {
 		return fmt.Errorf("%+v seg %d: got %v, want %v", m, segBytes, got[len(prefix):], want)
 	}
-	if again := m.Transactions(segBytes); !slices.Equal(again, want) {
+	if again := m.Transactions(lanes, segBytes); !slices.Equal(again, want) {
 		return fmt.Errorf("%+v seg %d: Transactions %v, want %v", m, segBytes, again, want)
 	}
 	return nil
@@ -260,13 +366,14 @@ func TestAppendTransactionsEquivalence(t *testing.T) {
 		m := MemOp{
 			Base:   base % (1 << 40),
 			Stride: int64(stride),
-			Lanes:  int(lanes%32) + 1,
-			Size:   int(size%16) + 1,
+			Lanes:  lanes%32 + 1,
+			Size:   size%16 + 1,
 		}
+		var addrs []uint64
 		if irregular {
-			m.Addrs = m.LaneAddrs() // explicit per-lane path, same addresses
+			addrs = m.LaneAddrs(nil) // gather path, same addresses
 		}
-		if err := checkAgainstReference(m, segBytes); err != nil {
+		if err := checkAgainstReference(m, addrs, segBytes); err != nil {
 			t.Log(err)
 			return false
 		}
@@ -297,14 +404,14 @@ func TestAppendTransactionsEdges(t *testing.T) {
 		{Base: 1 << 62, Stride: math.MinInt64, Lanes: 3, Size: 4},
 		{Base: 0x1000, Stride: 2, Lanes: 16, Size: 4}, // overlapping lanes
 		{Base: 0x1000, Stride: 130, Lanes: 8, Size: 4},
-		{Base: 0x1000, Stride: 100, Lanes: 8, Size: 300},
-		{Base: 0x1001},                      // Lanes and Size default
-		{Base: 0x1001, Lanes: -3, Size: -1}, // likewise when negative
+		{Base: 0x1000, Stride: 100, Lanes: 8, Size: 255},
+		{Base: top - 254, Stride: 1, Lanes: 255, Size: 255},
+		{Base: 0x1001}, // Lanes and Size default
 		{Base: 0x1000, Stride: 4, Lanes: 1, Size: 1},
 	}
 	for _, m := range cases {
 		for _, seg := range []int{2, 3, 24, 32, 96, 128, 4096} {
-			if err := checkAgainstReference(m, seg); err != nil {
+			if err := checkAgainstReference(m, nil, seg); err != nil {
 				t.Error(err)
 			}
 		}
@@ -314,28 +421,38 @@ func TestAppendTransactionsEdges(t *testing.T) {
 // FuzzAppendTransactions drives the closed-form coalescer and the
 // reference with arbitrary accesses: any base and stride (so negative
 // strides and spans wrapping past 2^64 occur), defaulted Lanes and
-// Size, non-power-of-two segments, and the explicit-address path.
+// Size, non-power-of-two segments, and gathers of up to 255 lanes built
+// through AppendGather and coalesced from their lane ops.
 func FuzzAppendTransactions(f *testing.F) {
+	lanes := func(n int) []byte {
+		b := make([]byte, 8*n)
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(i)*0x9e3779b97f4a7c15)
+		}
+		return b
+	}
 	f.Add(uint64(0x1000), int64(4), 32, 4, uint16(32), []byte(nil))
 	f.Add(uint64(0x1000), int64(-4), 32, 4, uint16(128), []byte(nil))
 	f.Add(^uint64(0)-127, int64(4), 33, 4, uint16(96), []byte(nil))
 	f.Add(uint64(0x1000), int64(1024), 0, 0, uint16(30), []byte(nil))
 	f.Add(uint64(0), int64(0), 3, 8, uint16(32), []byte{1, 2, 3, 4, 5, 6, 7, 8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(uint64(0), int64(0), 0, 8, uint16(32), lanes(1))
+	f.Add(uint64(0), int64(0), 0, 4, uint16(128), lanes(3))
+	f.Add(uint64(0), int64(0), 0, 255, uint16(32), lanes(31))
+	f.Add(uint64(0), int64(0), 0, 8, uint16(64), lanes(255))
 	f.Fuzz(func(t *testing.T, base uint64, stride int64, lanes, size int, seg uint16, gather []byte) {
 		m := MemOp{
 			Base:   base,
 			Stride: stride,
-			Lanes:  lanes%80 - 8, // some non-positive
-			Size:   size%300 - 8, // likewise
+			Lanes:  uint8(lanes), // 0 defaults to 1
+			Size:   uint8(size),  // 0 defaults to 4
 		}
-		if len(gather) >= 8 {
-			for ; len(gather) >= 8 && len(m.Addrs) < 64; gather = gather[8:] {
-				m.Addrs = append(m.Addrs, binary.LittleEndian.Uint64(gather))
-			}
-			m.Lanes = len(m.Addrs)
+		var addrs []uint64
+		for ; len(gather) >= 8 && len(addrs) < 255; gather = gather[8:] {
+			addrs = append(addrs, binary.LittleEndian.Uint64(gather))
 		}
 		segBytes := 2 + int(seg%4095) // the reference needs >= 2
-		if err := checkAgainstReference(m, segBytes); err != nil {
+		if err := checkAgainstReference(m, addrs, segBytes); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -345,9 +462,9 @@ func FuzzAppendTransactions(f *testing.F) {
 // warm scratch buffer, coalescing allocates nothing.
 func TestAppendTransactionsZeroAlloc(t *testing.T) {
 	m := MemOp{Base: 0x1000, Stride: 4, Lanes: 32, Size: 4}
-	buf := m.AppendTransactions(nil, 32) // warm to capacity
+	buf := m.AppendTransactions(nil, nil, 32) // warm to capacity
 	if n := testing.AllocsPerRun(100, func() {
-		buf = m.AppendTransactions(buf[:0], 32)
+		buf = m.AppendTransactions(buf[:0], nil, 32)
 	}); n != 0 {
 		t.Errorf("AppendTransactions with warm scratch allocates %.1f times per call, want 0", n)
 	}
@@ -359,7 +476,7 @@ func TestTransactionsPanicsOnBadSegment(t *testing.T) {
 			t.Error("expected panic for segment size 0")
 		}
 	}()
-	MemOp{Base: 0, Lanes: 1, Size: 4}.Transactions(0)
+	MemOp{Base: 0, Lanes: 1, Size: 4}.Transactions(nil, 0)
 }
 
 func TestIndexingRoundTrip(t *testing.T) {

@@ -41,11 +41,11 @@ func InspectorPermutation(k kernel.Kernel, lineBytes int) []int {
 		set := make(map[uint64]struct{})
 		work := k.Work(kernel.Launch{CTA: cta})
 		for _, warp := range work.Warps {
-			for _, op := range warp {
+			for i, op := range warp {
 				if op.Kind != kernel.OpMem || op.Mem.Write {
 					continue
 				}
-				for _, a := range op.Mem.Transactions(lineBytes) {
+				for _, a := range op.Mem.Transactions(warp[i+1:], lineBytes) {
 					set[a] = struct{}{}
 				}
 			}
@@ -121,11 +121,11 @@ func OverlapScore(k kernel.Kernel, order []int, lineBytes int) int {
 		set := make(map[uint64]struct{})
 		work := k.Work(kernel.Launch{CTA: cta})
 		for _, warp := range work.Warps {
-			for _, op := range warp {
+			for i, op := range warp {
 				if op.Kind != kernel.OpMem || op.Mem.Write {
 					continue
 				}
-				for _, a := range op.Mem.Transactions(lineBytes) {
+				for _, a := range op.Mem.Transactions(warp[i+1:], lineBytes) {
 					set[a] = struct{}{}
 				}
 			}

@@ -261,10 +261,7 @@ func TestOptimizeCancelled(t *testing.T) {
 
 func TestGatherFrac(t *testing.T) {
 	k := &patKernel{ctas: 4, ops: func(cta int) []kernel.Op {
-		return []kernel.Op{
-			kernel.Load(uint64(0x1000+cta*128), 4, 32, 4),
-			kernel.Gather(4, 0x5000, 0x6000),
-		}
+		return kernel.AppendGather([]kernel.Op{kernel.Load(uint64(0x1000+cta*128), 4, 32, 4)}, 4, 0x5000, 0x6000)
 	}}
 	q := Quantify(k, 32)
 	if q.ReadOps != 8 || q.GatherOps != 4 {

@@ -108,23 +108,23 @@ func Quantify(k kernel.Kernel, lineBytes int) Quant {
 	for cta := 0; cta < total; cta++ {
 		work := k.Work(kernel.Launch{CTA: cta})
 		for _, warp := range work.Warps {
-			for _, op := range warp {
+			for i, op := range warp {
 				if op.Kind != kernel.OpMem && op.Kind != kernel.OpAtomic {
 					continue
 				}
 				m := op.Mem
-				txs := m.Transactions(lineBytes)
+				txs := m.Transactions(warp[i+1:], lineBytes)
 				if !m.Write {
 					q.ReadOps++
-					if m.Addrs != nil {
+					if m.Gather {
 						q.GatherOps++
 					}
-					lanes := m.Lanes
-					if lanes <= 0 {
+					lanes := int(m.Lanes)
+					if lanes == 0 {
 						lanes = 1
 					}
-					size := m.Size
-					if size <= 0 {
+					size := int(m.Size)
+					if size == 0 {
 						size = 4
 					}
 					ideal := (lanes*size + lineBytes - 1) / lineBytes

@@ -126,7 +126,7 @@ func (a *Analyzer) AnalyzeWindow(k kernel.Kernel, lineBytes, window int) Quant {
 				if op.Kind != kernel.OpMem || op.Mem.Write {
 					continue
 				}
-				a.scratch = op.Mem.AppendTransactions(a.scratch[:0], lineBytes)
+				a.scratch = op.Mem.AppendTransactions(a.scratch[:0], ops[i+1:], lineBytes)
 				for _, seg := range a.scratch {
 					q.Accesses++
 					st, ok := a.lines[seg]

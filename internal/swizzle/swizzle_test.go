@@ -47,7 +47,7 @@ func footprint(t *testing.T, k kernel.Kernel) map[[2]uint64]int {
 	for u := 0; u < n; u++ {
 		work := k.Work(kernel.Launch{CTA: u})
 		for _, warp := range work.Warps {
-			for _, op := range warp {
+			for i, op := range warp {
 				if op.Kind != kernel.OpMem || op.Mem.Prefetch {
 					continue
 				}
@@ -55,7 +55,7 @@ func footprint(t *testing.T, k kernel.Kernel) map[[2]uint64]int {
 				if op.Mem.Write {
 					w = 1
 				}
-				for _, a := range op.Mem.LaneAddrs() {
+				for _, a := range op.Mem.LaneAddrs(warp[i+1:]) {
 					out[[2]uint64{a, w}]++
 				}
 			}
@@ -185,7 +185,7 @@ func TestCostPrepended(t *testing.T) {
 		}
 		work := sk.Work(kernel.Launch{CTA: 0})
 		for wi, warp := range work.Warps {
-			if warp[0].Kind != kernel.OpCompute || warp[0].Cycles != v.cost {
+			if warp[0].Kind != kernel.OpCompute || int(warp[0].Cycles) != v.cost {
 				t.Fatalf("%s warp %d: first op = %+v, want Compute(%d)", name, wi, warp[0], v.cost)
 			}
 			if len(warp) != 4 {

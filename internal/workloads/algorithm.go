@@ -57,7 +57,7 @@ func newMM() *App {
 		bx, by := l.CTA%grid.X, l.CTA/grid.X
 		warps := l.WarpBufs(tile)
 		for ty := range warps {
-			ops := slices.Grow(warps[ty], 6*n/tile+2)
+			ops := slices.Grow(warps[ty], 5*n/tile+1)
 			for k := 0; k < n/tile; k++ {
 				// As[ty][tx] = A[by*tile+ty][k*tile+tx]
 				ops = append(ops, kernel.Load(aBase+uint64(((by*tile+ty)*n+k*tile)*4), 4, tile, 4))
@@ -113,7 +113,7 @@ func newKMN() *App {
 		for w := range ws {
 			gwarp := l.CTA*warps + w
 			pbase := points + uint64(gwarp*32*features*4)
-			ops := slices.Grow(ws[w], nclusters*3+4)
+			ops := slices.Grow(ws[w], nclusters*3+nclusters/4+1)
 			// Rodinia kmeans re-reads each point's features from global
 			// memory on every centroid iteration: the warp's 1KB point
 			// block is the hot set a CTA needs resident. One CTA's
@@ -170,7 +170,7 @@ func newNN() *App {
 		bx, by := l.CTA%gx, l.CTA/gx
 		ws := l.WarpBufs(1)
 		for w := range ws {
-			ops := slices.Grow(ws[w], 8+wloads+8)
+			ops := slices.Grow(ws[w], 8+wloads+wloads/4+1)
 			// 8x8 input window with stride 4: half of it is shared with
 			// the X-neighbour CTA.
 			for r := 0; r < 8; r++ {
@@ -223,7 +223,7 @@ func newIMD() *App {
 		bx, by := l.CTA%gx, l.CTA/gx
 		ws := l.WarpBufs(2)
 		for w := range ws {
-			ops := slices.Grow(ws[w], 24)
+			ops := slices.Grow(ws[w], 8*2+8/2+2)
 			// NLM search window rows: each warp reads its 128B row
 			// segment plus a 64B apron reaching into the X-neighbour's
 			// tile — the search windows of adjacent tiles overlap.
@@ -276,7 +276,7 @@ func newBKP() *App {
 		ws := l.WarpBufs(warps)
 		for w := range ws {
 			gwarp := l.CTA*warps + w
-			ops := slices.Grow(ws[w], 16)
+			ops := slices.Grow(ws[w], 2+8+8/4+3)
 			// Shared input vector (two 128B lines).
 			ops = append(ops, kernel.Load(inputv, 4, 32, 4))
 			ops = append(ops, kernel.Load(inputv+128, 4, 32, 4))
@@ -331,7 +331,7 @@ func newDCT() *App {
 		bx, by := l.CTA%gx, l.CTA/gx
 		ws := l.WarpBufs(2)
 		for w := range ws {
-			ops := slices.Grow(ws[w], 24)
+			ops := slices.Grow(ws[w], 4+4+3+4)
 			for r := 0; r < 4; r++ {
 				row := by*8 + w*4 + r
 				ops = append(ops, kernel.Load(img+uint64((row*width+bx*8)*4), 4, 8, 4))
@@ -389,7 +389,7 @@ func newSGM() *App {
 		bx, by := l.CTA%gx, l.CTA/gx
 		ws := l.WarpBufs(4)
 		for w := range ws {
-			ops := slices.Grow(ws[w], kTiles*4+2)
+			ops := slices.Grow(ws[w], kTiles*4+1)
 			for k := 0; k < kTiles; k++ {
 				// A panel rows (row-based reuse, same by).
 				ops = append(ops, kernel.Load(aBase+uint64(((by*tile+w*8)*n+k*tile)*4), 4, 32, 4))
@@ -442,7 +442,7 @@ func newHS() *App {
 		for w := range ws {
 			row := by*8 + w
 			base := uint64((row*rowLen + bx*64) * 4)
-			ops := slices.Grow(ws[w], 12)
+			ops := slices.Grow(ws[w], 8)
 			// Row above, own row (with one-column halo skew), row below.
 			ops = append(ops, kernel.Load(temp+base-uint64(rowLen*4), 8, 32, 4))
 			ops = append(ops, kernel.Load(temp+base-4, 8, 32, 4))

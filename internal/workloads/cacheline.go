@@ -55,7 +55,7 @@ func columnWalk(name, long string, ctas, colsPerCTA, rows int, regs Regs, opt Re
 	app.gen = func(l kernel.Launch) kernel.CTAWork {
 		ws := l.WarpBufs(warps)
 		for w := range ws {
-			ops := slices.Grow(ws[w], colsPerCTA*2+4)
+			ops := slices.Grow(ws[w], colsPerCTA*2+2)
 			// Shared vector segment for this warp's rows.
 			ops = append(ops, kernel.Load(vec+uint64(w*rowsPerWarp*4), 4, rowsPerWarp, 4))
 			for c := 0; c < colsPerCTA; c++ {
@@ -139,7 +139,11 @@ func rankK(name, long string, twoPanels bool, regs Regs, opt Regs) *App {
 		bx, by := l.CTA%gx, l.CTA/gx
 		ws := l.WarpBufs(8)
 		for w := range ws {
-			ops := slices.Grow(ws[w], kIters*3+2)
+			perIter := 3
+			if twoPanels {
+				perIter = 4
+			}
+			ops := slices.Grow(ws[w], kIters*perIter+1)
 			for k := 0; k < kIters; k++ {
 				// A[j-block rows]: shared by the whole grid column (same bx).
 				ops = append(ops, kernel.Load(aBase+uint64(((bx*32+w*4)*pitch+k*32)*4), 4, 32, 4))
@@ -191,7 +195,7 @@ func newNBO() *App {
 		bx, by := l.CTA%gx, l.CTA/gx
 		ws := l.WarpBufs(8)
 		for w := range ws {
-			ops := slices.Grow(ws[w], tiles*2+4)
+			ops := slices.Grow(ws[w], tiles*2+2)
 			// Own body positions (AoS: 16B of each 32B record).
 			own := (by*gx + bx) % (bodies / 256)
 			ops = append(ops, kernel.Load(bodyArr+uint64(own*256*stride+w*32*stride), stride, 32, 16))
@@ -244,7 +248,7 @@ func new3CV() *App {
 		ws := l.WarpBufs(8)
 		for w := range ws {
 			z := w % depth
-			ops := slices.Grow(ws[w], 16)
+			ops := slices.Grow(ws[w], 8)
 			base := vol + uint64(z*plane+(by+1)*rowLen*4+bx*128)
 			// z-1, z, z+1 planes with -1/+1 column skews: the skewed
 			// loads cross into the neighbour CTA's lines.

@@ -52,7 +52,7 @@ func newCOR() *App {
 		bx, by := l.CTA%gx, l.CTA/gx
 		ws := l.WarpBufs(8)
 		for w := range ws {
-			ops := slices.Grow(ws[w], kIters*3+5)
+			ops := slices.Grow(ws[w], kIters*3+4)
 			for k := 0; k < kIters; k++ {
 				// data[·][j1-block]: shared by the whole grid column (same bx).
 				ops = append(ops, kernel.Load(dataA+uint64(((bx*32+w*4)*pitch+k*32)*4), 4, 32, 4))

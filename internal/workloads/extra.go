@@ -156,7 +156,7 @@ func tableApp(name, long string, ctas, warps, tableLoads, streamLoads int,
 		ws := l.WarpBufs(warps)
 		for w := range ws {
 			gwarp := l.CTA*warps + w
-			ops := slices.Grow(ws[w], tableLoads+streamLoads+3)
+			ops := slices.Grow(ws[w], streamLoads+tableLoads+tableLoads/6+1)
 			for j := 0; j < streamLoads; j++ {
 				ops = append(ops, kernel.Load(in+uint64((gwarp*streamLoads+j)*32*4), 4, 32, 4).StreamingHint())
 			}
@@ -203,14 +203,14 @@ func gatherApp(name, long string, ctas, warps, gathers, reachRecords int, regs R
 		for w := range ws {
 			gwarp := l.CTA*warps + w
 			rng := lcg(uint64(gwarp)*11400714819323 + 99)
-			ops := slices.Grow(ws[w], gathers+3)
+			ops := slices.Grow(ws[w], 1+gathers*(1+kernel.LaneOps(32)+1)+1)
 			ops = append(ops, kernel.Load(keys+uint64(gwarp*32*4), 4, 32, 4).StreamingHint())
 			for j := 0; j < gathers; j++ {
-				addrs := make([]uint64, 32)
+				var addrs [32]uint64
 				for i := range addrs {
 					addrs[i] = records + uint64(rng.intn(reachRecords))*32
 				}
-				ops = append(ops, kernel.Gather(8, addrs...))
+				ops = kernel.AppendGather(ops, 8, addrs[:]...)
 				ops = append(ops, kernel.Compute(6))
 			}
 			ops = append(ops, kernel.Store(out+uint64(gwarp*32*4), 4, 32, 4))
@@ -247,7 +247,7 @@ func butterflyApp(name, long string, ctas, warps, passes int, regs Regs) *App {
 		ws := l.WarpBufs(warps)
 		for w := range ws {
 			gwarp := l.CTA*warps + w
-			ops := slices.Grow(ws[w], passes*3+1)
+			ops := slices.Grow(ws[w], passes*3)
 			for p := 0; p < passes; p++ {
 				stride := int64(4 << p)
 				base := data + uint64((gwarp*32*4)<<1)

@@ -54,7 +54,7 @@ func newHST() *App {
 		for w := range ws {
 			gwarp := l.CTA*warps + w
 			rng := lcg(uint64(gwarp)*2654435761 + 12345)
-			ops := slices.Grow(ws[w], 20)
+			ops := slices.Grow(ws[w], 8*2+1+2*2*(1+kernel.LaneOps(8)))
 			for j := 0; j < 8; j++ {
 				ops = append(ops, kernel.Load(data+uint64((gwarp*8*32+j*32)*4), 4, 32, 4).StreamingHint())
 				ops = append(ops, kernel.Compute(4))
@@ -65,12 +65,12 @@ func newHST() *App {
 			// inter-CTA locality exists comes from the value
 			// distribution of the data (Figure 4-C).
 			for j := 0; j < 2; j++ {
-				addrs := make([]uint64, 8)
+				var addrs [8]uint64
 				for i := range addrs {
 					addrs[i] = bins + uint64(rng.intn(64*64))*4
 				}
-				ops = append(ops, kernel.Gather(4, addrs...))
-				ops = append(ops, kernel.Scatter(4, addrs...))
+				ops = kernel.AppendGather(ops, 4, addrs[:]...)
+				ops = kernel.AppendScatter(ops, 4, addrs[:]...)
 			}
 			ws[w] = ops
 		}
@@ -118,15 +118,15 @@ func newBTR() *App {
 		for w := range ws {
 			gwarp := l.CTA*warps + w
 			rng := lcg(uint64(gwarp)*40503 + 7)
-			ops := slices.Grow(ws[w], levels+4)
+			ops := slices.Grow(ws[w], 1+levels*(1+kernel.LaneOps(32)+1)+1)
 			ops = append(ops, kernel.Load(keys+uint64(gwarp*32*4), 4, 32, 4).StreamingHint())
 			nodes := 1
 			for lv := 0; lv < levels; lv++ {
-				addrs := make([]uint64, 32)
+				var addrs [32]uint64
 				for i := range addrs {
 					addrs[i] = levelBase[lv] + uint64(rng.intn(nodes))*64
 				}
-				ops = append(ops, kernel.Gather(8, addrs...))
+				ops = kernel.AppendGather(ops, 8, addrs[:]...)
 				ops = append(ops, kernel.Compute(6))
 				nodes *= 16
 			}
@@ -170,7 +170,7 @@ func newNW() *App {
 		for w := range ws {
 			b := l.CTA
 			base := score + uint64(b*cellsPer*4)
-			ops := slices.Grow(ws[w], 16)
+			ops := slices.Grow(ws[w], 2+4*3+1)
 			// Read the boundary cells the previous tile produced (same
 			// line another CTA writes) plus the reference sequence.
 			ops = append(ops, kernel.Load(base-4, 4, cellsPer, 4))
@@ -225,25 +225,25 @@ func newBFS() *App {
 		for w := range ws {
 			gwarp := l.CTA*warps + w
 			rng := lcg(uint64(gwarp)*920419823 + 3)
-			ops := slices.Grow(ws[w], 16)
+			ops := slices.Grow(ws[w], 1+4*(1+kernel.LaneOps(32)+1)+1+kernel.LaneOps(16))
 			ops = append(ops, kernel.Load(frontier+uint64(gwarp*32*4), 4, 32, 4).StreamingHint())
 			for j := 0; j < 4; j++ {
 				// Neighbour gathers: skewed towards low node ids so some
 				// lines recur across CTAs by accident.
-				addrs := make([]uint64, 32)
+				var addrs [32]uint64
 				for i := range addrs {
 					n := rng.intn(nodes >> ((j % 2) * 4))
 					addrs[i] = edges + uint64(n)*16
 				}
-				ops = append(ops, kernel.Gather(8, addrs...))
+				ops = kernel.AppendGather(ops, 8, addrs[:]...)
 				ops = append(ops, kernel.Compute(4))
 			}
 			// Cost updates to the visited nodes.
-			addrs := make([]uint64, 16)
+			var addrs [16]uint64
 			for i := range addrs {
 				addrs[i] = cost + uint64(rng.intn(nodes))*4
 			}
-			ops = append(ops, kernel.Scatter(4, addrs...))
+			ops = kernel.AppendScatter(ops, 4, addrs[:]...)
 			ws[w] = ops
 		}
 		return kernel.CTAWork{Warps: ws}
@@ -277,7 +277,7 @@ func streamApp(name, long string, ctas, warps, nLoads, nStores, compute int,
 		ws := l.WarpBufs(warps)
 		for w := range ws {
 			gwarp := l.CTA*warps + w
-			ops := slices.Grow(ws[w], nLoads+nStores+nLoads/2+1)
+			ops := slices.Grow(ws[w], nLoads+nLoads/2+nStores)
 			for j := 0; j < nLoads; j++ {
 				ops = append(ops, kernel.Load(in+uint64((gwarp*nLoads+j)*32*4), 4, 32, 4).StreamingHint())
 				if j%2 == 1 {

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ctacluster/internal/arch"
@@ -133,6 +134,52 @@ func TestWorkDeterministic(t *testing.T) {
 	}
 }
 
+// TestCapacityHintsExact pins every generator's slices.Grow hint to
+// exactly the number of ops it appends. A CTA appended after a one-op
+// prefix into a trace with exactly that much spare capacity must not
+// allocate (an over-reserving hint reallocates; so would a gather's lane
+// array escaping to the heap), and into a trace with no spare capacity
+// must allocate once per warp (an under-reserving hint reallocates
+// again mid-loop). Under the agent transform either miss costs a copy
+// of the whole accumulated task loop.
+func TestCapacityHintsExact(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are only meaningful uninstrumented")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, name := range Names() {
+		app, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cta := range []int{0, app.GridDim().Count() - 1} {
+			want := app.Work(kernel.Launch{CTA: cta}).Warps
+			for _, spare := range []bool{true, false} {
+				buf := make([][]kernel.Op, len(want))
+				for w := range buf {
+					n := 1
+					if spare {
+						n += len(want[w])
+					}
+					buf[w] = append(make([]kernel.Op, 0, n), kernel.Compute(1))
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				app.Work(kernel.Launch{CTA: cta, Buf: buf})
+				runtime.ReadMemStats(&after)
+				got, exp := after.Mallocs-before.Mallocs, uint64(len(want))
+				if spare {
+					exp = 0
+				}
+				if got != exp {
+					t.Errorf("%s CTA %d (spare capacity %v): Work allocated %d times, want %d — a capacity hint is not exact",
+						name, cta, spare, got, exp)
+				}
+			}
+		}
+	}
+}
+
 func TestTracesWellFormed(t *testing.T) {
 	for _, app := range Figure3() {
 		total := app.GridDim().Count()
@@ -153,7 +200,7 @@ func TestTracesWellFormed(t *testing.T) {
 					if op.Kind == kernel.OpBarrier {
 						n++
 					}
-					if op.Kind == kernel.OpMem && op.Mem.Lanes <= 0 && op.Mem.Addrs == nil {
+					if op.Kind == kernel.OpMem && op.Mem.Lanes == 0 {
 						t.Fatalf("%s CTA %d warp %d: zero-lane access", app.Name(), cta, w)
 					}
 				}
