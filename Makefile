@@ -66,22 +66,30 @@ server:
 # (conservation, fuzz-seeded bijectivity, analyzer goldens, zero-alloc
 # contract), the swizzled rerun byte-identity sweep, and a
 # 2-app x 2-arch three-way clustering-vs-swizzling-vs-both comparison
-# smoke through the real evaluate binary, all under the race detector.
+# smoke through the real evaluate binary, all under the race detector;
+# then a byte-exact regeneration of the committed BENCH_swizzle.json
+# comparisons (its metadata keys are dated, so only .comparisons is
+# compared).
 swizzle-smoke:
 	$(GO) test -race ./internal/swizzle ./internal/eval -run 'Swizzle'
 	$(GO) run -race ./cmd/evaluate -swizzle-compare -apps MM,SGM -arch TeslaK40 -quick > /dev/null
 	$(GO) run -race ./cmd/evaluate -swizzle-compare -apps MM,SGM -arch GTX980 -quick -json > /dev/null
+	$(GO) run ./cmd/evaluate -swizzle-compare -json | jq .comparisons > /tmp/swizzle-bench.json
+	jq .comparisons BENCH_swizzle.json | cmp - /tmp/swizzle-bench.json
 
 # The chiplet gate the CI enforces: the monolithic-equivalence matrix
 # (Chiplets=0 byte-identical to the seed descriptor), the 2-die
 # calendar-queue vs reference-heap matrix, the die-aware swizzle and
 # slice/interposer unit walls, and a real 2-die clustering-vs-dieblock
 # comparison smoke through the evaluate binary, all under the race
-# detector.
+# detector; then a byte-exact regeneration of the committed
+# BENCH_chiplet.json comparisons.
 chiplet-smoke:
 	$(GO) test -race -run 'Chiplet|DieBlock|DieOf' ./internal/arch ./internal/mem ./internal/swizzle ./internal/engine
 	$(GO) run -race ./cmd/evaluate -chiplet 2 -chiplet-compare -apps MM,NW -arch TeslaK40 > /dev/null
 	$(GO) run -race ./cmd/evaluate -chiplet 2 -chiplet-compare -apps MM -arch GTX980 -json > /dev/null
+	$(GO) run ./cmd/evaluate -chiplet 2 -chiplet-compare -json | jq .comparisons > /tmp/chiplet-bench.json
+	jq .comparisons BENCH_chiplet.json | cmp - /tmp/chiplet-bench.json
 
 # The calibration gate the CI enforces: the calib package wall (codec
 # canonical-form goldens, fitter determinism and recovery) under the

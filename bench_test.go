@@ -258,7 +258,7 @@ func BenchmarkAblationRedirectionScheduler(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rd, err := core.Redirect(app, ar.SMs, app.Partition(), nil)
+	rd, err := core.Redirect(app, ar.SMs, app.Partition())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -64,8 +64,9 @@ type (
 	Partition = core.Partition
 	// AgentKernel is the agent-based clustering transform.
 	AgentKernel = core.AgentKernel
-	// RedirectKernel is the redirection-based clustering transform.
-	RedirectKernel = core.RedirectKernel
+	// RedirectKernel is the redirection-based clustering transform, a
+	// CTA remap like the tile swizzles.
+	RedirectKernel = kernel.Remapped
 	// Quant is an inter-CTA reuse quantification (Figure 3).
 	Quant = locality.Quant
 	// Analysis is the framework's categorization verdict.
@@ -184,7 +185,7 @@ func Cluster(k Kernel, opts ClusterOptions) (*AgentKernel, error) {
 
 // Redirect applies redirection-based CTA-Clustering (Section 4.2.4-1).
 func Redirect(k Kernel, sms int, ix Indexing) (*RedirectKernel, error) {
-	return core.Redirect(k, sms, ix, nil)
+	return core.Redirect(k, sms, ix)
 }
 
 // Quantify measures the inter-/intra-CTA reuse split of k's pre-L1

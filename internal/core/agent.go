@@ -150,12 +150,7 @@ func (k *AgentKernel) SharedMemPerCTA() int {
 }
 
 // ArrayRefs exposes the original kernel's reference structure.
-func (k *AgentKernel) ArrayRefs() []kernel.ArrayRef {
-	if rd, ok := k.orig.(kernel.RefDescriber); ok {
-		return rd.ArrayRefs()
-	}
-	return nil
-}
+func (k *AgentKernel) ArrayRefs() []kernel.ArrayRef { return kernel.ArrayRefsOf(k.orig) }
 
 // Reset clears the dynamic binding counters so the kernel can be
 // re-launched (each engine.Run is one launch).
@@ -177,7 +172,7 @@ func (k *AgentKernel) Tasks(sm, agentID int) []int {
 	var out []int
 	for t := agentID; t < jobs; t += k.active {
 		v := base + t
-		out = append(out, origCTA(k.cfg.Indexing, k.cfg.Perm, v, g.X, g.Y))
+		out = append(out, origCTA(k.cfg.Indexing, k.cfg.Perm, v, g))
 	}
 	return out
 }

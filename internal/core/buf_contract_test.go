@@ -145,7 +145,7 @@ func TestWorkBufContract(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rd, err := core.Redirect(app, ar.SMs, app.Partition(), nil)
+				rd, err := core.Redirect(app, ar.SMs, app.Partition())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -281,7 +281,7 @@ func TestTracesWellFormedUnderTransforms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rd, err := core.Redirect(app, ar.SMs, app.Partition(), nil)
+			rd, err := core.Redirect(app, ar.SMs, app.Partition())
 			if err != nil {
 				t.Fatal(err)
 			}

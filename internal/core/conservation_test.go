@@ -89,7 +89,7 @@ func TestRedirectConservesWork(t *testing.T) {
 		k := &gridKernel{grid: kernel.Dim2(nx, ny), warps: 2}
 		want := kernelFootprint(t, k, originalLaunches(k))
 		for _, ix := range []kernel.Indexing{kernel.RowMajor, kernel.ColMajor, kernel.TileWise} {
-			rd, err := Redirect(k, sms, ix, nil)
+			rd, err := Redirect(k, sms, ix)
 			if err != nil {
 				return false
 			}

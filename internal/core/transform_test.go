@@ -62,7 +62,7 @@ func TestRedirectCoversAllCTAsProperty(t *testing.T) {
 		sms := int(smRaw)%20 + 1
 		k := &gridKernel{grid: kernel.Dim2(nx, ny), warps: 1}
 		for _, ix := range []kernel.Indexing{kernel.RowMajor, kernel.ColMajor, kernel.TileWise} {
-			rd, err := Redirect(k, sms, ix, nil)
+			rd, err := Redirect(k, sms, ix)
 			if err != nil {
 				return false
 			}
@@ -84,7 +84,7 @@ func TestRedirectCoversAllCTAsProperty(t *testing.T) {
 
 func TestRedirectWorkRedirects(t *testing.T) {
 	k := &gridKernel{grid: kernel.Dim2(4, 3), warps: 2}
-	rd, err := Redirect(k, 5, kernel.RowMajor, nil)
+	rd, err := Redirect(k, 5, kernel.RowMajor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,25 +107,56 @@ func TestRedirectWorkRedirects(t *testing.T) {
 	}
 }
 
-func TestRedirectArbitraryNeedsPerm(t *testing.T) {
+func TestRedirectRejectsArbitrary(t *testing.T) {
 	k := &gridKernel{grid: kernel.Dim2(4, 3), warps: 1}
-	if _, err := Redirect(k, 4, kernel.Arbitrary, nil); err == nil {
-		t.Error("arbitrary indexing without a permutation should fail")
+	if _, err := Redirect(k, 4, kernel.Arbitrary); err == nil {
+		t.Error("redirection with arbitrary indexing should fail")
 	}
-	perm := make([]int, 12)
-	for i := range perm {
-		perm[i] = (i * 5) % 12
+}
+
+// TestRemap3DGridCoversEveryCTA: on a grid with Z > 1, redirection and
+// agent clustering each run every original CTA exactly once in every
+// indexing order. Walking (X, Y) only, col-major left 8 of 24 CTAs
+// unrun and tile-wise panicked.
+func TestRemap3DGridCoversEveryCTA(t *testing.T) {
+	k := &gridKernel{grid: kernel.Dim3{X: 4, Y: 3, Z: 2}, warps: 1}
+	const total = 24
+	isPerm := func(ids []int) bool {
+		seen := make([]bool, total)
+		for _, v := range ids {
+			if v < 0 || v >= total || seen[v] {
+				return false
+			}
+			seen[v] = true
+		}
+		return len(ids) == total
 	}
-	rd, err := Redirect(k, 4, kernel.Arbitrary, perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for u := 0; u < 12; u++ {
-		seen[rd.Target(u)] = true
-	}
-	if len(seen) != 12 {
-		t.Error("arbitrary redirection lost CTAs")
+	ar := arch.GTX570()
+	for _, ix := range []kernel.Indexing{kernel.RowMajor, kernel.ColMajor, kernel.TileWise} {
+		rd, err := Redirect(k, ar.SMs, ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var targets []int
+		for u := 0; u < total; u++ {
+			targets = append(targets, rd.Target(u))
+		}
+		if !isPerm(targets) {
+			t.Errorf("%v: redirect targets %v are not a permutation of 0..%d", ix, targets, total-1)
+		}
+		ag, err := NewAgent(k, AgentConfig{Arch: ar, Indexing: ix})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tasks []int
+		for sm := 0; sm < ar.SMs; sm++ {
+			for a := 0; a < ag.ActiveAgents(); a++ {
+				tasks = append(tasks, ag.Tasks(sm, a)...)
+			}
+		}
+		if !isPerm(tasks) {
+			t.Errorf("%v: agent tasks %v are not a permutation of 0..%d", ix, tasks, total-1)
+		}
 	}
 }
 

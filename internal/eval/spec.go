@@ -59,7 +59,7 @@ func (sp Spec) Kernel(app *workloads.App, ar *arch.Arch) (kernel.Kernel, string,
 	var err error
 	switch scheme {
 	case "RD":
-		k, err = core.Redirect(k, ar.SMs, app.Partition(), nil)
+		k, err = core.Redirect(k, ar.SMs, app.Partition())
 	case "CLU":
 		k, err = core.NewAgent(k, core.AgentConfig{
 			Arch: ar, Indexing: app.Partition(),

@@ -46,6 +46,13 @@ func (d Dim3) Count() int {
 	return x * y * z
 }
 
+// Plane returns the extent as the 2-D grid (X, Y·Z) that CTA orderings
+// and swizzles walk. It keeps the linear CTA id layout z·X·Y + y·X + x,
+// and, as in Count, a zero extent counts as 1.
+func (d Dim3) Plane() (nx, ny int) {
+	return max(d.X, 1), max(d.Y, 1) * max(d.Z, 1)
+}
+
 // String renders the extent CUDA-style.
 func (d Dim3) String() string { return fmt.Sprintf("(%d,%d,%d)", d.X, d.Y, d.Z) }
 
@@ -530,6 +537,15 @@ type ArrayRef struct {
 // reference structure to the optimization framework.
 type RefDescriber interface {
 	ArrayRefs() []ArrayRef
+}
+
+// ArrayRefsOf returns k's array references, or nil if k does not
+// describe them.
+func ArrayRefsOf(k Kernel) []ArrayRef {
+	if rd, ok := k.(RefDescriber); ok {
+		return rd.ArrayRefs()
+	}
+	return nil
 }
 
 // AddressSpace hands out non-overlapping device allocations so workload

@@ -87,11 +87,7 @@ func analyze(ctx context.Context, k kernel.Kernel, ar *arch.Arch) (*Analysis, pr
 		a.Probes.RWConflictFrac = float64(a.Quant.RWConflictLines) / float64(a.Quant.Lines)
 	}
 
-	var refs []kernel.ArrayRef
-	if rd, ok := k.(kernel.RefDescriber); ok {
-		refs = rd.ArrayRefs()
-	}
-	a.Direction = PartitionDirection(k.GridDim(), refs)
+	a.Direction = PartitionDirection(k.GridDim(), kernel.ArrayRefsOf(k))
 
 	cfg := engine.DefaultConfig(ar)
 	base, err := engine.RunContext(ctx, cfg, k)
@@ -103,7 +99,7 @@ func analyze(ctx context.Context, k kernel.Kernel, ar *arch.Arch) (*Analysis, pr
 	a.Probes.BaselineL1Hit = base.L1.HitRate()
 	a.Probes.BaselineL2Txn = base.L2ReadTransactions()
 
-	rd, err := core.Redirect(k, ar.SMs, a.Direction, nil)
+	rd, err := core.Redirect(k, ar.SMs, a.Direction)
 	if err != nil {
 		return nil, runs, fmt.Errorf("locality: redirect probe: %w", err)
 	}

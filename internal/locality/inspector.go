@@ -38,20 +38,8 @@ func InspectorPermutation(k kernel.Kernel, lineBytes int) []int {
 	// Inverted index: line -> CTAs touching it.
 	byLine := make(map[uint64][]int32)
 	for cta := 0; cta < total; cta++ {
-		set := make(map[uint64]struct{})
-		work := k.Work(kernel.Launch{CTA: cta})
-		for _, warp := range work.Warps {
-			for i, op := range warp {
-				if op.Kind != kernel.OpMem || op.Mem.Write {
-					continue
-				}
-				for _, a := range op.Mem.Transactions(warp[i+1:], lineBytes) {
-					set[a] = struct{}{}
-				}
-			}
-		}
-		foot[cta] = set
-		for a := range set {
+		foot[cta] = readFootprint(k, cta, lineBytes)
+		for a := range foot[cta] {
 			byLine[a] = append(byLine[a], int32(cta))
 		}
 	}
@@ -117,28 +105,13 @@ func OverlapScore(k kernel.Kernel, order []int, lineBytes int) int {
 	if lineBytes <= 0 {
 		lineBytes = 32
 	}
-	footOf := func(cta int) map[uint64]struct{} {
-		set := make(map[uint64]struct{})
-		work := k.Work(kernel.Launch{CTA: cta})
-		for _, warp := range work.Warps {
-			for i, op := range warp {
-				if op.Kind != kernel.OpMem || op.Mem.Write {
-					continue
-				}
-				for _, a := range op.Mem.Transactions(warp[i+1:], lineBytes) {
-					set[a] = struct{}{}
-				}
-			}
-		}
-		return set
-	}
 	score := 0
 	if len(order) == 0 {
 		return 0
 	}
-	prev := footOf(order[0])
+	prev := readFootprint(k, order[0], lineBytes)
 	for i := 1; i < len(order); i++ {
-		cur := footOf(order[i])
+		cur := readFootprint(k, order[i], lineBytes)
 		for a := range cur {
 			if _, ok := prev[a]; ok {
 				score++
@@ -147,4 +120,21 @@ func OverlapScore(k kernel.Kernel, order []int, lineBytes int) int {
 		prev = cur
 	}
 	return score
+}
+
+// readFootprint returns the distinct lineBytes-aligned lines CTA cta of
+// k reads.
+func readFootprint(k kernel.Kernel, cta, lineBytes int) map[uint64]struct{} {
+	set := make(map[uint64]struct{})
+	for _, warp := range k.Work(kernel.Launch{CTA: cta}).Warps {
+		for i, op := range warp {
+			if op.Kind != kernel.OpMem || op.Mem.Write {
+				continue
+			}
+			for _, a := range op.Mem.Transactions(warp[i+1:], lineBytes) {
+				set[a] = struct{}{}
+			}
+		}
+	}
+	return set
 }

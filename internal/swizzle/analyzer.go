@@ -194,7 +194,7 @@ func (a *Analyzer) PredictBest(k kernel.Kernel, ar *arch.Arch) (Prediction, erro
 	var p Prediction
 	var best Quant
 	for _, name := range Names() {
-		sk, err := Wrap(name, k)
+		sk, err := WrapFor(name, k, ar)
 		if err != nil {
 			return Prediction{}, err
 		}

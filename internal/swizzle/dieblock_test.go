@@ -22,14 +22,13 @@ func chipletArch(t testing.TB, dies int) *arch.Arch {
 	return a
 }
 
-// TestDieBlockNeedsPlatform pins the Wrap/WrapFor split: the die-aware
-// name through the arch-less entry point is an error, not a silent
-// identity.
+// TestDieBlockNeedsPlatform: the die-aware name without a platform is
+// an error, not a silent identity.
 func TestDieBlockNeedsPlatform(t *testing.T) {
 	k := &tagKernel{grid: kernel.Dim2(8, 8), warps: 1}
-	_, err := Wrap("dieblock", k)
+	_, err := WrapFor("dieblock", k, nil)
 	if err == nil {
-		t.Fatal("Wrap(dieblock) succeeded without a platform")
+		t.Fatal("WrapFor(dieblock, nil) succeeded without a platform")
 	}
 	if !strings.Contains(err.Error(), "architecture-aware") {
 		t.Fatalf("error = %q, want the architecture-aware message", err)

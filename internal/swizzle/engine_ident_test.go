@@ -37,7 +37,7 @@ func TestSwizzledByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range identVariants() {
-			sk, err := Wrap(v, app)
+			sk, err := WrapFor(v, app, ar)
 			if err != nil {
 				t.Fatal(err)
 			}

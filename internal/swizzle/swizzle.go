@@ -10,11 +10,11 @@
 // comparison in internal/eval new science on existing infrastructure.
 //
 // Every variant is a pure CTA-index remap: a bijection perm over the
-// grid's linear CTA ids, applied by wrapping the original kernel the
-// same way core.RedirectKernel does. Conservation therefore holds by
-// construction — the transformed kernel executes exactly the original
-// work multiset — and is proven by the package's conservation and
-// bijectivity-fuzz tests.
+// grid's linear CTA ids, applied by kernel.Remapped, the transform that
+// also carries internal/core's redirection. Conservation therefore
+// holds by construction — the transformed kernel executes exactly the
+// original work multiset — and is proven by the package's conservation
+// and bijectivity-fuzz tests.
 //
 // The package also hosts the L2 inter-CTA reuse analyzer (analyzer.go),
 // the post-coalescing sibling of internal/locality's pre-L1
@@ -61,30 +61,26 @@ const GroupM = 8
 
 // variant describes one registered swizzle: its remap cost and the
 // permutation builder over an nx × ny CTA grid. A nil build means the
-// identity (row-major) order.
+// identity (row-major) order. A die-aware variant's permutation also
+// depends on the platform — the placement family for chiplet GPUs
+// (arXiv 2606.11716) — so it needs one, and build reads it.
 type variant struct {
-	cost  int
-	build func(nx, ny int) []int
+	cost     int
+	dieAware bool
+	build    func(nx, ny int, ar *arch.Arch) []int
 }
 
 var variants = map[string]variant{
-	Identity:   {cost: costIdentity, build: nil},
-	"xor":      {cost: costXOR, build: xorPerm},
-	"groupcol": {cost: costGroupCol, build: groupColPerm},
-	"hilbert":  {cost: costHilbert, build: hilbertPerm},
+	Identity:   {cost: costIdentity},
+	"xor":      {cost: costXOR, build: gridOnly(xorPerm)},
+	"groupcol": {cost: costGroupCol, build: gridOnly(groupColPerm)},
+	"hilbert":  {cost: costHilbert, build: gridOnly(hilbertPerm)},
+	"dieblock": {cost: costDieBlock, dieAware: true, build: dieBlockPerm},
 }
 
-// archVariant describes a swizzle whose permutation depends on the
-// architecture descriptor, not just the grid — the die-aware placement
-// family for chiplet GPUs (arXiv 2606.11716). These are only reachable
-// through WrapFor, which knows the platform.
-type archVariant struct {
-	cost  int
-	build func(nx, ny int, ar *arch.Arch) []int
-}
-
-var archVariants = map[string]archVariant{
-	"dieblock": {cost: costDieBlock, build: dieBlockPerm},
+// gridOnly adapts a permutation builder that needs only the grid.
+func gridOnly(build func(nx, ny int) []int) func(int, int, *arch.Arch) []int {
+	return func(nx, ny int, _ *arch.Arch) []int { return build(nx, ny) }
 }
 
 // Names returns the architecture-independent swizzle names, sorted —
@@ -94,8 +90,10 @@ var archVariants = map[string]archVariant{
 // architecture is in hand (AllNames has the full list).
 func Names() []string {
 	out := make([]string, 0, len(variants))
-	for n := range variants {
-		out = append(out, n)
+	for n, v := range variants {
+		if !v.dieAware {
+			out = append(out, n)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -105,147 +103,47 @@ func Names() []string {
 // ones included, sorted. This is the list user-facing flag validation
 // (internal/cli) and the ctad /transforms endpoint advertise.
 func AllNames() []string {
-	out := make([]string, 0, len(variants)+len(archVariants))
+	out := make([]string, 0, len(variants))
 	for n := range variants {
-		out = append(out, n)
-	}
-	for n := range archVariants {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Kernel is a swizzled kernel: the wrapped original with its CTA ids
-// remapped through a bijection, mirroring core.RedirectKernel. The grid,
+// WrapFor builds the named swizzle of orig for platform ar: orig with
+// its CTA ids remapped, named orig's name plus "+SWZ(name)". The grid,
 // block and resource footprint are unchanged; only the dispatch-order →
-// tile mapping moves.
-type Kernel struct {
-	orig    kernel.Kernel
-	variant string
-	cost    int
-	perm    []int // dispatch slot u -> original linear CTA id; nil = identity
-}
-
-// Wrap builds the named swizzle of orig without an architecture in
-// hand. It accepts exactly the Names() family; die-aware names need
-// WrapFor. Grids with Z > 1 are swizzled on their (X, Y·Z) flattening,
-// which preserves the linear CTA id layout.
-func Wrap(name string, orig kernel.Kernel) (*Kernel, error) {
-	return WrapFor(name, orig, nil)
-}
-
-// WrapFor builds the named swizzle of orig for platform ar. The name
-// is matched case-insensitively against AllNames(); an unknown name
-// yields an error listing the known swizzles in sorted order, matching
-// internal/cli's unknown-app/-arch style. Architecture-aware swizzles
-// (dieblock) require a non-nil ar; on a monolithic descriptor they
-// degenerate to the identity remap at zero cost — there is only one
-// die to keep CTAs on, and the degenerate case keeps `-swizzle
+// tile mapping moves. The name is matched case-insensitively against
+// AllNames(); an unknown name yields an error listing the known
+// swizzles in sorted order, matching internal/cli's unknown-app/-arch
+// style. The Names() family ignores ar, which may be nil. Die-aware
+// swizzles (dieblock) require a non-nil ar; on a monolithic descriptor
+// they degenerate to the identity remap at zero cost — there is only
+// one die to keep CTAs on, and the degenerate case keeps `-swizzle
 // dieblock` harmless rather than erroneous when `-chiplet` is off.
-func WrapFor(name string, orig kernel.Kernel, ar *arch.Arch) (*Kernel, error) {
+// Grids with Z > 1 are swizzled on their (X, Y·Z) plane, which
+// preserves the linear CTA id layout.
+func WrapFor(name string, orig kernel.Kernel, ar *arch.Arch) (*kernel.Remapped, error) {
 	canon := strings.ToLower(strings.TrimSpace(name))
-	g := orig.GridDim()
-	nx, ny := g.X, g.Y
-	if nx < 1 {
-		nx = 1
-	}
-	if ny < 1 {
-		ny = 1
-	}
-	if g.Z > 1 {
-		ny *= g.Z
-	}
-	if av, ok := archVariants[canon]; ok {
-		if ar == nil {
-			return nil, fmt.Errorf("swizzle: %q is architecture-aware and needs a platform (use WrapFor)", canon)
-		}
-		if ar.Chiplets <= 1 {
-			return &Kernel{orig: orig, variant: canon, cost: 0}, nil
-		}
-		perm := av.build(nx, ny, ar)
-		if !isPermutation(perm, nx*ny) {
-			panic(fmt.Sprintf("swizzle: internal error: %s permutation is not bijective on %dx%d", canon, nx, ny))
-		}
-		return &Kernel{orig: orig, variant: canon, cost: av.cost, perm: perm}, nil
-	}
 	v, ok := variants[canon]
 	if !ok {
 		return nil, fmt.Errorf("swizzle: unknown swizzle %q (known: %s)", name, strings.Join(AllNames(), ", "))
 	}
+	if v.dieAware {
+		if ar == nil {
+			return nil, fmt.Errorf("swizzle: %q is architecture-aware and needs a platform", canon)
+		}
+		if ar.Chiplets <= 1 {
+			v = variant{} // one die: the identity at zero cost
+		}
+	}
 	var perm []int
 	if v.build != nil {
-		perm = v.build(nx, ny)
-		if !isPermutation(perm, nx*ny) {
-			panic(fmt.Sprintf("swizzle: internal error: %s permutation is not bijective on %dx%d", canon, nx, ny))
-		}
+		nx, ny := orig.GridDim().Plane()
+		perm = v.build(nx, ny, ar)
 	}
-	return &Kernel{orig: orig, variant: canon, cost: v.cost, perm: perm}, nil
-}
-
-// isPermutation reports whether perm is a bijection over [0, n).
-func isPermutation(perm []int, n int) bool {
-	if len(perm) != n {
-		return false
-	}
-	seen := make([]bool, n)
-	for _, v := range perm {
-		if v < 0 || v >= n || seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return true
-}
-
-// Variant returns the canonical swizzle name.
-func (k *Kernel) Variant() string { return k.variant }
-
-// Name labels the transformed kernel.
-func (k *Kernel) Name() string { return k.orig.Name() + "+SWZ(" + k.variant + ")" }
-
-// GridDim matches the original (a swizzle launches the same grid).
-func (k *Kernel) GridDim() kernel.Dim3 { return k.orig.GridDim() }
-
-// BlockDim matches the original.
-func (k *Kernel) BlockDim() kernel.Dim3 { return k.orig.BlockDim() }
-
-// WarpsPerCTA matches the original.
-func (k *Kernel) WarpsPerCTA() int { return k.orig.WarpsPerCTA() }
-
-// RegsPerThread matches the original (the remap needs two scratch
-// integers, below the allocation granularity).
-func (k *Kernel) RegsPerThread(g arch.Generation) int { return k.orig.RegsPerThread(g) }
-
-// SharedMemPerCTA matches the original.
-func (k *Kernel) SharedMemPerCTA() int { return k.orig.SharedMemPerCTA() }
-
-// ArrayRefs exposes the original kernel's reference structure, so the
-// locality framework's dependence analysis sees through the swizzle.
-func (k *Kernel) ArrayRefs() []kernel.ArrayRef {
-	if rd, ok := k.orig.(kernel.RefDescriber); ok {
-		return rd.ArrayRefs()
-	}
-	return nil
-}
-
-// Target returns the original CTA id that dispatch slot u executes
-// (exported for the property tests and the analyzer).
-func (k *Kernel) Target(u int) int {
-	if k.perm == nil {
-		return u
-	}
-	return k.perm[u]
-}
-
-// Work remaps CTA u to its swizzled tile and charges the per-CTA index
-// recomputation, exactly the way core.RedirectKernel does.
-func (k *Kernel) Work(l kernel.Launch) kernel.CTAWork {
-	l.CTA = k.Target(l.CTA)
-	if k.cost == 0 {
-		return k.orig.Work(l)
-	}
-	return kernel.WorkAfter(k.orig, l, kernel.Compute(k.cost))
+	return kernel.NewRemapped(orig, "+SWZ("+canon+")", v.cost, perm)
 }
 
 // xorPerm is the bit-twiddle swizzle: within each row, tile x is

@@ -87,7 +87,7 @@ func TestSwizzleConservesWork(t *testing.T) {
 		k := &tagKernel{grid: kernel.Dim2(nx, ny), warps: 2}
 		want := footprint(t, k)
 		for _, name := range Names() {
-			sk, err := Wrap(name, k)
+			sk, err := WrapFor(name, k, nil)
 			if err != nil {
 				return false
 			}
@@ -113,7 +113,7 @@ func TestTargetBijective(t *testing.T) {
 	for _, g := range grids {
 		k := &tagKernel{grid: g, warps: 1}
 		for _, name := range Names() {
-			sk, err := Wrap(name, k)
+			sk, err := WrapFor(name, k, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestTargetBijective(t *testing.T) {
 func TestZFlattening(t *testing.T) {
 	k := &tagKernel{grid: kernel.Dim3{X: 4, Y: 3, Z: 2}, warps: 1}
 	for _, name := range Names() {
-		sk, err := Wrap(name, k)
+		sk, err := WrapFor(name, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestZFlattening(t *testing.T) {
 // targets, no prepended index-recomputation cost.
 func TestIdentityPassthrough(t *testing.T) {
 	k := &tagKernel{grid: kernel.Dim2(5, 3), warps: 2}
-	sk, err := Wrap("identity", k)
+	sk, err := WrapFor("identity", k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +172,16 @@ func TestIdentityPassthrough(t *testing.T) {
 }
 
 // TestCostPrepended: every non-identity variant charges its documented
-// per-CTA remap cost as exactly one compute op at the head of each warp.
+// per-CTA remap cost as exactly one compute op at the head of each warp
+// (the die-aware ones on a 2-die platform, where they remap).
 func TestCostPrepended(t *testing.T) {
 	k := &tagKernel{grid: kernel.Dim2(8, 8), warps: 2}
+	ar := chipletArch(t, 2)
 	for name, v := range variants {
-		if name == "identity" {
+		if name == Identity {
 			continue
 		}
-		sk, err := Wrap(name, k)
+		sk, err := WrapFor(name, k, ar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,15 +201,12 @@ func TestCostPrepended(t *testing.T) {
 // property plus the reference structure, and labels the kernel.
 func TestMetadataForwarded(t *testing.T) {
 	k := &tagKernel{grid: kernel.Dim2(6, 4), warps: 3}
-	sk, err := Wrap("XOR", k) // case-insensitive
+	sk, err := WrapFor("XOR", k, nil) // case-insensitive
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sk.Variant() != "xor" {
-		t.Errorf("Variant() = %q, want canonical %q", sk.Variant(), "xor")
-	}
 	if sk.Name() != "tag+SWZ(xor)" {
-		t.Errorf("Name() = %q", sk.Name())
+		t.Errorf("Name() = %q, want the canonical lower-case variant", sk.Name())
 	}
 	if sk.GridDim() != k.grid || sk.BlockDim() != k.BlockDim() || sk.WarpsPerCTA() != 3 {
 		t.Error("grid/block/warps not forwarded")
@@ -224,7 +223,7 @@ func TestMetadataForwarded(t *testing.T) {
 // TestWrapUnknownName: the error lists the known swizzles sorted,
 // matching internal/cli's unknown-app/-arch convention.
 func TestWrapUnknownName(t *testing.T) {
-	_, err := Wrap("zorder", &tagKernel{grid: kernel.Dim2(2, 2), warps: 1})
+	_, err := WrapFor("zorder", &tagKernel{grid: kernel.Dim2(2, 2), warps: 1}, nil)
 	if err == nil {
 		t.Fatal("want error for unknown swizzle")
 	}
@@ -263,7 +262,7 @@ func FuzzSwizzleBijective(f *testing.F) {
 		names := Names()
 		name := names[int(pick)%len(names)]
 		k := &tagKernel{grid: kernel.Dim2(nx, ny), warps: 1}
-		sk, err := Wrap(name, k)
+		sk, err := WrapFor(name, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
