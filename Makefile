@@ -92,32 +92,36 @@ chiplet-smoke:
 	jq .comparisons BENCH_chiplet.json | cmp - /tmp/chiplet-bench.json
 
 # The calibration gate the CI enforces: the calib package wall (codec
-# canonical-form goldens, fitter determinism and recovery) under the
-# race detector, a fit smoke through the real ctacalib binary, a
+# canonical form, apps.csv against the simulator, the paper scorer on
+# synthetic sweeps, fitter determinism and recovery) under the race
+# detector, a fit smoke through the real ctacalib binary, a
 # serial-vs-parallel byte-identity check of the rendered report, and a
-# byte-exact regeneration of the committed BENCH_calib.json accuracy
-# ledger (the file is dateless on purpose so cmp can gate it).
+# byte-exact regeneration of the committed BENCH_calib.json paper
+# report (the file is dateless on purpose so cmp can gate it).
 calib-smoke:
 	$(GO) test -race ./internal/calib
 	$(GO) run -race ./cmd/ctacalib fit -arch TeslaK40 > /dev/null
-	$(GO) run ./cmd/ctacalib report -arch GTX570 -apps MM,SGM,NW -parallel 1 > /tmp/ctacalib-serial.txt
-	$(GO) run ./cmd/ctacalib report -arch GTX570 -apps MM,SGM,NW -parallel 4 > /tmp/ctacalib-parallel.txt
+	$(GO) run ./cmd/ctacalib report -arch GTX570 -parallel 1 > /tmp/ctacalib-serial.txt
+	$(GO) run ./cmd/ctacalib report -arch GTX570 -parallel 4 > /tmp/ctacalib-parallel.txt
 	cmp /tmp/ctacalib-serial.txt /tmp/ctacalib-parallel.txt
 	$(GO) run ./cmd/ctacalib report -json > /tmp/ctacalib-bench.json
 	cmp /tmp/ctacalib-bench.json BENCH_calib.json
 
 # The coverage gate the CI enforces: per-package statement coverage from
-# the full suite, with a hard 70% floor on internal/calib (the accuracy
-# ledger; a coverage hole there un-pins BENCH numbers silently) and
-# report-only visibility everywhere else (tools/covercheck).
+# the full suite, with a hard 70% floor on internal/calib (the paper
+# scorer and fitter; a coverage hole there un-pins BENCH_calib.json
+# silently) and report-only visibility everywhere else
+# (tools/covercheck).
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./tools/covercheck -profile cover.out
 
 # The docs gate the CI enforces: every internal/* and cmd/* package must
-# carry a package-level doc comment, and every flag that README.md or
+# carry a package-level doc comment, every flag that README.md or
 # EXPERIMENTS.md passes to one of this repo's commands must actually be
-# registered by that command (tools/docscheck).
+# registered by that command, and EXPERIMENTS.md's Figure 12/13
+# geo-mean tables must match paper.csv and BENCH_calib.json
+# (tools/docscheck).
 docs-check:
 	$(GO) run ./tools/docscheck
 

@@ -117,19 +117,8 @@ func sweep(b *testing.B, ar *arch.Arch) []*eval.AppResult {
 
 func categoryGeoMeans(results []*eval.AppResult, scheme eval.Scheme,
 	metric func(eval.Cell) float64) (algo, cacheline, rest float64) {
-	var a, c, r []float64
-	for _, res := range results {
-		v := metric(res.Cells[scheme])
-		switch res.App.Category() {
-		case locality.Algorithm:
-			a = append(a, v)
-		case locality.CacheLine:
-			c = append(c, v)
-		default:
-			r = append(r, v)
-		}
-	}
-	return eval.GeoMean(a), eval.GeoMean(c), eval.GeoMean(r)
+	gm := eval.PanelGeoMeans(results, scheme, metric)
+	return gm[0], gm[1], gm[2]
 }
 
 func benchFigure12(b *testing.B, ar *arch.Arch) {

@@ -1,13 +1,11 @@
 package calib
 
 // Canonical CSV codecs for the reference store. The format is rigid on
-// purpose: the goldens pin the committed files byte-for-byte and the
-// fuzz target (FuzzCalibReference) holds decode→re-encode to a fixed
-// point, so every accepted document has exactly one canonical
-// rendering — floats in Go's shortest round-trip form, scenarios in
-// default-then-staggered order, a fixed banner line. A looser format
-// would let two byte-different files mean the same reference and turn
-// the byte-identity goldens into noise.
+// purpose: FuzzCalibReference holds decode→re-encode to the identity,
+// so every accepted document has exactly one canonical rendering —
+// floats in Go's shortest round-trip form, canonical integers, a fixed
+// banner line. A looser format would let two byte-different files mean
+// the same reference.
 
 import (
 	"bytes"
@@ -18,106 +16,14 @@ import (
 )
 
 const (
-	curveBanner = "# ctacalib Figure 2 reference curve; regenerate with `ctacalib seed`"
+	// appsBanner is apps.csv's first line, kept verbatim so the file
+	// stays byte-identical for its readers; TestAppsMatchSimulator's
+	// -update flag is what rewrites the file now.
 	appsBanner  = "# ctacalib per-app reference targets; regenerate with `ctacalib seed`"
-	curveHeader = "scenario,cta,cycles"
 	appsHeader  = "arch,app,cycles,speedup"
+	paperBanner = "# ctacalib paper reference: numbers transcribed by hand from the paper; no code path writes this file"
+	paperHeader = "figure,arch,metric,value,source"
 )
-
-// EncodeCurve renders a curve in the canonical byte form.
-func EncodeCurve(c *Curve) []byte {
-	var b bytes.Buffer
-	b.WriteString(curveBanner + "\n")
-	fmt.Fprintf(&b, "# arch: %s\n", c.Arch)
-	fmt.Fprintf(&b, "# chiplets: %d\n", c.Chiplets)
-	b.WriteString("# paper:")
-	for _, p := range c.Paper {
-		fmt.Fprintf(&b, " %s=%d", p.Name, p.Cycles)
-	}
-	b.WriteString("\n" + curveHeader + "\n")
-	write := func(scenario string, pts []CurvePoint) {
-		for _, p := range pts {
-			b.WriteString(scenario)
-			b.WriteByte(',')
-			b.WriteString(strconv.Itoa(p.CTA))
-			b.WriteByte(',')
-			b.WriteString(strconv.FormatFloat(p.Cycles, 'g', -1, 64))
-			b.WriteByte('\n')
-		}
-	}
-	write("default", c.Default)
-	write("staggered", c.Staggered)
-	return b.Bytes()
-}
-
-// DecodeCurve parses a curve document, rejecting anything that does not
-// decode to a value with a canonical rendering: wrong banner, missing
-// metadata, unknown scenarios, non-finite or negative cycles.
-func DecodeCurve(data []byte) (*Curve, error) {
-	lines, err := splitLines(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(lines) < 5 {
-		return nil, fmt.Errorf("curve: %d lines, want banner, arch, chiplets, paper, header", len(lines))
-	}
-	if lines[0] != curveBanner {
-		return nil, fmt.Errorf("curve: bad banner %q", lines[0])
-	}
-	c := &Curve{}
-	c.Arch, err = metaField(lines[1], "# arch: ")
-	if err != nil {
-		return nil, err
-	}
-	if c.Arch == "" {
-		return nil, fmt.Errorf("curve: empty arch name")
-	}
-	chip, err := metaField(lines[2], "# chiplets: ")
-	if err != nil {
-		return nil, err
-	}
-	if c.Chiplets, err = parseCanonInt(chip); err != nil {
-		return nil, fmt.Errorf("curve: bad chiplets %q", chip)
-	}
-	if c.Paper, err = decodePaper(lines[3]); err != nil {
-		return nil, err
-	}
-	if lines[4] != curveHeader {
-		return nil, fmt.Errorf("curve: bad header %q, want %q", lines[4], curveHeader)
-	}
-	for _, line := range lines[5:] {
-		f := strings.Split(line, ",")
-		if len(f) != 3 {
-			return nil, fmt.Errorf("curve: row %q has %d fields, want 3", line, len(f))
-		}
-		cta, err := parseCanonInt(f[1])
-		if err != nil {
-			return nil, fmt.Errorf("curve: bad cta %q", f[1])
-		}
-		cyc, err := parseCycles(f[2])
-		if err != nil {
-			return nil, fmt.Errorf("curve: row %q: %v", line, err)
-		}
-		pt := CurvePoint{CTA: cta, Cycles: cyc}
-		switch f[0] {
-		case "default":
-			// Canonical order is all default rows, then all staggered
-			// rows; an interleaving would re-encode differently.
-			if len(c.Staggered) > 0 {
-				return nil, fmt.Errorf("curve: default row %q after staggered rows", line)
-			}
-			c.Default = append(c.Default, pt)
-		case "staggered":
-			c.Staggered = append(c.Staggered, pt)
-		default:
-			return nil, fmt.Errorf("curve: unknown scenario %q", f[0])
-		}
-	}
-	if len(c.Default) == 0 || len(c.Staggered) == 0 {
-		return nil, fmt.Errorf("curve: %s needs both scenarios (default %d pts, staggered %d)", c.Arch, len(c.Default), len(c.Staggered))
-	}
-	return c, nil
-}
 
 // EncodeApps renders the per-app targets in the canonical byte form.
 func EncodeApps(apps []AppTarget) []byte {
@@ -167,6 +73,53 @@ func DecodeApps(data []byte) ([]AppTarget, error) {
 	return out, nil
 }
 
+// EncodePaper renders paper.csv's rows in the canonical byte form.
+func EncodePaper(vals []PaperValue) []byte {
+	var b bytes.Buffer
+	b.WriteString(paperBanner + "\n" + paperHeader + "\n")
+	for _, v := range vals {
+		fmt.Fprintf(&b, "%d,%s,%s,%s,%s\n", v.Figure, v.Arch, v.Metric,
+			strconv.FormatFloat(v.Value, 'g', -1, 64), v.Source)
+	}
+	return b.Bytes()
+}
+
+// DecodePaper parses a paper reference document. The source is the
+// last field and may itself contain commas; a (figure, arch, metric)
+// key may appear only once.
+func DecodePaper(data []byte) ([]PaperValue, error) {
+	lines, err := splitLines(data)
+	if err != nil {
+		return nil, err
+	}
+	if len(lines) < 2 || lines[0] != paperBanner || lines[1] != paperHeader {
+		return nil, fmt.Errorf("paper: want banner and header %q", paperHeader)
+	}
+	var out []PaperValue
+	seen := map[[3]string]bool{}
+	for _, line := range lines[2:] {
+		f := strings.SplitN(line, ",", 5)
+		if len(f) != 5 || f[1] == "" || f[2] == "" || f[4] == "" {
+			return nil, fmt.Errorf("paper: row %q needs figure, arch, metric, value and source", line)
+		}
+		fig, err := parseCanonInt(f[0])
+		if err != nil || (fig != 2 && fig != 12 && fig != 13) {
+			return nil, fmt.Errorf("paper: row %q: figure must be 2, 12 or 13", line)
+		}
+		val, err := parseCycles(f[3])
+		if err != nil || val == 0 {
+			return nil, fmt.Errorf("paper: row %q: value must be positive", line)
+		}
+		key := [3]string{f[0], f[1], f[2]}
+		if seen[key] {
+			return nil, fmt.Errorf("paper: duplicate row for %v", key)
+		}
+		seen[key] = true
+		out = append(out, PaperValue{Figure: fig, Arch: f[1], Metric: f[2], Value: val, Source: f[4]})
+	}
+	return out, nil
+}
+
 // splitLines splits on '\n', requiring a trailing newline and no CR or
 // empty interior lines — the canonical framing both encoders emit.
 func splitLines(data []byte) ([]string, error) {
@@ -183,56 +136,6 @@ func splitLines(data []byte) ([]string, error) {
 		}
 	}
 	return lines, nil
-}
-
-// metaField strips an exact "# key: " prefix.
-func metaField(line, prefix string) (string, error) {
-	if !strings.HasPrefix(line, prefix) {
-		return "", fmt.Errorf("curve: line %q does not start with %q", line, prefix)
-	}
-	return line[len(prefix):], nil
-}
-
-// decodePaper parses the "# paper: Name=123 ..." annotation line. An
-// empty annotation ("# paper:") is allowed — it means no published
-// point was transcribed for this curve.
-func decodePaper(line string) ([]PaperPoint, error) {
-	const prefix = "# paper:"
-	if !strings.HasPrefix(line, prefix) {
-		return nil, fmt.Errorf("curve: line %q does not start with %q", line, prefix)
-	}
-	rest := line[len(prefix):]
-	if rest == "" {
-		return nil, nil
-	}
-	var out []PaperPoint
-	for _, tok := range strings.Split(rest, " ") {
-		if tok == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(tok, "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("curve: bad paper point %q", tok)
-		}
-		v, err := parseCanonInt(val)
-		if err != nil {
-			return nil, fmt.Errorf("curve: bad paper cycles %q", tok)
-		}
-		out = append(out, PaperPoint{Name: name, Cycles: v})
-	}
-	// Canonical re-encode joins with single spaces; reject padded input.
-	if canon := encodePaper(out); canon != rest {
-		return nil, fmt.Errorf("curve: non-canonical paper annotation %q", rest)
-	}
-	return out, nil
-}
-
-func encodePaper(pts []PaperPoint) string {
-	var b strings.Builder
-	for _, p := range pts {
-		fmt.Fprintf(&b, " %s=%d", p.Name, p.Cycles)
-	}
-	return b.String()
 }
 
 // parseCanonInt parses a non-negative integer in canonical form:

@@ -1,9 +1,10 @@
 package calib
 
-// The deterministic latency fitter: seeded coordinate descent over the
-// arch.LatencyParams table, minimizing CurveRMS against the committed
-// Figure 2 reference. Determinism is structural, not statistical —
-// there is no randomness anywhere in the loop:
+// The deterministic latency fitter: coordinate descent over the
+// arch.LatencyParams table, minimizing the RMS relative error between
+// the microbenchmark's Figure 2 plateaus and the paper's points
+// (figure2.go). Determinism is structural, not statistical — there is
+// no randomness anywhere in the loop:
 //
 //   - parameters are visited in the canonical LatencyParams order;
 //   - each parameter tries a fixed offset ladder (±1 … ±64) in a fixed
@@ -12,10 +13,11 @@ package calib
 //   - every candidate is simulated with the same engine seed.
 //
 // Two fits of the same (descriptor, reference, options) are therefore
-// byte-identical — the same discipline every other subsystem in this
-// repo is held to. The fitter
-// works on value copies throughout and never mutates the registry
-// descriptor it is handed.
+// deeply equal — the same discipline every other subsystem in this
+// repo is held to. The fitter works on value copies throughout and
+// never mutates the registry descriptor it is handed. A parameter the
+// shown points do not depend on (DRAMInterval; L2Latency on
+// Fermi/Kepler) never moves, since only a strict improvement does.
 
 import (
 	"fmt"
@@ -31,10 +33,10 @@ import (
 // so the fit cannot wander along flat regions of the objective.
 var fitOffsets = []int{-1, 1, -2, 2, -4, 4, -8, 8, -16, 16, -32, 32, -64, 64}
 
-// DefaultMaxSweeps bounds the coordinate-descent passes when
-// FitOptions.MaxSweeps is zero. Convergence is typically 2-3 sweeps;
-// the bound exists so a pathological reference terminates.
-const DefaultMaxSweeps = 8
+// maxSweeps bounds the coordinate-descent passes. Convergence is
+// typically 2-3 sweeps; the bound exists so a pathological reference
+// terminates.
+const maxSweeps = 8
 
 // FitOptions tunes a fit.
 type FitOptions struct {
@@ -43,8 +45,6 @@ type FitOptions struct {
 	// the recovery tests start from deliberately perturbed tables.
 	// Must describe the same platform (same name) as the fit target.
 	Start *arch.Arch
-	// MaxSweeps bounds full coordinate passes; 0 means DefaultMaxSweeps.
-	MaxSweeps int
 }
 
 // ParamFit records one parameter's journey through a fit.
@@ -63,9 +63,10 @@ type FitResult struct {
 	// Params holds one entry per fitted parameter in canonical order,
 	// From the start value and To the fitted one.
 	Params []ParamFit
-	// Before and After are the CurveRMS objective at the start and
-	// fitted tables. After <= Before always (descent only moves on
-	// strict improvement).
+	// Before and After are the objective — the RMS relative error of
+	// the shown Figure 2 points — at the start and fitted tables.
+	// After <= Before always (descent only moves on strict
+	// improvement).
 	Before, After float64
 	// Sweeps is the number of full coordinate passes run (the last one
 	// made no move); Evals counts distinct simulated latency tables.
@@ -84,10 +85,9 @@ func (r *FitResult) Changed() []ParamFit {
 }
 
 // Fit runs the coordinate descent for one platform against the
-// committed reference store.
+// paper's Figure 2 points in the reference store.
 func Fit(ar *arch.Arch, ref *Reference, opt FitOptions) (*FitResult, error) {
-	refCurve, err := ref.CurveFor(ar.Name)
-	if err != nil {
+	if _, err := ref.figure2Points(ar.Name, nil); err != nil {
 		return nil, err
 	}
 	work := *ar // value copy: Arch has no pointers, this is a deep clone
@@ -105,7 +105,7 @@ func Fit(ar *arch.Arch, ref *Reference, opt FitOptions) (*FitResult, error) {
 		return nil, fmt.Errorf("calib: fit start table invalid: %w", err)
 	}
 
-	obj := &objective{ref: refCurve, memo: map[string]float64{}}
+	obj := &objective{ref: ref, memo: map[string]float64{}}
 	params := arch.LatencyParams(&work)
 	res := &FitResult{}
 	for _, p := range params {
@@ -117,10 +117,6 @@ func Fit(ar *arch.Arch, ref *Reference, opt FitOptions) (*FitResult, error) {
 	}
 	res.Before = best
 
-	maxSweeps := opt.MaxSweeps
-	if maxSweeps <= 0 {
-		maxSweeps = DefaultMaxSweeps
-	}
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		res.Sweeps++
 		moved := false
@@ -163,10 +159,10 @@ func Fit(ar *arch.Arch, ref *Reference, opt FitOptions) (*FitResult, error) {
 	return res, nil
 }
 
-// objective memoizes CurveRMS evaluations by latency-table key, so the
+// objective memoizes Figure 2 point errors by latency-table key, so the
 // descent never simulates the same candidate twice.
 type objective struct {
-	ref  *Curve
+	ref  *Reference
 	memo map[string]float64
 }
 
@@ -175,11 +171,15 @@ func (o *objective) eval(a *arch.Arch) (float64, error) {
 	if v, ok := o.memo[key]; ok {
 		return v, nil
 	}
-	def, stag, err := simCurves(a)
+	shown, err := plateaus(a)
 	if err != nil {
 		return 0, err
 	}
-	v := CurveRMS(def, stag, o.ref)
+	pts, err := o.ref.figure2Points(a.Name, shown)
+	if err != nil {
+		return 0, err
+	}
+	v := rms(pts)
 	o.memo[key] = v
 	return v, nil
 }

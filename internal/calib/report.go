@@ -1,15 +1,19 @@
 package calib
 
-// The correlation report: the accuracy side of every BENCH_*.json speed
-// number. For each (platform, app) cell it simulates the baseline and
-// the CLU clustering scheme (maximum allowable agents — the one
-// evaluated column that needs no throttle sweep, so the report stays
-// deterministic and cheap) and scores cycles and speedup against the
-// committed reference targets; per platform it also reports the
-// Figure 2 curve RMS at the committed latency table. At the seed
-// reference the errors are exactly zero; any engine change that moves
-// a simulated number shows up here as a signed per-cell error — the
-// accuracy delta `make calib-smoke` pins next to each PR's speed delta.
+// The paper report: the accuracy side of every BENCH_*.json speed
+// number. Per platform it runs the same eval.EvaluateAll sweep
+// `evaluate` prints and scores, against paper.csv:
+//
+//   - each Figure 12/13 panel's CLU+TOT geometric mean, as the signed
+//     ln(measured/paper) — symmetric in over- and under-shoot, so a
+//     factor of two off scores the same either way;
+//   - how many apps' swept CLU+TOT agent counts equal Table 2's optimal
+//     agents;
+//   - the Figure 2 latency points the microbenchmark shows (figure2.go)
+//     at the committed latency table.
+//
+// Score is a pure function of the sweep, so unit tests drive it with
+// synthetic results.
 
 import (
 	"fmt"
@@ -18,216 +22,149 @@ import (
 
 	"ctacluster/internal/api"
 	"ctacluster/internal/arch"
-	"ctacluster/internal/core"
-	"ctacluster/internal/engine"
 	"ctacluster/internal/eval"
-	"ctacluster/internal/kernel"
 	"ctacluster/internal/workloads"
 )
 
-// ReportOptions tunes a report run. Parallelism is execution-only: the
-// rendered report is byte-identical at every setting.
-type ReportOptions struct {
-	Parallelism int
+// PanelCell is one Figure 12/13 panel geometric mean on one platform.
+type PanelCell struct {
+	Figure   int     `json:"figure"`
+	Panel    string  `json:"panel"`
+	Paper    float64 `json:"paper"`
+	Measured float64 `json:"measured"`
+	// LnErr is ln(Measured/Paper): positive when the reproduction
+	// overshoots the paper.
+	LnErr float64 `json:"ln_err"`
 }
 
-// AppCell is one app's accuracy scores on one platform. Errors are
-// signed relative deviations from the reference ((sim-ref)/ref), so a
-// +2% cycle error means the engine got 2% slower than the committed
-// accuracy baseline on this cell.
-type AppCell struct {
-	App        string  `json:"app"`
-	SimCycles  int64   `json:"sim_cycles"`
-	RefCycles  int64   `json:"ref_cycles"`
-	CycleErr   float64 `json:"cycle_err"`
-	SimSpeedup float64 `json:"sim_speedup"`
-	RefSpeedup float64 `json:"ref_speedup"`
-	SpeedupErr float64 `json:"speedup_err"`
-}
-
-// ArchReport is one platform's slice of the report.
-type ArchReport struct {
+// ArchScore is one platform's slice of the report.
+type ArchScore struct {
 	Arch string `json:"arch"`
-	// CurveRMS is the Figure 2 microbench curve error at the committed
-	// latency table — the fitter's objective, 0 at the seed reference.
-	CurveRMS float64   `json:"curve_rms"`
-	Cells    []AppCell `json:"cells"`
-	// Aggregates over this platform's cells.
-	MeanAbsCycleErr   float64 `json:"mean_abs_cycle_err"`
-	MeanAbsSpeedupErr float64 `json:"mean_abs_speedup_err"`
-	MaxAbsCycleErr    float64 `json:"max_abs_cycle_err"`
-	MaxAbsSpeedupErr  float64 `json:"max_abs_speedup_err"`
+	// Panels holds Figure 12's three panels, then Figure 13's, each in
+	// eval.Panels order.
+	Panels []PanelCell `json:"panels"`
+	// OptAgentsMatch counts the apps whose swept CLU+TOT agent count
+	// equals Table 2's optimal agents, out of Apps.
+	OptAgentsMatch int `json:"opt_agents_match"`
+	Apps           int `json:"apps"`
+	// Figure2 holds the paper's Figure 2 points the microbenchmark
+	// shows, and Figure2RMS their RMS relative error — the fitter's
+	// objective at the committed latency table.
+	Figure2    []Point `json:"figure2"`
+	Figure2RMS float64 `json:"figure2_rms"`
 }
 
-// Summary aggregates the whole matrix.
-type Summary struct {
-	Cells             int     `json:"cells"`
-	MeanAbsCycleErr   float64 `json:"mean_abs_cycle_err"`
-	MeanAbsSpeedupErr float64 `json:"mean_abs_speedup_err"`
-	// Within5 / Within10 count cells whose cycle AND speedup errors
-	// are both within ±5% / ±10% of the reference.
-	Within5  int `json:"within_5pct"`
-	Within10 int `json:"within_10pct"`
-}
-
-// Report is the full correlation report (the BENCH_calib.json schema).
-// The metadata fields are constants stamped by BuildReport, matching
-// the other BENCH_*.json files' self-description — deliberately minus a
+// Report is the full paper report (the BENCH_calib.json schema). The
+// metadata fields are constants stamped by Score, deliberately minus a
 // date key, so the committed file is byte-reproducible and the calib CI
 // job can regenerate and cmp it directly.
 type Report struct {
-	Benchmark   string       `json:"benchmark"`
-	GeneratedBy string       `json:"generated_by"`
-	Note        string       `json:"note"`
-	Arches      []ArchReport `json:"arches"`
-	Summary     Summary      `json:"summary"`
+	Benchmark   string      `json:"benchmark"`
+	GeneratedBy string      `json:"generated_by"`
+	Note        string      `json:"note"`
+	Arches      []ArchScore `json:"arches"`
+	// MeanAbsLnErr is the mean |ln(measured/paper)| over every panel
+	// cell of every platform.
+	MeanAbsLnErr float64 `json:"mean_abs_ln_err"`
 }
 
-// The metadata constants BuildReport stamps into every report. They are
-// part of the bytes BENCH_calib.json and the report goldens pin.
+// The metadata constants Score stamps into every report.
 const (
-	reportBenchmark = "ctacalib report -json (per-app cycle and speedup error vs the committed calibration reference, plus per-platform Figure 2 curve RMS at the committed latency tables)"
+	reportBenchmark = "ctacalib report -json (the reproduction scored against the paper: Figure 12/13 CLU+TOT panel geometric means as ln(measured/paper), Table 2 optimal-agent agreement, and Figure 2 latency-point errors at the committed latency tables)"
 	reportGenerated = "go run ./cmd/ctacalib report -json"
-	reportNote      = "Deterministic and dateless on purpose: a rerun of the generating command reproduces this file byte-identically at any -parallel setting (make calib-smoke regenerates and compares it). Errors are signed relative deviations (sim-ref)/ref; the reference was seeded from the simulator at the committed latency tables, so all-zero errors mean the engine still reproduces its calibration baseline exactly, and any nonzero cell is an accuracy drift introduced after seeding."
+	reportNote      = "Deterministic and dateless on purpose: a rerun of the generating command reproduces this file byte-identically at any -parallel setting (make calib-smoke regenerates and compares it). Paper values come from the hand-written internal/calib/testdata/paper.csv; measured values come from the same sweep `evaluate` prints."
 )
 
-// simCell is one simulated (platform, app) outcome.
-type simCell struct {
-	cycles  int64
-	speedup float64
+// figureMetrics maps Figures 12 and 13 onto the cell metric their
+// panel geometric means pool.
+var figureMetrics = []struct {
+	figure int
+	metric func(eval.Cell) float64
+}{
+	{12, func(c eval.Cell) float64 { return c.Speedup }},
+	{13, func(c eval.Cell) float64 { return c.L2Norm }},
 }
 
-// simMatrix simulates baseline and CLU for every (platform, app) cell,
-// fanned out over opt.Parallelism workers; the returned matrix is
-// platform-major in input order and byte-identical at every worker
-// count (each job owns its slot; all math happens after Each returns).
-func simMatrix(platforms []*arch.Arch, apps []*workloads.App, opt ReportOptions) ([][]simCell, error) {
-	// Job 2c runs cell c's baseline, job 2c+1 its clustering.
-	runs := make([]*engine.Result, 2*len(platforms)*len(apps))
-	err := eval.NewRunner(opt.Parallelism).Each(len(runs), func(j int) error {
-		ar, app := platforms[j/2/len(apps)], apps[j/2%len(apps)]
-		var k kernel.Kernel = app
-		label := "BSL"
-		if j%2 == 1 {
-			clu, err := core.NewAgent(app, core.AgentConfig{Arch: ar, Indexing: app.Partition()})
-			if err != nil {
-				return fmt.Errorf("calib: %s/%s: %w", app.Name(), ar.Name, err)
-			}
-			k, label = clu, "CLU"
+// BuildReport runs the evaluate sweep and the Figure 2 microbenchmark on
+// every platform and scores both against the paper. parallelism caps
+// the simulations in flight; the report is byte-identical at every
+// setting.
+func BuildReport(platforms []*arch.Arch, ref *Reference, parallelism int) (*Report, error) {
+	// Reject a platform the paper did not measure before sweeping it.
+	for _, ar := range platforms {
+		if _, err := ref.figure2Points(ar.Name, nil); err != nil {
+			return nil, err
 		}
-		r, err := engine.Run(engine.DefaultConfig(ar), k)
-		if err != nil {
-			return fmt.Errorf("calib: %s/%s %s: %w", app.Name(), ar.Name, label, err)
-		}
-		runs[j] = r
-		return nil
-	})
+	}
+	results, err := eval.EvaluateAll(platforms, workloads.Table2(), eval.Options{Parallelism: parallelism}, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	out := make([][]simCell, len(platforms))
-	for pi := range platforms {
-		out[pi] = make([]simCell, len(apps))
-		for ai := range apps {
-			c := 2 * (pi*len(apps) + ai)
-			base, clu := runs[c], runs[c+1]
-			cell := simCell{cycles: base.Cycles}
-			if clu.Cycles > 0 {
-				cell.speedup = float64(base.Cycles) / float64(clu.Cycles)
-			}
-			out[pi][ai] = cell
+	shown := make([]map[string]float64, len(platforms))
+	for i, ar := range platforms {
+		if shown[i], err = plateaus(ar); err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	return Score(ref, results, shown)
 }
 
-// relErr is the signed relative deviation of sim from ref; a zero
-// reference scores zero rather than dividing by it.
-func relErr(sim, ref float64) float64 {
-	if ref == 0 {
-		return 0
-	}
-	return (sim - ref) / ref
-}
-
-// BuildReport runs the full correlation matrix and scores it against
-// the committed reference.
-func BuildReport(platforms []*arch.Arch, apps []*workloads.App, ref *Reference, opt ReportOptions) (*Report, error) {
-	cells, err := simMatrix(platforms, apps, opt)
-	if err != nil {
-		return nil, err
-	}
+// Score scores a sweep against the paper. shown[i] holds the Figure 2
+// plateaus the microbenchmark showed on results[i]'s platform.
+func Score(ref *Reference, results []eval.PlatformResult, shown []map[string]float64) (*Report, error) {
 	rep := &Report{Benchmark: reportBenchmark, GeneratedBy: reportGenerated, Note: reportNote}
-	for pi, ar := range platforms {
-		refCurve, err := ref.CurveFor(ar.Name)
+	cells := 0
+	for i, pr := range results {
+		a := ArchScore{Arch: pr.Arch.Name, Apps: len(pr.Results)}
+		for _, fm := range figureMetrics {
+			gms := eval.PanelGeoMeans(pr.Results, eval.CLUTOT, fm.metric)
+			for pi, p := range eval.Panels {
+				paper, err := ref.PaperFor(fm.figure, pr.Arch.Name, p.Name)
+				if err != nil {
+					return nil, err
+				}
+				c := PanelCell{Figure: fm.figure, Panel: p.Name, Paper: paper, Measured: gms[pi], LnErr: math.Log(gms[pi] / paper)}
+				a.Panels = append(a.Panels, c)
+				rep.MeanAbsLnErr += math.Abs(c.LnErr)
+				cells++
+			}
+		}
+		for _, r := range pr.Results {
+			if r.Cells[eval.CLUTOT].Agents == r.App.OptAgents(pr.Arch.Gen) {
+				a.OptAgentsMatch++
+			}
+		}
+		pts, err := ref.figure2Points(pr.Arch.Name, shown[i])
 		if err != nil {
 			return nil, err
 		}
-		def, stag, err := simCurves(ar)
-		if err != nil {
-			return nil, err
-		}
-		a := ArchReport{Arch: ar.Name, CurveRMS: CurveRMS(def, stag, refCurve)}
-		for ai, app := range apps {
-			t, err := ref.TargetFor(ar.Name, app.Name())
-			if err != nil {
-				return nil, err
-			}
-			sim := cells[pi][ai]
-			cell := AppCell{
-				App:        app.Name(),
-				SimCycles:  sim.cycles,
-				RefCycles:  t.Cycles,
-				CycleErr:   relErr(float64(sim.cycles), float64(t.Cycles)),
-				SimSpeedup: sim.speedup,
-				RefSpeedup: t.Speedup,
-				SpeedupErr: relErr(sim.speedup, t.Speedup),
-			}
-			a.Cells = append(a.Cells, cell)
-			a.MeanAbsCycleErr += math.Abs(cell.CycleErr)
-			a.MeanAbsSpeedupErr += math.Abs(cell.SpeedupErr)
-			a.MaxAbsCycleErr = math.Max(a.MaxAbsCycleErr, math.Abs(cell.CycleErr))
-			a.MaxAbsSpeedupErr = math.Max(a.MaxAbsSpeedupErr, math.Abs(cell.SpeedupErr))
-			rep.Summary.Cells++
-			rep.Summary.MeanAbsCycleErr += math.Abs(cell.CycleErr)
-			rep.Summary.MeanAbsSpeedupErr += math.Abs(cell.SpeedupErr)
-			if math.Abs(cell.CycleErr) <= 0.05 && math.Abs(cell.SpeedupErr) <= 0.05 {
-				rep.Summary.Within5++
-			}
-			if math.Abs(cell.CycleErr) <= 0.10 && math.Abs(cell.SpeedupErr) <= 0.10 {
-				rep.Summary.Within10++
-			}
-		}
-		if n := len(a.Cells); n > 0 {
-			a.MeanAbsCycleErr /= float64(n)
-			a.MeanAbsSpeedupErr /= float64(n)
-		}
+		a.Figure2, a.Figure2RMS = pts, rms(pts)
 		rep.Arches = append(rep.Arches, a)
 	}
-	if rep.Summary.Cells > 0 {
-		rep.Summary.MeanAbsCycleErr /= float64(rep.Summary.Cells)
-		rep.Summary.MeanAbsSpeedupErr /= float64(rep.Summary.Cells)
+	if cells > 0 {
+		rep.MeanAbsLnErr /= float64(cells)
 	}
 	return rep, nil
 }
 
-// WriteText renders the report as aligned tables, one per platform.
+// WriteText renders the report as one block per platform.
 func (r *Report) WriteText(w io.Writer) {
+	cells := 0
 	for _, a := range r.Arches {
-		fmt.Fprintf(w, "== %s (Figure 2 curve RMS %.4f) ==\n", a.Arch, a.CurveRMS)
-		fmt.Fprintf(w, "%-5s %12s %12s %10s %12s %12s %12s\n",
-			"app", "sim cycles", "ref cycles", "cycle err", "sim speedup", "ref speedup", "speedup err")
-		for _, c := range a.Cells {
-			fmt.Fprintf(w, "%-5s %12d %12d %9.2f%% %12.3f %12.3f %11.2f%%\n",
-				c.App, c.SimCycles, c.RefCycles, 100*c.CycleErr, c.SimSpeedup, c.RefSpeedup, 100*c.SpeedupErr)
+		cells += len(a.Panels)
+		fmt.Fprintf(w, "== %s ==\n", a.Arch)
+		fmt.Fprintf(w, "%-6s %-20s %6s %9s %8s\n", "figure", "panel (CLU+TOT G-M)", "paper", "measured", "ln err")
+		for _, c := range a.Panels {
+			fmt.Fprintf(w, "%-6d %-20s %6.2f %9.2f %+8.4f\n", c.Figure, c.Panel, c.Paper, c.Measured, c.LnErr)
 		}
-		fmt.Fprintf(w, "mean |cycle err| %.2f%%  mean |speedup err| %.2f%%  max %.2f%% / %.2f%%\n\n",
-			100*a.MeanAbsCycleErr, 100*a.MeanAbsSpeedupErr, 100*a.MaxAbsCycleErr, 100*a.MaxAbsSpeedupErr)
+		fmt.Fprintf(w, "opt agents: %d/%d apps' swept CLU+TOT agent counts equal Table 2\n", a.OptAgentsMatch, a.Apps)
+		fmt.Fprintf(w, "Figure 2 (RMS %.4f):", a.Figure2RMS)
+		for _, p := range a.Figure2 {
+			fmt.Fprintf(w, "  %s paper %.0f sim %.0f (%+.2f%%)", p.Name, p.Paper, p.Sim, 100*p.RelErr)
+		}
+		fmt.Fprint(w, "\n\n")
 	}
-	s := r.Summary
-	fmt.Fprintf(w, "summary: %d cells  mean |cycle err| %.2f%%  mean |speedup err| %.2f%%  within 5%%: %d/%d  within 10%%: %d/%d\n",
-		s.Cells, 100*s.MeanAbsCycleErr, 100*s.MeanAbsSpeedupErr, s.Within5, s.Cells, s.Within10, s.Cells)
+	fmt.Fprintf(w, "summary: mean |ln(measured/paper)| %.4f over %d panel cells\n", r.MeanAbsLnErr, cells)
 }
 
 // WriteJSON renders the report in the canonical JSON form (two-space

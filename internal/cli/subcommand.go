@@ -8,7 +8,7 @@ import (
 
 // Subcommand splits an argv tail (os.Args[1:]) into a leading
 // subcommand word and the remaining arguments, for the CLIs that verb
-// their invocations (ctacalib seed/fit/report). The word must come
+// their invocations (ctacalib fit/report). The word must come
 // before any flag — Go's flag package stops at the first non-flag
 // argument anyway, so a flag-first invocation would silently drop the
 // verb; rejecting it here turns that mistake into a clear error. known

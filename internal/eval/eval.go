@@ -11,10 +11,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"ctacluster/internal/arch"
 	"ctacluster/internal/core"
 	"ctacluster/internal/engine"
+	"ctacluster/internal/locality"
 	"ctacluster/internal/workloads"
 )
 
@@ -239,4 +241,40 @@ func GeoMean(xs []float64) float64 {
 		return 1
 	}
 	return math.Exp(sum / float64(n))
+}
+
+// Panel is one Figure 12/13 panel: the Table 2 categories whose apps
+// its geometric mean pools.
+type Panel struct {
+	Name string
+	Cats []locality.Category
+}
+
+// Panels lists the three Figure 12/13 panels in presentation order.
+var Panels = []Panel{
+	{"algorithm-related", []locality.Category{locality.Algorithm}},
+	{"cache-line-related", []locality.Category{locality.CacheLine}},
+	{"data/write/streaming", []locality.Category{locality.Data, locality.Write, locality.Streaming}},
+}
+
+// Has reports whether app belongs to the panel.
+func (p Panel) Has(app *workloads.App) bool {
+	return slices.Contains(p.Cats, app.Category())
+}
+
+// PanelGeoMeans returns, per panel in Panels order, the geometric mean
+// of metric over scheme's cells of the panel's apps — the G-M rows the
+// paper annotates on Figures 12 and 13.
+func PanelGeoMeans(results []*AppResult, scheme Scheme, metric func(Cell) float64) []float64 {
+	out := make([]float64, len(Panels))
+	for i, p := range Panels {
+		var xs []float64
+		for _, r := range results {
+			if p.Has(r.App) {
+				xs = append(xs, metric(r.Cells[scheme]))
+			}
+		}
+		out[i] = GeoMean(xs)
+	}
+	return out
 }

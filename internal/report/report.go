@@ -132,8 +132,8 @@ func Table2(apps []*workloads.App) *Table {
 	return t
 }
 
-// figure2Points caps a Figure 2 table's rows; the full series is what
-// ctacalib seed writes to curves_*.csv.
+// figure2Points caps a Figure 2 table's rows; the sparkline under the
+// tables echoes the full series.
 const figure2Points = 24
 
 // Figure2 renders one microbenchmark scenario: the access cycles of the
@@ -230,109 +230,65 @@ func Figure3(apps []*workloads.App, lineBytes int) *Table {
 	return t
 }
 
-// categoryGroups returns the three Figure 12/13 panel groupings.
-func categoryGroups() []struct {
-	Name string
-	Cats []locality.Category
-} {
-	return []struct {
-		Name string
-		Cats []locality.Category
-	}{
-		{"algorithm-related", []locality.Category{locality.Algorithm}},
-		{"cache-line-related", []locality.Category{locality.CacheLine}},
-		{"data/write/streaming", []locality.Category{locality.Data, locality.Write, locality.Streaming}},
-	}
-}
-
-func inCats(c locality.Category, cats []locality.Category) bool {
-	for _, x := range cats {
-		if x == c {
-			return true
-		}
-	}
-	return false
-}
-
 // Figure12 renders the speedup panels for one architecture: per app, the
 // normalized speedup of each scheme plus achieved occupancy, with the
 // per-panel geometric means the paper annotates.
 func Figure12(ar *arch.Arch, results []*eval.AppResult) []*Table {
-	var tables []*Table
-	for _, grp := range categoryGroups() {
-		t := &Table{
-			Title: fmt.Sprintf("Figure 12 (%s, %s): normalized speedup", ar.Name, grp.Name),
+	return figurePanels(results, func(c eval.Cell) float64 { return c.Speedup }, func(p eval.Panel) *Table {
+		return &Table{
+			Title: fmt.Sprintf("Figure 12 (%s, %s): normalized speedup", ar.Name, p.Name),
 			Header: []string{"App", "BSL", "RD", "CLU", "CLU+TOT", "CLU+TOT+BPS", "PFH+TOT",
 				"AC_OCP(best)", "opt agents"},
 		}
-		per := map[eval.Scheme][]float64{}
-		n := 0
-		for _, r := range results {
-			if !inCats(r.App.Category(), grp.Cats) {
-				continue
-			}
-			n++
-			row := []string{r.App.Name()}
-			for _, s := range eval.Schemes {
-				c := r.Cells[s]
-				row = append(row, fmt.Sprintf("%.2f", c.Speedup))
-				per[s] = append(per[s], c.Speedup)
-			}
-			best := r.Best()
-			row = append(row, fmt.Sprintf("%.2f", best.OccNorm), fmt.Sprint(r.Cells[eval.CLUTOT].Agents))
-			t.Rows = append(t.Rows, row)
-		}
-		if n == 0 {
-			continue
-		}
-		gm := []string{"G-M"}
-		for _, s := range eval.Schemes {
-			gm = append(gm, fmt.Sprintf("%.2f", eval.GeoMean(per[s])))
-		}
-		gm = append(gm, "", "")
-		t.Rows = append(t.Rows, gm)
-		tables = append(tables, t)
-	}
-	return tables
+	}, func(r *eval.AppResult) []string {
+		return []string{fmt.Sprintf("%.2f", r.Best().OccNorm), fmt.Sprint(r.Cells[eval.CLUTOT].Agents)}
+	})
 }
 
 // Figure13 renders the cache panels for one architecture: normalized L2
 // read transactions per scheme plus the best scheme's L1 hit rate.
 func Figure13(ar *arch.Arch, results []*eval.AppResult) []*Table {
-	var tables []*Table
-	for _, grp := range categoryGroups() {
-		t := &Table{
-			Title: fmt.Sprintf("Figure 13 (%s, %s): normalized L2 transactions", ar.Name, grp.Name),
+	return figurePanels(results, func(c eval.Cell) float64 { return c.L2Norm }, func(p eval.Panel) *Table {
+		return &Table{
+			Title: fmt.Sprintf("Figure 13 (%s, %s): normalized L2 transactions", ar.Name, p.Name),
 			Header: []string{"App", "BSL", "RD", "CLU", "CLU+TOT", "CLU+TOT+BPS", "PFH+TOT",
 				"HT_RTE(bsl)", "HT_RTE(best)"},
 		}
-		per := map[eval.Scheme][]float64{}
-		n := 0
+	}, func(r *eval.AppResult) []string {
+		return []string{fmt.Sprintf("%.2f", r.Cells[eval.BSL].L1Hit), fmt.Sprintf("%.2f", r.Best().L1Hit)}
+	})
+}
+
+// figurePanels renders one table per non-empty eval.Panels entry: a row
+// per app with metric under every scheme plus the extra columns, closed
+// by the eval.PanelGeoMeans G-M row.
+func figurePanels(results []*eval.AppResult, metric func(eval.Cell) float64,
+	table func(eval.Panel) *Table, extra func(*eval.AppResult) []string) []*Table {
+	gms := make([][]float64, len(eval.Schemes))
+	for si, s := range eval.Schemes {
+		gms[si] = eval.PanelGeoMeans(results, s, metric)
+	}
+	var tables []*Table
+	for pi, p := range eval.Panels {
+		t := table(p)
 		for _, r := range results {
-			if !inCats(r.App.Category(), grp.Cats) {
+			if !p.Has(r.App) {
 				continue
 			}
-			n++
 			row := []string{r.App.Name()}
 			for _, s := range eval.Schemes {
-				c := r.Cells[s]
-				row = append(row, fmt.Sprintf("%.2f", c.L2Norm))
-				per[s] = append(per[s], c.L2Norm)
+				row = append(row, fmt.Sprintf("%.2f", metric(r.Cells[s])))
 			}
-			row = append(row,
-				fmt.Sprintf("%.2f", r.Cells[eval.BSL].L1Hit),
-				fmt.Sprintf("%.2f", r.Best().L1Hit))
-			t.Rows = append(t.Rows, row)
+			t.Rows = append(t.Rows, append(row, extra(r)...))
 		}
-		if n == 0 {
+		if len(t.Rows) == 0 {
 			continue
 		}
 		gm := []string{"G-M"}
-		for _, s := range eval.Schemes {
-			gm = append(gm, fmt.Sprintf("%.2f", eval.GeoMean(per[s])))
+		for si := range eval.Schemes {
+			gm = append(gm, fmt.Sprintf("%.2f", gms[si][pi]))
 		}
-		gm = append(gm, "", "")
-		t.Rows = append(t.Rows, gm)
+		t.Rows = append(t.Rows, append(gm, "", ""))
 		tables = append(tables, t)
 	}
 	return tables

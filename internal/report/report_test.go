@@ -158,7 +158,9 @@ func TestSparkline(t *testing.T) {
 // TestRenderingGoldens pins the Figure 2, Figure 3 and per-SM renderings
 // byte-for-byte. The testdata files were captured from the standalone
 // binaries these renderers replaced, so evaluate -figure and ctaprof
-// stay cmp-identical to them.
+// stay cmp-identical to them. The Figure 2 goldens cover every Table 1
+// platform plus the 2-die GTX570, whose curve runs through the
+// interposer hop.
 func TestRenderingGoldens(t *testing.T) {
 	gtx980 := arch.GTX980()
 	gtx570 := arch.GTX570()
@@ -177,17 +179,25 @@ func TestRenderingGoldens(t *testing.T) {
 		}
 		return res
 	}
-	cases := []struct {
+	gtx570x2, err := arch.WithChiplets(gtx570, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type golden struct {
 		golden string
 		render func(t *testing.T, w io.Writer)
-	}{
-		{"figure2_GTX980.txt", func(t *testing.T, w io.Writer) {
-			def, stag, err := workloads.RunMicrobench(gtx980)
+	}
+	var cases []golden
+	for _, ar := range []*arch.Arch{gtx570, arch.TeslaK40(), gtx980, arch.GTX1080(), gtx570x2} {
+		cases = append(cases, golden{"figure2_" + ar.Name + ".txt", func(t *testing.T, w io.Writer) {
+			def, stag, err := workloads.RunMicrobench(ar)
 			if err != nil {
 				t.Fatal(err)
 			}
-			Figure2Panel(w, gtx980, def, stag)
-		}},
+			Figure2Panel(w, ar, def, stag)
+		}})
+	}
+	cases = append(cases, []golden{
 		{"figure3_MM_KMN_ATX.txt", func(t *testing.T, w io.Writer) {
 			var apps []*workloads.App
 			for _, n := range []string{"MM", "KMN", "ATX"} {
@@ -205,7 +215,7 @@ func TestRenderingGoldens(t *testing.T) {
 		{"timeline_ATX_GTX570_CLU_sm0.txt", func(t *testing.T, w io.Writer) {
 			SMTimeline(w, clustered(t), 0)
 		}},
-	}
+	}...)
 	for _, tc := range cases {
 		t.Run(tc.golden, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))

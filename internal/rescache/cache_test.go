@@ -2,6 +2,8 @@ package rescache
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -124,7 +126,7 @@ func TestSingleflightDedup(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started <- struct{}{}
-			v, _, err := g.Do("key", func() ([]byte, error) {
+			v, _, err := g.Do(context.Background(), "key", func(context.Context) ([]byte, error) {
 				mu.Lock()
 				calls++
 				mu.Unlock()
@@ -171,7 +173,7 @@ func TestSingleflightSequentialReruns(t *testing.T) {
 	var g Group
 	calls := 0
 	for i := 0; i < 3; i++ {
-		_, shared, err := g.Do("k", func() ([]byte, error) { calls++; return nil, nil })
+		_, shared, err := g.Do(context.Background(), "k", func(context.Context) ([]byte, error) { calls++; return nil, nil })
 		if err != nil || shared {
 			t.Fatalf("run %d: shared=%v err=%v", i, shared, err)
 		}
@@ -189,7 +191,7 @@ func TestSingleflightSequentialReruns(t *testing.T) {
 func TestSingleflightErrorPropagation(t *testing.T) {
 	var g Group
 	wantErr := fmt.Errorf("boom")
-	_, _, err := g.Do("k", func() ([]byte, error) { return nil, wantErr })
+	_, _, err := g.Do(context.Background(), "k", func(context.Context) ([]byte, error) { return nil, wantErr })
 	if err != wantErr {
 		t.Fatalf("err = %v", err)
 	}
@@ -214,7 +216,7 @@ func TestSingleflightLeaderPanic(t *testing.T) {
 	release := make(chan struct{})
 	errs := make(chan error, 2)
 	go func() {
-		_, _, err := g.Do("k", func() ([]byte, error) {
+		_, _, err := g.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
 			<-release
 			panic("boom")
 		})
@@ -222,7 +224,7 @@ func TestSingleflightLeaderPanic(t *testing.T) {
 	}()
 	waitFor("the leader", func() bool { return g.Stats().Inflight == 1 })
 	go func() {
-		_, shared, err := g.Do("k", func() ([]byte, error) {
+		_, shared, err := g.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
 			t.Error("joiner ran fn while the leader was in flight")
 			return nil, nil
 		})
@@ -248,8 +250,87 @@ func TestSingleflightLeaderPanic(t *testing.T) {
 	if st := g.Stats(); st.Inflight != 0 {
 		t.Fatalf("inflight = %d after the panic, want 0", st.Inflight)
 	}
-	v, shared, err := g.Do("k", func() ([]byte, error) { return []byte("ok"), nil })
+	v, shared, err := g.Do(context.Background(), "k", func(context.Context) ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || shared || string(v) != "ok" {
 		t.Fatalf("Do after the panic = %q, shared=%v, err=%v; want a fresh run", v, shared, err)
+	}
+}
+
+// TestSingleflightLeaderLeavesAlone: a leader whose context ends first
+// fails alone. Its joiner keeps waiting and gets the flight's result,
+// and the flight's context stays live while anyone still waits.
+func TestSingleflightLeaderLeavesAlone(t *testing.T) {
+	var g Group
+	release := make(chan struct{})
+	flightCtx := make(chan context.Context, 1)
+	leaderCtx, leave := context.WithCancel(context.Background())
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := g.Do(leaderCtx, "k", func(ctx context.Context) ([]byte, error) {
+			flightCtx <- ctx
+			<-release
+			return []byte("ok"), ctx.Err()
+		})
+		leaderErr <- err
+	}()
+	fctx := <-flightCtx
+	joined := make(chan []byte, 1)
+	go func() {
+		v, shared, err := g.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
+			t.Error("joiner ran fn while the leader's flight was in flight")
+			return nil, nil
+		})
+		if !shared || err != nil {
+			t.Errorf("joiner: shared=%v err=%v", shared, err)
+		}
+		joined <- v
+	}()
+	for g.Stats().Joined != 1 {
+		runtime.Gosched()
+	}
+	leave()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	if fctx.Err() != nil {
+		t.Fatal("the leader leaving cancelled the flight its joiner still waits on")
+	}
+	close(release)
+	if v := <-joined; string(v) != "ok" {
+		t.Fatalf("joiner got %q, want the flight's result", v)
+	}
+}
+
+// TestSingleflightLastWaiterCancelsFlight: once every waiter has left,
+// the flight's context is cancelled and the key is released, so the
+// next caller starts a fresh flight instead of joining a doomed one.
+func TestSingleflightLastWaiterCancelsFlight(t *testing.T) {
+	var g Group
+	started := make(chan struct{})
+	stopped := make(chan struct{})
+	ctx, leave := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := g.Do(ctx, "k", func(fctx context.Context) ([]byte, error) {
+			close(started)
+			<-fctx.Done()
+			close(stopped)
+			return nil, fctx.Err()
+		})
+		errc <- err
+	}()
+	<-started
+	leave()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the flight kept running after its last waiter left")
+	}
+	v, shared, err := g.Do(context.Background(), "k", func(context.Context) ([]byte, error) { return []byte("fresh"), nil })
+	if err != nil || shared || string(v) != "fresh" {
+		t.Fatalf("Do after the flight was abandoned = %q, shared=%v, err=%v; want a fresh run", v, shared, err)
 	}
 }

@@ -1,6 +1,7 @@
 package rescache
 
 import (
+	"context"
 	"fmt"
 	"sync"
 )
@@ -18,16 +19,20 @@ type FlightStats struct {
 }
 
 type call struct {
-	wg  sync.WaitGroup
-	val []byte
-	err error
+	done   chan struct{} // closed once val and err are final
+	val    []byte
+	err    error
+	cancel context.CancelFunc
+	// waiters counts the callers still waiting on the flight; guarded
+	// by Group.mu.
+	waiters int
 }
 
 // Group coalesces concurrent computations of the same key: the first
-// caller (the leader) runs fn, every concurrent duplicate blocks and
-// receives the leader's result. Unlike a cache, a Group holds a key
-// only while the computation is in flight — pairing it with Cache gives
-// the classic "thundering herd" protection.
+// caller (the leader) starts fn, every concurrent duplicate joins it and
+// receives the same result. Unlike a cache, a Group holds a key only
+// while the computation is in flight — pairing it with Cache gives the
+// classic "thundering herd" protection.
 type Group struct {
 	mu      sync.Mutex
 	m       map[string]*call
@@ -35,45 +40,72 @@ type Group struct {
 	joined  uint64
 }
 
-// Do returns the result of fn for key, executing fn exactly once per
-// flight of concurrent callers. shared reports whether the caller
-// joined an existing flight. A panic in fn is contained: the leader and
-// every joiner get it back as an error, and the key is released so the
-// next Do runs fn afresh.
-func (g *Group) Do(key string, fn func() ([]byte, error)) (val []byte, shared bool, err error) {
+// Do returns the result of fn for key, executing fn once per flight of
+// concurrent callers. shared reports whether the caller joined an
+// existing flight.
+//
+// No caller owns the flight. fn runs in its own goroutine under a
+// context that is cancelled only when every caller waiting on the
+// flight has left, and each caller waits until the flight finishes or
+// its own ctx is done, returning ctx.Err() in the latter case. So a
+// leader that gives up early fails alone, while its joiners keep
+// waiting on their own deadlines. Once the last caller leaves, the key
+// is released at once, so the next Do starts a fresh flight. A panic
+// in fn is contained: every waiter gets it back as an error, and the
+// key is released.
+func (g *Group) Do(ctx context.Context, key string, fn func(context.Context) ([]byte, error)) (val []byte, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*call)
 	}
-	if c, ok := g.m[key]; ok {
+	c, shared := g.m[key]
+	if shared {
 		g.joined++
-		g.mu.Unlock()
-		c.wg.Wait()
-		return c.val, true, c.err
+	} else {
+		fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+		c = &call{done: make(chan struct{}), cancel: cancel}
+		g.m[key] = c
+		g.leaders++
+		go g.run(fctx, key, c, fn)
 	}
-	c := new(call)
-	c.wg.Add(1)
-	g.m[key] = c
-	g.leaders++
+	c.waiters++
 	g.mu.Unlock()
 
-	c.run(fn)
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	c.wg.Done()
-	return c.val, false, c.err
+	select {
+	case <-c.done:
+		return c.val, shared, c.err
+	case <-ctx.Done():
+		g.mu.Lock()
+		if c.waiters--; c.waiters == 0 {
+			c.cancel()
+			g.release(key, c)
+		}
+		g.mu.Unlock()
+		return nil, shared, ctx.Err()
+	}
 }
 
-// run executes fn into c, converting a panic into c.err so no caller of
-// the flight is left blocked on it.
-func (c *call) run(fn func() ([]byte, error)) {
+// run executes fn into c, converting a panic into c.err, then releases
+// the key before waking the waiters, so no caller sees a stale flight.
+func (g *Group) run(ctx context.Context, key string, c *call, fn func(context.Context) ([]byte, error)) {
 	defer func() {
 		if r := recover(); r != nil {
 			c.val, c.err = nil, fmt.Errorf("rescache: computation panicked: %v", r)
 		}
+		g.mu.Lock()
+		g.release(key, c)
+		g.mu.Unlock()
+		c.cancel()
+		close(c.done)
 	}()
-	c.val, c.err = fn()
+	c.val, c.err = fn(ctx)
+}
+
+// release drops key's flight if it is still c; g.mu must be held.
+func (g *Group) release(key string, c *call) {
+	if g.m[key] == c {
+		delete(g.m, key)
+	}
 }
 
 // Stats snapshots the dedup counters.

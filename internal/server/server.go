@@ -235,9 +235,11 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // compute is the serving core every expensive endpoint shares: result
-// cache, then singleflight, then the bounded worker pool, then fn. fn
-// runs under the leader's request context bounded by the effective
-// deadline and must return canonical bytes.
+// cache, then singleflight, then the bounded worker pool, then fn. Each
+// request waits under its own context bounded by its effective
+// deadline; fn runs under the flight's context, which ends only when
+// every request waiting on it has left, and must return canonical
+// bytes.
 func (s *Server) compute(w http.ResponseWriter, r *http.Request, key string, timeoutMS int64, fn func(ctx context.Context) ([]byte, error)) {
 	if body, ok := s.cache.Get(key); ok {
 		writeJSON(w, http.StatusOK, "hit", body)
@@ -246,7 +248,7 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, key string, tim
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(timeoutMS))
 	defer cancel()
 
-	body, shared, err := s.flights.Do(key, func() ([]byte, error) {
+	body, shared, err := s.flights.Do(ctx, key, func(ctx context.Context) ([]byte, error) {
 		if err := s.queue.acquire(ctx); err != nil {
 			return nil, err
 		}

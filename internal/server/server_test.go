@@ -219,6 +219,74 @@ func TestSweepDeadlineExpires(t *testing.T) {
 	}
 }
 
+// TestLeaderDeadlineSparesJoiner: a singleflight leader with a short
+// timeout_ms fails alone. Its joiner, with a long one, still gets a 200
+// whose bytes equal a cold run's. A blocking sweep holds the only
+// worker, so the shared flight is still queued when the leader's
+// deadline passes.
+func TestLeaderDeadlineSparesJoiner(t *testing.T) {
+	c := newDaemon(t, server.Config{Workers: 1, Parallelism: 2})
+	waitMetrics := func(what string, cond func(*api.MetricsResponse) bool) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			m, err := c.Metrics(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cond(m) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v %+v", what, m.Queue, m.Singleflight)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	blockCtx, unblock := context.WithCancel(context.Background())
+	defer unblock()
+	go c.Sweep(blockCtx, api.SweepRequest{Arch: "TeslaK40"})
+	waitMetrics("the blocking sweep", func(m *api.MetricsResponse) bool { return m.Queue.Active == 1 })
+
+	req := api.SimulateRequest{App: "MM", Arch: "TeslaK40"}
+	type reply struct {
+		body []byte
+		disp string
+		err  error
+	}
+	ask := func(timeoutMS int64) chan reply {
+		out := make(chan reply, 1)
+		r := req
+		r.TimeoutMS = timeoutMS
+		go func() {
+			body, disp, err := c.SimulateRaw(context.Background(), r)
+			out <- reply{body, disp, err}
+		}()
+		return out
+	}
+	leader := ask(1000)
+	waitMetrics("the leader's flight", func(m *api.MetricsResponse) bool { return m.Singleflight.Inflight == 1 })
+	joiner := ask(60000)
+	waitMetrics("the joiner", func(m *api.MetricsResponse) bool { return m.Singleflight.Joined == 1 })
+
+	if got := <-leader; got.err == nil || !strings.Contains(got.err.Error(), "504") {
+		t.Fatalf("leader: err = %v, want HTTP 504", got.err)
+	}
+	unblock()
+	got := <-joiner
+	if got.err != nil || got.disp != "dedup" {
+		t.Fatalf("joiner: disposition %q, err %v; want a 200 from the shared flight", got.disp, got.err)
+	}
+	cold, _, err := newDaemon(t, server.Config{Workers: 1}).SimulateRaw(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.body, cold) {
+		t.Fatalf("joiner's body differs from a cold run:\njoiner: %s\ncold:   %s", got.body, cold)
+	}
+}
+
 // TestOptimizeDeadlineExpires: the framework's probe simulations run
 // under the request deadline, so an expired /v1/optimize answers 504
 // and counts as cancelled.

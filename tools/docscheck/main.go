@@ -20,6 +20,11 @@
 //     documented-but-unregistered; this is the reverse direction, so a
 //     new CLI gaining -chiplet cannot ship without a documented
 //     invocation.
+//  5. EXPERIMENTS.md's two Figure 12/13 geo-mean tables must agree, at
+//     two decimals, with the numbers they quote: every Paper cell with
+//     internal/calib/testdata/paper.csv and every Measured cell with
+//     BENCH_calib.json, which `ctacalib report -json` regenerates from
+//     the same sweep evaluate prints. Both tables must be present.
 //
 // The flag cross-check scans fenced code blocks and indented code lines
 // in the two documents. A line is attributed to a command when a token
@@ -43,6 +48,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -54,6 +60,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"ctacluster/internal/calib"
 )
 
 func main() {
@@ -95,6 +103,13 @@ func main() {
 		problems = append(problems, checkDocFlags(doc, string(data), cmdFlags, demonstrated)...)
 	}
 	problems = append(problems, checkSharedFlagCoverage(cmdFlags, demonstrated)...)
+
+	paperProblems, err := checkPaperTablesIn(*root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+		os.Exit(2)
+	}
+	problems = append(problems, paperProblems...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -425,4 +440,104 @@ func commandName(tok string, cmdFlags map[string]map[string]bool) string {
 		return base
 	}
 	return ""
+}
+
+// checkPaperTablesIn runs invariant 5 on root's EXPERIMENTS.md against
+// root's BENCH_calib.json and the committed paper.csv.
+func checkPaperTablesIn(root string) ([]string, error) {
+	doc, err := os.ReadFile(filepath.Join(root, "EXPERIMENTS.md"))
+	if err != nil {
+		return nil, err
+	}
+	data, err := os.ReadFile(filepath.Join(root, "BENCH_calib.json"))
+	if err != nil {
+		return nil, err
+	}
+	var rep calib.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, fmt.Errorf("BENCH_calib.json: %w", err)
+	}
+	ref, err := calib.Load()
+	if err != nil {
+		return nil, err
+	}
+	return checkPaperTables("EXPERIMENTS.md", string(doc), &rep, ref), nil
+}
+
+// paperTables maps the header prefix of each EXPERIMENTS.md geo-mean
+// table onto the paper figure it reproduces.
+var paperTables = []struct {
+	header string
+	figure int
+}{
+	{"| Panel (geo-mean speedup)", 12},
+	{"| Panel (geo-mean L2 txns", 13},
+}
+
+// checkPaperTables is invariant 5. A table row reads
+// `| panel | paper F / K / M / P | measured F / K / M / P |`, its GPUs
+// in rep.Arches order.
+func checkPaperTables(docName, text string, rep *calib.Report, ref *calib.Reference) []string {
+	var problems []string
+	lines := strings.Split(text, "\n")
+	for _, tab := range paperTables {
+		start := -1
+		for i, l := range lines {
+			if strings.HasPrefix(l, tab.header) {
+				start = i
+				break
+			}
+		}
+		if start < 0 {
+			problems = append(problems, fmt.Sprintf("%s: no Figure %d geo-mean table (a line starting %q)", docName, tab.figure, tab.header))
+			continue
+		}
+		rows := 0
+		for i := start + 2; i < len(lines) && strings.HasPrefix(lines[i], "|"); i++ {
+			rows++
+			f := strings.Split(lines[i], "|")
+			if len(f) != 5 {
+				problems = append(problems, fmt.Sprintf("%s:%d: want 3 cells: panel, paper, measured", docName, i+1))
+				continue
+			}
+			panel := strings.TrimSpace(f[1])
+			for col, cell := range f[2:4] {
+				paper := col == 0
+				vals := strings.Split(cell, "/")
+				if len(vals) != len(rep.Arches) {
+					problems = append(problems, fmt.Sprintf("%s:%d: %q has %d values, want one per GPU (%d)", docName, i+1, strings.TrimSpace(cell), len(vals), len(rep.Arches)))
+					continue
+				}
+				for ai, a := range rep.Arches {
+					want, source, err := paperCell(ref, a, tab.figure, panel, paper)
+					if err != nil {
+						problems = append(problems, fmt.Sprintf("%s:%d: %v", docName, i+1, err))
+						break
+					}
+					if got := strings.TrimSpace(vals[ai]); got != want {
+						problems = append(problems, fmt.Sprintf("%s:%d: Figure %d %s on %s reads %s, %s says %s", docName, i+1, tab.figure, panel, a.Arch, got, source, want))
+					}
+				}
+			}
+		}
+		if rows != 3 {
+			problems = append(problems, fmt.Sprintf("%s:%d: Figure %d table has %d rows, want one per panel (3)", docName, start+1, tab.figure, rows))
+		}
+	}
+	return problems
+}
+
+// paperCell returns the %.2f value a table cell must show and where it
+// comes from: paper.csv for a Paper cell, BENCH_calib.json otherwise.
+func paperCell(ref *calib.Reference, a calib.ArchScore, figure int, panel string, paper bool) (string, string, error) {
+	if paper {
+		v, err := ref.PaperFor(figure, a.Arch, panel)
+		return fmt.Sprintf("%.2f", v), "paper.csv", err
+	}
+	for _, c := range a.Panels {
+		if c.Figure == figure && c.Panel == panel {
+			return fmt.Sprintf("%.2f", c.Measured), "BENCH_calib.json", nil
+		}
+	}
+	return "", "", fmt.Errorf("BENCH_calib.json has no Figure %d %s cell for %s", figure, panel, a.Arch)
 }
