@@ -2,9 +2,9 @@ package engine_test
 
 // The allocation budget table: the enforcement half of the hot-path
 // allocation diet. Each cell pins the whole-run allocation count (and,
-// on the MM, MM+CLU and SGM rows, bytes) of a real workload on TeslaK40 —
-// bare and profiled, plain and clustered, monolithic and 2-die — to a
-// budget 5% above the measured post-diet value. A change that
+// on the bare rows, bytes) of a real workload on TeslaK40 — bare and
+// profiled, plain and clustered, monolithic and 2-die — to a budget 5%
+// above the measured post-diet value. A change that
 // reintroduces per-event allocations (queue boxing, per-access
 // transaction slices, per-object warp/CTA allocation) blows these
 // budgets by orders of magnitude, not percent, so the 5% headroom
@@ -30,10 +30,11 @@ import (
 // transform that goes back to copying traces, an engine that stops
 // recycling its per-slot buffers, a capacity hint that under- or
 // over-reserves, or a fatter kernel.Op multiplies the CLU or BSL bytes.
-// Measured values: MM 4146 allocs / 8.14 MB bare, 4190 profiled, MM+CLU
-// 6306 / 16.63 MB, SGM 3109 / 2.34 MB bare, 3140 profiled, MM 2-die
-// 3964 (per-slot trace buffers: one trace allocation per warp of every
-// CTA slot instead of per warp of every CTA).
+// Measured values: MM 2352 allocs / 7.23 MB bare, 2396 profiled, MM+CLU
+// 4503 / 15.71 MB, SGM 1751 / 2.05 MB bare, 1782 profiled, MM 2-die
+// 2353 / 6.86 MB (per-slot trace buffers: one trace allocation per warp
+// of every CTA slot instead of per warp of every CTA; one pooled node
+// slab for the event queue instead of a growing slice per bucket).
 var allocBudgets = []struct {
 	app      string
 	clu      bool // run the agent-based clustering transform of app
@@ -42,15 +43,15 @@ var allocBudgets = []struct {
 	budget   float64 // allocations per run
 	mb       float64 // MB allocated per run; 0 = not pinned
 }{
-	{app: "MM", budget: 4355, mb: 8.55},
-	{app: "MM", profiled: true, budget: 4400},
-	{app: "MM", clu: true, budget: 6621, mb: 17.46},
-	{app: "SGM", budget: 3265, mb: 2.45},
-	{app: "SGM", profiled: true, budget: 3300},
+	{app: "MM", budget: 2470, mb: 7.59},
+	{app: "MM", profiled: true, budget: 2516},
+	{app: "MM", clu: true, budget: 4729, mb: 16.50},
+	{app: "SGM", budget: 1839, mb: 2.15},
+	{app: "SGM", profiled: true, budget: 1871},
 	// The chiplet path: per-die slices replace the monolithic L2, and
 	// everything else must stay on the diet — the slice array and link
 	// table are setup-time allocations, not per-event ones.
-	{app: "MM", chiplets: 2, budget: 4165},
+	{app: "MM", chiplets: 2, budget: 2471, mb: 7.20},
 }
 
 // perRun returns the allocations and bytes one call of f makes, averaged

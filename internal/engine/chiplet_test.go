@@ -9,7 +9,7 @@ package engine_test
 //     may not perturb the monolithic model by even one cycle.
 //
 //  2. Chiplet queue determinism — on a real chiplet descriptor the
-//     calendar queue must reproduce the reference heap's Result and prof
+//     timing wheel must reproduce the reference heap's Result and prof
 //     stream exactly, for plain, die-swizzled and clustered kernels. The
 //     interposer-link and slice state are order-sensitive like every
 //     other memory structure; this matrix is where a divergence would
@@ -93,7 +93,7 @@ func TestChipletZeroMonolithicEquivalence(t *testing.T) {
 
 // TestChipletQueueMatchesRefHeap is the determinism matrix on a real
 // chiplet descriptor: plain, die-swizzled and agent-clustered kernels
-// on the calendar queue must deep-equal the reference-heap oracle — the
+// on the timing wheel must deep-equal the reference-heap oracle — the
 // interposer counters included (they ride in Result.Mem).
 func TestChipletQueueMatchesRefHeap(t *testing.T) {
 	ar := chipletOf(t, arch.TeslaK40(), 2)
@@ -128,7 +128,7 @@ func TestChipletQueueMatchesRefHeap(t *testing.T) {
 				t.Fatalf("%s: %v", k.Name(), err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s on %s: calendar queue differs from reference heap (cycles %d vs %d, remote txns %d vs %d)",
+				t.Errorf("%s on %s: timing wheel differs from reference heap (cycles %d vs %d, remote txns %d vs %d)",
 					k.Name(), ar.Name, got.Cycles, want.Cycles,
 					got.Mem.RemoteL2Transactions, want.Mem.RemoteL2Transactions)
 			}
@@ -137,7 +137,7 @@ func TestChipletQueueMatchesRefHeap(t *testing.T) {
 }
 
 // TestChipletQueueProfStreamByteIdentical extends the prof-stream
-// contract to the chiplet path: the calendar queue's stream — Remote
+// contract to the chiplet path: the timing wheel's stream — Remote
 // flags on EvL2Transaction events included — must match the reference
 // heap's exactly on a 2-die descriptor.
 func TestChipletQueueProfStreamByteIdentical(t *testing.T) {

@@ -225,10 +225,19 @@ func RunContext(ctx context.Context, cfg Config, k kernel.Kernel) (*Result, erro
 }
 
 // run is RunContext with the event-queue discipline selectable:
-// refQueue swaps the calendar queue for the reference heap (event.go).
+// refQueue swaps the timing wheel for the reference heap (event.go).
 // Only the differential tests set it (export_test.go); the two
 // disciplines pop in the same order, so no caller can observe it.
 func run(ctx context.Context, cfg Config, k kernel.Kernel, refQueue bool) (*Result, error) {
+	s, err := simulate(ctx, cfg, k, refQueue)
+	if err != nil {
+		return nil, err
+	}
+	return s.result(), nil
+}
+
+// simulate runs k to completion and returns the drained simulation.
+func simulate(ctx context.Context, cfg Config, k kernel.Kernel, refQueue bool) (*sim, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -296,7 +305,7 @@ func run(ctx context.Context, cfg Config, k kernel.Kernel, refQueue bool) (*Resu
 			bufs:  make([][][]kernel.Op, occ.CTAsPerSM),
 		}
 	}
-	s.q = newScheduler(refQueue)
+	s.q = newScheduler(refQueue, ar.SMs*occ.CTAsPerSM*warpsPerCTA)
 	if s.prof = cfg.Profiler; s.prof != nil {
 		if iv := s.prof.SampleInterval(); iv > 0 {
 			s.snapEvery, s.nextSnap = iv, iv
@@ -322,7 +331,7 @@ func run(ctx context.Context, cfg Config, k kernel.Kernel, refQueue bool) (*Resu
 		// end-of-run totals (the conservation property).
 		s.prof.Snapshot(s.counterSnapshot(s.now))
 	}
-	return s.result(), nil
+	return s, nil
 }
 
 // counterSnapshot samples the counter registry: the cumulative cache

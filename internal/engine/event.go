@@ -3,42 +3,53 @@ package engine
 // The engine's event queue. Two disciplines share the scheduler
 // front-end:
 //
-//   - The default is a two-level calendar queue: a ring of bucketCount
-//     cycle buckets over a typed binary heap. Events within the bucket
-//     horizon [base, base+bucketCount) land in the bucket of their cycle
-//     with an O(1) append and pop back out with an O(1) cursor scan; only
-//     events beyond the horizon pay the heap's O(log n) sift. Because the
-//     engine consumes events in nondecreasing cycle order and every
-//     schedule call is strictly future of the last pop (every model
-//     latency is at least one cycle), each bucket is appended in
-//     increasing seq order — see the invariant argument below — so a
-//     bucket never needs sorting or heap repair. Nothing boxes: pushes
-//     and pops move flat event values, so the steady-state queue cost is
-//     zero allocations (pinned by TestEventQueueSchedulePopZeroAlloc and
-//     the alloc budget table).
+//   - The default is a two-level timing wheel over an overflow heap.
+//     Time is cut into aligned blocks of wheelSize cycles. The fine
+//     level has one bucket per cycle of the current block (at>>wheelBits
+//     == blk); the coarse level has one bucket per block for the next
+//     wheelSize-1 blocks (~65k cycles). Only events past that coarse
+//     horizon go to a typed binary heap. Every bucket is a linked list
+//     threaded through one pooled node slab, so a push is an O(1) tail
+//     link, a pop an O(1) head unlink plus a cursor scan, and nothing
+//     allocates per bucket: the slab peaks at the number of queued
+//     events (at most one per resident warp) and its free list recycles
+//     nodes. When the fine level empties, the queue advances to the next
+//     non-empty block: it first drains the heap up to the new horizon
+//     into the coarse buckets that just came into range, then cascades
+//     that block's coarse list into the fine buckets in list order.
+//     Steady state is zero allocations (pinned by
+//     TestEventQueueSchedulePopZeroAlloc and the alloc budget table).
 //
 //   - The reference discipline routes everything through the typed
 //     binary min-heap ordered by (at, seq): semantically the pre-diet
 //     container/heap queue without the interface{} boxing. It is a test
 //     oracle only — reachable through the unexported run hook that
 //     export_test.go exposes — and the differential wall
-//     (queue_diff_test.go, FuzzEventQueueOrder) holds the calendar queue
-//     to its pop order.
+//     (queue_diff_test.go, FuzzEventQueueOrder) holds the wheel to its
+//     pop order.
 //
-// Per-bucket seq-sortedness invariant. A bucket receives appends from
-// two sources, and each appends in increasing seq order with every
-// later source's seqs larger than every earlier one's:
+// Per-bucket seq-sortedness invariant. The engine consumes events in
+// nondecreasing cycle order and every schedule call is strictly future
+// of the last pop (every model latency is at least one cycle). Each
+// list is appended in increasing seq order, with every later source's
+// seqs above every earlier one's:
 //
-//  1. Horizon drains (rebase): the heap pops in (at, seq) order, so the
-//     events drained into one bucket (= one cycle) arrive in increasing
-//     seq order. A rebase only runs when every bucket is empty, so two
-//     drains never interleave within one bucket lap.
-//  2. Direct pushes: the seq counter is monotone, so any direct push
-//     carries a seq above every seq already queued anywhere.
+//  1. Coarse bucket of block B. Until B comes within the coarse horizon
+//     every event of B goes to the heap. The advance that brings B into
+//     range drains all of them at once, and the heap pops in (at, seq)
+//     order. Only after that can a direct push reach B, and the seq
+//     counter is monotone, so each direct push carries a seq above
+//     every seq already queued anywhere. Within any one cycle of B the
+//     list is therefore in seq order.
+//  2. Fine bucket of cycle c. The fine level is empty when block B is
+//     cascaded into it, so c's bucket first receives B's events of
+//     cycle c in list order, which is seq order by (1). Direct pushes
+//     follow with larger seqs.
 //
-// Pops therefore read each bucket front to back and get (at, seq) order
-// for free; FuzzEventQueueOrder drives randomized legal schedules against
-// a sort-based model to keep the argument honest.
+// Pops therefore read each fine bucket front to back and get (at, seq)
+// order with no sorting; FuzzEventQueueOrder drives randomized legal
+// schedules across the block edge and the coarse horizon against a
+// sort-based model to keep the argument honest.
 
 // event is one schedulable occurrence: a warp becoming ready to issue
 // its next op at a given cycle.
@@ -49,7 +60,7 @@ type event struct {
 }
 
 // eventHeap is a typed binary min-heap of events ordered by (at, seq).
-// It is the far tier of the calendar queue and, alone, the whole
+// It is the overflow tier of the timing wheel and, alone, the whole
 // reference discipline. No interface{} crosses its API: push and pop
 // sift flat event values in place.
 type eventHeap []event
@@ -102,82 +113,153 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// bucketCount is the calendar span in cycles: a power of two so the
-// bucket of a cycle is a mask. It covers issue and L1-hit continuations
-// (L1Latency is 91-132 cycles) but not every L2 hit: L2Latency is
-// 240-374 cycles, and queueing delay pushes many misses past the
-// horizon. On MM, KMN, S2K, MON and HST on TeslaK40 and GTX1080,
-// 15-27% of pushes go to the far heap at 256 buckets, and 10-18% still
-// do at 1024. Correctness never depends on the span — a far event just
-// waits in the heap until a rebase — only the O(1) fast path does.
+// wheelSize is the bucket count of each wheel level: a power of two so
+// the bucket of a cycle (or block) is a mask. The fine level spans one
+// block of wheelSize cycles, which covers issue and L1-hit
+// continuations (L1Latency is 91–132 cycles); the coarse level spans
+// wheelSize-1 further blocks, far past any L2 hit (240–374 cycles) or
+// queued miss. Correctness never depends on the span — an overflow
+// event just waits in the heap until its block comes into range — only
+// the O(1) fast path does.
 const (
-	bucketCount = 256
-	bucketMask  = bucketCount - 1
+	wheelBits = 8
+	wheelSize = 1 << wheelBits
+	wheelMask = wheelSize - 1
 )
 
-// eventBucket holds the queued events of one cycle in seq order; head
-// indexes the first unpopped entry. Emptying a bucket resets it to its
-// full capacity, so steady state recycles the same backing arrays.
-type eventBucket struct {
-	ev   []event
-	head int
+// node is one queued event in the slab; next links the rest of its
+// bucket (or of the free list). Index 0 is a sentinel, so 0 means nil
+// and a zero list is empty.
+type node struct {
+	ev   event
+	next int32
 }
+
+// list is one bucket: a FIFO of slab nodes.
+type list struct{ head, tail int32 }
 
 // scheduler is the run's event queue plus its tie-break counter.
 type scheduler struct {
 	seq uint64
 
-	// Calendar tier: bkt[c&bucketMask] holds cycle c's events for
-	// c in [base, base+bucketCount); far holds everything at or past the
-	// horizon. cur is the pop cursor: no queued bucket event is at a
-	// cycle below it. inBkt counts bucketed events.
-	bkt   []eventBucket
-	far   eventHeap
-	base  int64
-	cur   int64
-	inBkt int
+	// The wheel: fine[c&wheelMask] holds the events of cycle c of block
+	// blk; coarse[b&wheelMask] holds those of block b in
+	// (blk, blk+wheelSize); far holds everything past that horizon. cur
+	// is the pop cursor: no fine event is at a cycle below it.
+	nodes   []node
+	free    int32 // head of the free-node list; 0 = empty
+	fine    [wheelSize]list
+	coarse  [wheelSize]list
+	blk     int64
+	cur     int64
+	nFine   int
+	nCoarse int
+	far     eventHeap
+
+	// Pushes per wheel tier, for the tier tests (export_test.go).
+	pushFine, pushCoarse, pushFar uint64
 
 	// ref routes every push and pop through the far heap alone — the
 	// reference (pre-diet) queue discipline (see run).
 	ref bool
 }
 
-func newScheduler(ref bool) scheduler {
+// newScheduler returns an empty queue whose node slab is presized for
+// queued events (one per resident warp at most; more just grow it).
+func newScheduler(ref bool, queued int) scheduler {
 	s := scheduler{ref: ref}
 	if !ref {
-		s.bkt = make([]eventBucket, bucketCount)
+		s.nodes = make([]node, 1, queued+1)
 	}
 	return s
 }
 
-// push routes one event to its tier. The bucket append relies on the
-// per-bucket seq-sortedness invariant documented at the top of the file.
-func (s *scheduler) push(e event) {
-	if !s.ref && e.at < s.base+bucketCount {
-		b := &s.bkt[e.at&bucketMask]
-		b.ev = append(b.ev, e)
-		// e.at > cur >= base always — every push is strictly future of
-		// the last pop, whose cycle cur holds — so the ring mapping stays
-		// unaliased and the pop scan cannot pass this bucket.
-		s.inBkt++
-		return
+// link appends e to bucket l in a node taken from the free list or the
+// slab's tail.
+func (s *scheduler) link(l *list, e event) {
+	i := s.free
+	if i != 0 {
+		s.free = s.nodes[i].next
+		s.nodes[i] = node{ev: e}
+	} else {
+		i = int32(len(s.nodes))
+		s.nodes = append(s.nodes, node{ev: e})
 	}
-	s.far.push(e)
+	s.put(l, i)
 }
 
-// rebase jumps the calendar to the heap's head cycle and drains every
-// event within the new horizon into its bucket. It runs only when all
-// buckets are empty, so each bucket receives at most one drain per lap.
-func (s *scheduler) rebase() {
-	s.base = s.far[0].at
-	s.cur = s.base
-	horizon := s.base + bucketCount
+// put links node i, whose next is 0, at the tail of bucket l.
+func (s *scheduler) put(l *list, i int32) {
+	if l.tail == 0 {
+		l.head = i
+	} else {
+		s.nodes[l.tail].next = i
+	}
+	l.tail = i
+}
+
+// push routes one event to its tier. The appends rely on the per-bucket
+// seq-sortedness invariant documented at the top of the file.
+func (s *scheduler) push(e event) {
+	if s.ref {
+		s.far.push(e)
+		return
+	}
+	// e.at > cur always — every push is strictly future of the last
+	// pop, whose cycle cur holds — so b >= blk and a fine push lands
+	// ahead of the pop scan.
+	switch b := e.at >> wheelBits; {
+	case b == s.blk:
+		s.pushFine++
+		s.nFine++
+		s.link(&s.fine[e.at&wheelMask], e)
+	case b < s.blk+wheelSize:
+		s.pushCoarse++
+		s.nCoarse++
+		s.link(&s.coarse[b&wheelMask], e)
+	default:
+		s.pushFar++
+		s.far.push(e)
+	}
+}
+
+// advance moves the wheel to the next non-empty block once the fine
+// level is empty, and reports false if nothing is queued at all.
+func (s *scheduler) advance() bool {
+	switch {
+	case s.nCoarse > 0:
+		// Overflow events all sit past the coarse horizon, so the next
+		// block is a coarse one.
+		for s.blk++; s.coarse[s.blk&wheelMask].head == 0; s.blk++ {
+		}
+	case len(s.far) > 0:
+		s.blk = s.far[0].at >> wheelBits
+	default:
+		return false
+	}
+	s.cur = s.blk << wheelBits
+	// Drain the blocks that just came into range, in (at, seq) order,
+	// before any direct push can reach them.
+	horizon := (s.blk + wheelSize) << wheelBits
 	for len(s.far) > 0 && s.far[0].at < horizon {
 		e := s.far.pop()
-		b := &s.bkt[e.at&bucketMask]
-		b.ev = append(b.ev, e)
-		s.inBkt++
+		s.nCoarse++
+		s.link(&s.coarse[(e.at>>wheelBits)&wheelMask], e)
 	}
+	// Cascade the block's coarse list into the fine buckets, relinking
+	// its nodes in list order.
+	c := &s.coarse[s.blk&wheelMask]
+	for i := c.head; i != 0; {
+		n := &s.nodes[i]
+		next := n.next
+		n.next = 0
+		s.put(&s.fine[n.ev.at&wheelMask], i)
+		s.nCoarse--
+		s.nFine++
+		i = next
+	}
+	*c = list{}
+	return true
 }
 
 // schedule enqueues w with the next sequence number. The engine runs
@@ -196,28 +278,25 @@ func (s *scheduler) next() (event, bool) {
 		}
 		return s.far.pop(), true
 	}
-	if s.inBkt == 0 {
-		if len(s.far) == 0 {
-			return event{}, false
-		}
-		s.rebase()
+	if s.nFine == 0 && !s.advance() {
+		return event{}, false
 	}
-	for {
-		b := &s.bkt[s.cur&bucketMask]
-		if b.head < len(b.ev) {
-			e := b.ev[b.head]
-			b.ev[b.head].warp = nil // drop for the GC until the slot recycles
-			b.head++
-			if b.head == len(b.ev) {
-				b.ev = b.ev[:0]
-				b.head = 0
-			}
-			s.inBkt--
-			return e, true
-		}
-		// Every queued bucket event sits at or above cur (pushes are
-		// strictly future of the last pop), so skipping an empty cycle
-		// never passes one; inBkt > 0 bounds the scan to the span.
+	// Every fine event sits at or above cur, so skipping an empty cycle
+	// never passes one; nFine > 0 bounds the scan to the block.
+	l := &s.fine[s.cur&wheelMask]
+	for l.head == 0 {
 		s.cur++
+		l = &s.fine[s.cur&wheelMask]
 	}
+	i := l.head
+	n := &s.nodes[i]
+	e := n.ev
+	if l.head = n.next; l.head == 0 {
+		l.tail = 0
+	}
+	n.ev.warp = nil // drop for the GC until the node recycles
+	n.next = s.free
+	s.free = i
+	s.nFine--
+	return e, true
 }
