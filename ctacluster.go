@@ -25,6 +25,7 @@ package ctacluster
 
 import (
 	"context"
+	"fmt"
 
 	"ctacluster/internal/arch"
 	"ctacluster/internal/core"
@@ -214,17 +215,34 @@ func InspectorPermutation(k Kernel, lineBytes int) []int {
 }
 
 // VoteAgents runs the dynamic CTA voting scheme (Section 4.3-I) on ar:
-// it simulates the candidate throttling degrees and returns the
-// configuration with the fewest cycles.
+// it simulates one clustering of k per core.ThrottleCandidates degree
+// and returns the one core.PickVote chooses — the fewest cycles, a tie
+// keeping the maximum. opts.ActiveAgents is ignored. The evaluation
+// harness's CLU+TOT cell makes the same choice.
 func VoteAgents(k Kernel, ar *Arch, opts ClusterOptions) (*core.VoteResult, error) {
-	opts.Arch = ar
-	return core.VoteAgents(k, opts, func(a *AgentKernel) (float64, error) {
-		res, err := Simulate(ar, a)
+	opts.Arch, opts.ActiveAgents = ar, 0
+	probe, err := core.NewAgent(k, opts)
+	if err != nil {
+		return nil, err
+	}
+	res := &core.VoteResult{}
+	var built []*AgentKernel
+	for _, a := range core.ThrottleCandidates(probe.MaxAgents()) {
+		opts.ActiveAgents = a
+		ak, err := core.NewAgent(k, opts)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		return float64(res.Cycles), nil
-	})
+		sim, err := Simulate(ar, ak)
+		if err != nil {
+			return nil, fmt.Errorf("ctacluster: voting at %d agents: %w", a, err)
+		}
+		built = append(built, ak)
+		res.Votes = append(res.Votes, core.Vote{Agents: a, Cost: float64(sim.Cycles)})
+	}
+	best := core.PickVote(res.Votes)
+	res.Best, res.Agents = built[best], res.Votes[best].Agents
+	return res, nil
 }
 
 // Speedup is a convenience for comparing two results of the same kernel.

@@ -1,9 +1,12 @@
 package ctacluster_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"ctacluster"
+	"ctacluster/internal/eval"
 )
 
 func TestVoteAgentsFacade(t *testing.T) {
@@ -22,6 +25,9 @@ func TestVoteAgentsFacade(t *testing.T) {
 	if len(res.Votes) < 3 {
 		t.Errorf("votes = %d, want several candidates", len(res.Votes))
 	}
+	if res.Votes[0].Agents != res.Best.MaxAgents() {
+		t.Errorf("first vote at %d agents, want the maximum %d", res.Votes[0].Agents, res.Best.MaxAgents())
+	}
 	// The paper throttles KMN hard: the winner must be well below the
 	// maximum allowable agents.
 	if res.Agents > 4 {
@@ -36,6 +42,72 @@ func TestVoteAgentsFacade(t *testing.T) {
 		if v.Agents == res.Agents && float64(sim.Cycles) != v.Cost {
 			t.Errorf("winner cost %v != re-simulated cycles %d", v.Cost, sim.Cycles)
 		}
+	}
+}
+
+// TestVoteAgentsMatchesEval pins that the facade and the evaluation
+// harness are one selector: the facade's first vote is eval's CLU cell,
+// and its winner is eval's CLU+TOT cell, agents and cycles alike. On
+// GTX980, NW keeps the maximum and KMN throttles to 2 agents.
+func TestVoteAgentsMatchesEval(t *testing.T) {
+	ar := ctacluster.Platform("GTX980")
+	for _, name := range []string{"NW", "KMN"} {
+		app, err := ctacluster.Benchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vote, err := ctacluster.VoteAgents(app, ar, ctacluster.ClusterOptions{Indexing: app.Partition()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := ctacluster.EvaluateApp(ar, app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clu, tot := ev.Cells[eval.CLU], ev.Cells[eval.CLUTOT]
+		if v := vote.Votes[0]; v.Agents != clu.Agents || v.Cost != float64(clu.Cycles) {
+			t.Errorf("%s: first vote %+v, eval CLU cell %d agents / %d cycles", name, v, clu.Agents, clu.Cycles)
+		}
+		if vote.Agents != tot.Agents {
+			t.Errorf("%s: facade picks %d agents, eval CLU+TOT %d", name, vote.Agents, tot.Agents)
+		}
+		for _, v := range vote.Votes {
+			if v.Agents == tot.Agents && v.Cost != float64(tot.Cycles) {
+				t.Errorf("%s: vote %+v, eval CLU+TOT cell %d cycles", name, v, tot.Cycles)
+			}
+		}
+	}
+}
+
+// runawayKernel's one warp computes for more cycles than the simulator
+// allows, so every simulation of it fails. smem sets its shared memory
+// per CTA, so a large value makes it fit on no SM at all.
+type runawayKernel struct{ smem int }
+
+func (runawayKernel) Name() string                            { return "runaway" }
+func (runawayKernel) GridDim() ctacluster.Dim3                { return ctacluster.Dim1(64) }
+func (runawayKernel) BlockDim() ctacluster.Dim3               { return ctacluster.Dim1(32) }
+func (runawayKernel) WarpsPerCTA() int                        { return 1 }
+func (runawayKernel) RegsPerThread(ctacluster.Generation) int { return 16 }
+func (k runawayKernel) SharedMemPerCTA() int                  { return k.smem }
+func (runawayKernel) Work(l ctacluster.Launch) ctacluster.CTAWork {
+	ws := l.WarpBufs(1)
+	for i := 0; i < 5; i++ {
+		ws[0] = append(ws[0], ctacluster.Compute(math.MaxInt32))
+	}
+	return ctacluster.CTAWork{Warps: ws}
+}
+
+// TestVoteAgentsErrors: a clustering that cannot be built and a
+// simulation that fails both come back as errors, not as a winner.
+func TestVoteAgentsErrors(t *testing.T) {
+	ar := ctacluster.Platform("TeslaK40")
+	if _, err := ctacluster.VoteAgents(runawayKernel{smem: 1 << 30}, ar, ctacluster.ClusterOptions{}); err == nil || !strings.Contains(err.Error(), "does not fit") {
+		t.Errorf("oversized kernel: err = %v, want a does-not-fit error", err)
+	}
+	_, err := ctacluster.VoteAgents(runawayKernel{}, ar, ctacluster.ClusterOptions{})
+	if err == nil || !strings.Contains(err.Error(), "voting at") || !strings.Contains(err.Error(), "exceeded") {
+		t.Errorf("runaway kernel: err = %v, want the simulation error wrapped by the vote", err)
 	}
 }
 

@@ -1,67 +1,38 @@
 package core
 
-import (
-	"errors"
-	"testing"
+import "testing"
 
-	"ctacluster/internal/arch"
-	"ctacluster/internal/kernel"
-)
-
-func TestVoteAgentsPicksCheapest(t *testing.T) {
-	k := &gridKernel{grid: kernel.Dim2(8, 8), warps: 2}
-	cfg := AgentConfig{Arch: arch.TeslaK40(), Indexing: kernel.RowMajor}
-	// Synthetic cost curve with a minimum at 3 agents.
-	measure := func(a *AgentKernel) (float64, error) {
-		d := a.ActiveAgents() - 3
-		return float64(d*d) + 10, nil
+func TestPickVotePicksCheapest(t *testing.T) {
+	// Synthetic cost curve over the TeslaK40-sized candidate list with a
+	// minimum at 3 agents.
+	var votes []Vote
+	for _, a := range ThrottleCandidates(16) {
+		d := a - 3
+		votes = append(votes, Vote{Agents: a, Cost: float64(d*d) + 10})
 	}
-	res, err := VoteAgents(k, cfg, measure)
-	if err != nil {
-		t.Fatal(err)
+	if i := PickVote(votes); votes[i].Agents != 3 {
+		t.Errorf("winner = %d agents, want 3", votes[i].Agents)
 	}
-	if res.Agents != 3 {
-		t.Errorf("winner = %d agents, want 3", res.Agents)
-	}
-	if res.Best == nil || res.Best.ActiveAgents() != 3 {
-		t.Error("Best kernel does not match the winning vote")
-	}
-	if len(res.Votes) < 3 {
-		t.Errorf("votes = %d, want the default candidate set", len(res.Votes))
+	if i := PickVote(nil); i != -1 {
+		t.Errorf("PickVote(nil) = %d, want -1", i)
 	}
 }
 
-func TestVoteAgentsExplicitCandidates(t *testing.T) {
-	k := &gridKernel{grid: kernel.Dim2(8, 8), warps: 2}
-	cfg := AgentConfig{Arch: arch.TeslaK40(), Indexing: kernel.RowMajor}
-	calls := 0
-	measure := func(a *AgentKernel) (float64, error) {
-		calls++
-		return float64(a.ActiveAgents()), nil // cheapest = fewest agents
-	}
-	res, err := VoteAgents(k, cfg, measure, 2, 5, 2, 99, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Agents != 2 {
-		t.Errorf("winner = %d, want 2", res.Agents)
-	}
-	if calls != 2 { // 2 and 5; duplicates and out-of-range skipped
-		t.Errorf("measure called %d times, want 2", calls)
-	}
-}
-
-func TestVoteAgentsErrors(t *testing.T) {
-	k := &gridKernel{grid: kernel.Dim2(4, 4), warps: 1}
-	cfg := AgentConfig{Arch: arch.TeslaK40(), Indexing: kernel.RowMajor}
-	if _, err := VoteAgents(k, cfg, nil); err == nil {
-		t.Error("nil probe should fail")
-	}
-	boom := errors.New("boom")
-	if _, err := VoteAgents(k, cfg, func(*AgentKernel) (float64, error) { return 0, boom }); !errors.Is(err, boom) {
-		t.Errorf("probe error not propagated: %v", err)
-	}
-	if _, err := VoteAgents(k, cfg, func(*AgentKernel) (float64, error) { return 1, nil }, 999); err == nil {
-		t.Error("no valid candidates should fail")
+// TestPickVoteTieKeepsMax pins the one tie rule: when every candidate
+// costs the same, the first vote wins, and ThrottleCandidates puts the
+// unthrottled maximum first.
+func TestPickVoteTieKeepsMax(t *testing.T) {
+	for _, max := range []int{1, 2, 5, 8, 16, 32} {
+		cands := ThrottleCandidates(max)
+		if cands[0] != max {
+			t.Fatalf("ThrottleCandidates(%d) = %v, want max first", max, cands)
+		}
+		votes := make([]Vote, len(cands))
+		for i, a := range cands {
+			votes[i] = Vote{Agents: a, Cost: 42}
+		}
+		if i := PickVote(votes); votes[i].Agents != max {
+			t.Errorf("max=%d: all-tie winner = %d agents, want %d", max, votes[i].Agents, max)
+		}
 	}
 }

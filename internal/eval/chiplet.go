@@ -64,10 +64,7 @@ func compareChiplet(ar *arch.Arch, app *workloads.App, opt Options, rn *Runner) 
 	if opt.Swizzle != "" {
 		return nil, fmt.Errorf("eval: CompareChipletMatrix applies the die-aware swizzle itself; Options.Swizzle must be empty, got %q", opt.Swizzle)
 	}
-	cfg := engine.DefaultConfig(ar)
-	if opt.Seed != 0 {
-		cfg.Seed = opt.Seed
-	}
+	cfg := opt.config(ar)
 
 	// All four modes are mutually independent: one wave. Selection below
 	// scans in this fixed order, keeping the outcome identical for any

@@ -148,23 +148,32 @@ func (o Options) context() context.Context {
 	return context.Background()
 }
 
+// config returns the engine configuration every simulation on ar runs
+// under: the architecture's defaults with the seed override applied.
+func (o Options) config(ar *arch.Arch) engine.Config {
+	cfg := engine.DefaultConfig(ar)
+	if o.Seed != 0 {
+		cfg.Seed = o.Seed
+	}
+	return cfg
+}
+
 // EvaluateApp runs the full scheme matrix for one application on one
 // architecture.
 func EvaluateApp(ar *arch.Arch, app *workloads.App, opt Options) (*AppResult, error) {
 	return evaluateApp(ar, app, opt, NewRunner(opt.Parallelism))
 }
 
-// evaluateApp runs the scheme matrix on rn. The BSL, RD, CLU and
-// throttle-sweep simulations are mutually independent, so they form the
-// first wave; CLU+TOT+BPS and PFH+TOT need the swept optimal agent
-// count and form the second. The swizzle (opt.Swizzle) wraps underneath
-// every scheme: BSL becomes the pure swizzled kernel, and the
-// clustering transforms regroup the swizzled rasterization.
+// evaluateApp runs the scheme matrix on rn. BSL, RD and one CLU
+// simulation per throttle candidate (core.ThrottleCandidates: the
+// maximum first, which is the CLU cell) are mutually independent, so
+// they form the first wave; CLU+TOT is the core.PickVote winner.
+// CLU+TOT+BPS and PFH+TOT need that winner and form the second wave.
+// The swizzle (opt.Swizzle) wraps underneath every scheme: BSL becomes
+// the pure swizzled kernel, and the clustering transforms regroup the
+// swizzled rasterization.
 func evaluateApp(ar *arch.Arch, app *workloads.App, opt Options, rn *Runner) (*AppResult, error) {
-	cfg := engine.DefaultConfig(ar)
-	if opt.Seed != 0 {
-		cfg.Seed = opt.Seed
-	}
+	cfg := opt.config(ar)
 	ctx := opt.context()
 	where := fmt.Sprintf("eval %s/%s", app.Name(), ar.Name)
 	clu := func(agents int) Spec { return Spec{Swizzle: opt.Swizzle, Scheme: "CLU", Agents: agents} }
@@ -174,44 +183,35 @@ func evaluateApp(ar *arch.Arch, app *workloads.App, opt Options, rn *Runner) (*A
 		simOf("RD", Spec{Swizzle: opt.Swizzle, Scheme: "RD"}, app, ar),
 		simOf("CLU", clu(0), app, ar),
 	}
-	// CLU+TOT sweep candidates (the dynamic voting scheme): one
-	// simulation per throttle degree below the maximum, which CLU
-	// already measures.
-	var maxAgents int
 	var cands []int
 	if wave1[2].err == nil {
-		maxAgents = wave1[2].k.(*core.AgentKernel).MaxAgents()
-		if !opt.Quick {
-			for _, a := range core.ThrottleCandidates(maxAgents) {
-				if a != maxAgents {
-					cands = append(cands, a)
-					wave1 = append(wave1, simOf(fmt.Sprintf("CLU+TOT(%d)", a), clu(a), app, ar))
-				}
-			}
+		cands = core.ThrottleCandidates(wave1[2].k.(*core.AgentKernel).MaxAgents())
+		if opt.Quick {
+			cands = cands[:1]
+		}
+		for _, a := range cands[1:] {
+			wave1 = append(wave1, simOf(fmt.Sprintf("CLU+TOT(%d)", a), clu(a), app, ar))
 		}
 	}
 	res, err := runSims(ctx, rn, cfg, where, wave1)
 	if err != nil {
 		return nil, err
 	}
-	base, cluRes := res[0], res[2]
+	base := res[0]
+	votes := make([]core.Vote, len(cands))
+	for i, a := range cands {
+		votes[i] = core.Vote{Agents: a, Cost: float64(res[2+i].Cycles)}
+	}
+	best := core.PickVote(votes)
+	bestAgents := cands[best]
 
 	out := &AppResult{App: app, Arch: ar, Cells: map[Scheme]Cell{}}
 	out.Cells[BSL] = cellFrom(BSL, base, base, 0)
 	out.Cells[RD] = cellFrom(RD, res[1], base, 0)
-	out.Cells[CLU] = cellFrom(CLU, cluRes, base, maxAgents)
+	out.Cells[CLU] = cellFrom(CLU, res[2], base, cands[0])
+	out.Cells[CLUTOT] = cellFrom(CLUTOT, res[2+best], base, bestAgents)
 
-	// Pick the optimal throttle by scanning in candidate order: the
-	// first strictly faster candidate wins, CLU the incumbent.
-	bestRes, bestAgents := cluRes, maxAgents
-	for i, r := range res[3:] {
-		if r.Cycles < bestRes.Cycles {
-			bestRes, bestAgents = r, cands[i]
-		}
-	}
-	out.Cells[CLUTOT] = cellFrom(CLUTOT, bestRes, base, bestAgents)
-
-	// Second wave: bypass and reshaped-order prefetching at the swept
+	// Second wave: bypass and reshaped-order prefetching at the voted
 	// optimum.
 	bps, pfh := clu(bestAgents), clu(bestAgents)
 	bps.Bypass, pfh.Prefetch = true, true

@@ -57,22 +57,19 @@ func legacyThrottleCandidates(max int) []int {
 	return out
 }
 
-// TestThrottleCandidates pins that the throttle sweep tries exactly the
-// candidates it always did: core.ThrottleCandidates minus max (already
-// measured as CLU) equals the legacy list minus max, in order.
+// TestThrottleCandidates pins that the voting tries exactly the
+// candidates the sweep always did: core.ThrottleCandidates is max (the
+// unthrottled incumbent, measured as the CLU cell) followed by the
+// legacy list minus max, in order.
 func TestThrottleCandidates(t *testing.T) {
-	without := func(xs []int, max int) []int {
-		var out []int
-		for _, x := range xs {
+	for max := 1; max <= 64; max++ {
+		want := []int{max}
+		for _, x := range legacyThrottleCandidates(max) {
 			if x != max {
-				out = append(out, x)
+				want = append(want, x)
 			}
 		}
-		return out
-	}
-	for max := 1; max <= 64; max++ {
-		got := without(core.ThrottleCandidates(max), max)
-		if want := without(legacyThrottleCandidates(max), max); !slices.Equal(got, want) {
+		if got := core.ThrottleCandidates(max); !slices.Equal(got, want) {
 			t.Errorf("max=%d: candidates %v, want %v", max, got, want)
 		}
 	}

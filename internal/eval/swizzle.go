@@ -66,10 +66,7 @@ func compareSwizzle(ar *arch.Arch, app *workloads.App, opt Options, rn *Runner) 
 	if opt.Swizzle != "" {
 		return nil, fmt.Errorf("eval: CompareSwizzleMatrix sweeps every swizzle itself; Options.Swizzle must be empty, got %q", opt.Swizzle)
 	}
-	cfg := engine.DefaultConfig(ar)
-	if opt.Seed != 0 {
-		cfg.Seed = opt.Seed
-	}
+	cfg := opt.config(ar)
 
 	// Analyzer predictions first: cheap, serial, deterministic.
 	pred, err := swizzle.NewAnalyzer().PredictBest(app, ar)

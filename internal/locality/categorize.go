@@ -1,10 +1,6 @@
 package locality
 
-import (
-	"fmt"
-
-	"ctacluster/internal/kernel"
-)
+import "ctacluster/internal/kernel"
 
 // Category is a source of inter-CTA locality (Section 3.2, Figure 4).
 type Category int
@@ -104,14 +100,4 @@ func DirectionLabel(ix kernel.Indexing) string {
 	default:
 		return "custom"
 	}
-}
-
-// ParseCategory parses a Table 2 category label.
-func ParseCategory(s string) (Category, error) {
-	for _, c := range []Category{Algorithm, CacheLine, Data, Write, Streaming} {
-		if c.String() == s {
-			return c, nil
-		}
-	}
-	return Uncategorized, fmt.Errorf("locality: unknown category %q", s)
 }

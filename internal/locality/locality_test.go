@@ -155,15 +155,6 @@ func TestCategoryMethods(t *testing.T) {
 			t.Errorf("%v should not be exploitable", c)
 		}
 	}
-	for _, c := range []Category{Algorithm, CacheLine, Data, Write, Streaming} {
-		parsed, err := ParseCategory(c.String())
-		if err != nil || parsed != c {
-			t.Errorf("ParseCategory(%s) = %v, %v", c, parsed, err)
-		}
-	}
-	if _, err := ParseCategory("bogus"); err == nil {
-		t.Error("bogus category should fail to parse")
-	}
 }
 
 func TestDirectionLabel(t *testing.T) {

@@ -1,7 +1,7 @@
 package server_test
 
 // End-to-end daemon tests: a real HTTP server on an ephemeral port,
-// driven through the Go client. These pin the PR's acceptance criteria:
+// driven over plain HTTP. These pin the PR's acceptance criteria:
 // cold and warm responses are byte-identical, an identical concurrent
 // burst costs exactly one underlying simulation (singleflight), and a
 // cancelled or expired request frees its worker with the engine
@@ -11,6 +11,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
@@ -28,13 +31,15 @@ import (
 	"ctacluster/internal/eval"
 	"ctacluster/internal/prof"
 	"ctacluster/internal/server"
-	"ctacluster/internal/server/client"
 	"ctacluster/internal/swizzle"
 	"ctacluster/internal/workloads"
 )
 
-// newDaemon starts a daemon on an ephemeral port and returns its client.
-func newDaemon(t *testing.T, cfg server.Config) *client.Client {
+// daemon is one test daemon's base URL.
+type daemon string
+
+// newDaemon starts a daemon on an ephemeral port.
+func newDaemon(t *testing.T, cfg server.Config) daemon {
 	t.Helper()
 	srv, err := server.New(cfg)
 	if err != nil {
@@ -42,7 +47,57 @@ func newDaemon(t *testing.T, cfg server.Config) *client.Client {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return client.New(ts.URL)
+	return daemon(ts.URL)
+}
+
+// do sends one request to d, a GET when body is nil and a JSON POST
+// otherwise, and returns the raw response body and its X-Ctad-Cache
+// disposition. A non-200 answer becomes an error carrying the daemon's
+// message and the HTTP status.
+func (d daemon) do(ctx context.Context, path string, body any) ([]byte, string, error) {
+	method, rd := http.MethodGet, io.Reader(nil)
+	if body != nil {
+		b, err := json.Marshal(body)
+		if err != nil {
+			return nil, "", err
+		}
+		method, rd = http.MethodPost, bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, string(d)+path, rd)
+	if err != nil {
+		return nil, "", err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, "", err
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, "", err
+	}
+	disposition := resp.Header.Get("X-Ctad-Cache")
+	if resp.StatusCode != http.StatusOK {
+		// A body that is not the error schema leaves e.Error empty; the
+		// status still reports the failure.
+		var e api.ErrorResponse
+		_ = json.Unmarshal(out, &e)
+		return nil, disposition, fmt.Errorf("%s %s: %s (HTTP %d)", method, path, e.Error, resp.StatusCode)
+	}
+	return out, disposition, nil
+}
+
+// call is d.do decoding the response body as a T.
+func call[T any](ctx context.Context, d daemon, path string, body any) (*T, error) {
+	raw, _, err := d.do(ctx, path, body)
+	if err != nil {
+		return nil, err
+	}
+	var out T
+	if err := json.Unmarshal(raw, &out); err != nil {
+		return nil, fmt.Errorf("decode %s: %w", path, err)
+	}
+	return &out, nil
 }
 
 func TestColdWarmByteIdentical(t *testing.T) {
@@ -50,14 +105,14 @@ func TestColdWarmByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	req := api.SimulateRequest{App: "MM", Arch: "TeslaK40"}
 
-	cold, disp, err := c.SimulateRaw(ctx, req)
+	cold, disp, err := c.do(ctx, "/v1/simulate", req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if disp != "miss" {
 		t.Fatalf("cold disposition = %q, want miss", disp)
 	}
-	warm, disp, err := c.SimulateRaw(ctx, req)
+	warm, disp, err := c.do(ctx, "/v1/simulate", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +123,7 @@ func TestColdWarmByteIdentical(t *testing.T) {
 		t.Fatalf("cold and warm bodies differ:\ncold: %s\nwarm: %s", cold, warm)
 	}
 
-	m, err := c.Metrics(ctx)
+	m, err := call[api.MetricsResponse](ctx, c, "/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +132,7 @@ func TestColdWarmByteIdentical(t *testing.T) {
 	}
 
 	// Case-insensitive names resolve to the same cache entry.
-	aliased, disp, err := c.SimulateRaw(ctx, api.SimulateRequest{App: "mm", Arch: "teslak40"})
+	aliased, disp, err := c.do(ctx, "/v1/simulate", api.SimulateRequest{App: "mm", Arch: "teslak40"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +157,7 @@ func TestConcurrentDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			bodies[i], _, errs[i] = c.SimulateRaw(ctx, req)
+			bodies[i], _, errs[i] = c.do(ctx, "/v1/simulate", req)
 		}(i)
 	}
 	wg.Wait()
@@ -115,7 +170,7 @@ func TestConcurrentDedup(t *testing.T) {
 		}
 	}
 
-	m, err := c.Metrics(ctx)
+	m, err := call[api.MetricsResponse](ctx, c, "/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +190,11 @@ func TestConcurrentDedup(t *testing.T) {
 }
 
 // waitForIdle polls /metrics until no worker is active.
-func waitForIdle(t *testing.T, c *client.Client, within time.Duration) *api.MetricsResponse {
+func waitForIdle(t *testing.T, c daemon, within time.Duration) *api.MetricsResponse {
 	t.Helper()
 	deadline := time.Now().Add(within)
 	for {
-		m, err := c.Metrics(context.Background())
+		m, err := call[api.MetricsResponse](context.Background(), c, "/metrics", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,14 +219,14 @@ func TestSweepClientDisconnectFreesWorker(t *testing.T) {
 	go func() {
 		// A full (non-quick) all-apps sweep on one platform: minutes of
 		// simulation if left alone.
-		_, err := c.Sweep(ctx, api.SweepRequest{Arch: "TeslaK40"})
+		_, err := call[api.SweepResponse](ctx, c, "/v1/sweep", api.SweepRequest{Arch: "TeslaK40"})
 		errc <- err
 	}()
 
 	// Let the sweep occupy the worker, then disconnect the client.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		m, err := c.Metrics(context.Background())
+		m, err := call[api.MetricsResponse](context.Background(), c, "/metrics", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +252,7 @@ func TestSweepClientDisconnectFreesWorker(t *testing.T) {
 	}
 
 	// The daemon stays serviceable: the freed worker takes new work.
-	if _, err := c.Simulate(context.Background(), api.SimulateRequest{App: "MM", Arch: "TeslaK40"}); err != nil {
+	if _, err := call[api.SimulateResponse](context.Background(), c, "/v1/simulate", api.SimulateRequest{App: "MM", Arch: "TeslaK40"}); err != nil {
 		t.Fatalf("post-cancellation request failed: %v", err)
 	}
 }
@@ -206,7 +261,7 @@ func TestSweepClientDisconnectFreesWorker(t *testing.T) {
 // fails with 504 and the worker frees promptly.
 func TestSweepDeadlineExpires(t *testing.T) {
 	c := newDaemon(t, server.Config{Workers: 1, Parallelism: 2})
-	_, err := c.Sweep(context.Background(), api.SweepRequest{Arch: "GTX1080", TimeoutMS: 100})
+	_, err := call[api.SweepResponse](context.Background(), c, "/v1/sweep", api.SweepRequest{Arch: "GTX1080", TimeoutMS: 100})
 	if err == nil {
 		t.Fatal("expired sweep returned success")
 	}
@@ -219,18 +274,29 @@ func TestSweepDeadlineExpires(t *testing.T) {
 	}
 }
 
-// TestLeaderDeadlineSparesJoiner: a singleflight leader with a short
-// timeout_ms fails alone. Its joiner, with a long one, still gets a 200
-// whose bytes equal a cold run's. A blocking sweep holds the only
-// worker, so the shared flight is still queued when the leader's
-// deadline passes.
+// TestLeaderDeadlineSparesJoiner: a singleflight leader that gives up
+// fails alone. Its joiner still gets a 200 whose bytes equal a cold
+// run's. A blocking sweep holds the only worker, so every flight stays
+// queued until the test frees it, and each step waits for the last:
+//   - while the worker is held, a request whose timeout_ms expires
+//     answers 504;
+//   - the leader leaves only after the joiner has joined, by
+//     disconnecting, which takes the same last-waiter path in
+//     rescache.Group.Do as an expired deadline;
+//   - the worker is freed only after the daemon has logged the leader's
+//     request as done.
 func TestLeaderDeadlineSparesJoiner(t *testing.T) {
-	c := newDaemon(t, server.Config{Workers: 1, Parallelism: 2})
+	// One log line per finished request; the test logs four, and the
+	// spare room keeps a handler from ever blocking on the send.
+	served := make(chan string, 8)
+	c := newDaemon(t, server.Config{Workers: 1, Parallelism: 2, Logf: func(format string, args ...any) {
+		served <- fmt.Sprintf(format, args...)
+	}})
 	waitMetrics := func(what string, cond func(*api.MetricsResponse) bool) {
 		t.Helper()
 		deadline := time.Now().Add(30 * time.Second)
 		for {
-			m, err := c.Metrics(context.Background())
+			m, err := call[api.MetricsResponse](context.Background(), c, "/metrics", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,11 +309,26 @@ func TestLeaderDeadlineSparesJoiner(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
+	waitServed := func(what string) {
+		t.Helper()
+		select {
+		case line := <-served:
+			t.Logf("%s: %s", what, line)
+		case <-time.After(30 * time.Second):
+			t.Fatalf("timed out waiting for the daemon to finish %s", what)
+		}
+	}
 
 	blockCtx, unblock := context.WithCancel(context.Background())
 	defer unblock()
-	go c.Sweep(blockCtx, api.SweepRequest{Arch: "TeslaK40"})
+	go c.do(blockCtx, "/v1/sweep", api.SweepRequest{Arch: "TeslaK40"})
 	waitMetrics("the blocking sweep", func(m *api.MetricsResponse) bool { return m.Queue.Active == 1 })
+
+	_, _, err := c.do(context.Background(), "/v1/simulate", api.SimulateRequest{App: "NN", Arch: "TeslaK40", TimeoutMS: 1})
+	if err == nil || !strings.Contains(err.Error(), "504") {
+		t.Fatalf("expired request: err = %v, want HTTP 504", err)
+	}
+	waitServed("the expired request")
 
 	req := api.SimulateRequest{App: "MM", Arch: "TeslaK40"}
 	type reply struct {
@@ -255,30 +336,40 @@ func TestLeaderDeadlineSparesJoiner(t *testing.T) {
 		disp string
 		err  error
 	}
-	ask := func(timeoutMS int64) chan reply {
+	ask := func(ctx context.Context) chan reply {
 		out := make(chan reply, 1)
-		r := req
-		r.TimeoutMS = timeoutMS
 		go func() {
-			body, disp, err := c.SimulateRaw(context.Background(), r)
+			body, disp, err := c.do(ctx, "/v1/simulate", req)
 			out <- reply{body, disp, err}
 		}()
 		return out
 	}
-	leader := ask(1000)
-	waitMetrics("the leader's flight", func(m *api.MetricsResponse) bool { return m.Singleflight.Inflight == 1 })
-	joiner := ask(60000)
+	leaderCtx, leave := context.WithCancel(context.Background())
+	defer leave()
+	leader := ask(leaderCtx)
+	// Two flights: the blocking sweep's and the leader's.
+	waitMetrics("the leader's flight", func(m *api.MetricsResponse) bool { return m.Singleflight.Inflight == 2 })
+	joiner := ask(context.Background())
 	waitMetrics("the joiner", func(m *api.MetricsResponse) bool { return m.Singleflight.Joined == 1 })
 
-	if got := <-leader; got.err == nil || !strings.Contains(got.err.Error(), "504") {
-		t.Fatalf("leader: err = %v, want HTTP 504", got.err)
+	leave()
+	if got := <-leader; !errors.Is(got.err, context.Canceled) {
+		t.Fatalf("leader: err = %v, want its own cancellation", got.err)
+	}
+	waitServed("the leader's request")
+	m, err := call[api.MetricsResponse](context.Background(), c, "/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Singleflight.Inflight != 2 {
+		t.Fatalf("the leader's departure ended the joiner's flight: %+v", m.Singleflight)
 	}
 	unblock()
 	got := <-joiner
 	if got.err != nil || got.disp != "dedup" {
 		t.Fatalf("joiner: disposition %q, err %v; want a 200 from the shared flight", got.disp, got.err)
 	}
-	cold, _, err := newDaemon(t, server.Config{Workers: 1}).SimulateRaw(context.Background(), req)
+	cold, _, err := newDaemon(t, server.Config{Workers: 1}).do(context.Background(), "/v1/simulate", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +383,7 @@ func TestLeaderDeadlineSparesJoiner(t *testing.T) {
 // and counts as cancelled.
 func TestOptimizeDeadlineExpires(t *testing.T) {
 	c := newDaemon(t, server.Config{Workers: 1})
-	_, err := c.Optimize(context.Background(), api.OptimizeRequest{App: "MM", Arch: "TeslaK40", TimeoutMS: 1})
+	_, err := call[api.OptimizeResponse](context.Background(), c, "/v1/optimize", api.OptimizeRequest{App: "MM", Arch: "TeslaK40", TimeoutMS: 1})
 	if err == nil || !strings.Contains(err.Error(), "504") {
 		t.Fatalf("err = %v, want HTTP 504", err)
 	}
@@ -312,12 +403,12 @@ func TestQueueSheddingWhenFull(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.Sweep(ctx, api.SweepRequest{Arch: "GTX570"})
+		_, err := call[api.SweepResponse](ctx, c, "/v1/sweep", api.SweepRequest{Arch: "GTX570"})
 		errc <- err
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		m, err := c.Metrics(context.Background())
+		m, err := call[api.MetricsResponse](context.Background(), c, "/metrics", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,11 +421,11 @@ func TestQueueSheddingWhenFull(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	_, err := c.Simulate(context.Background(), api.SimulateRequest{App: "MM", Arch: "GTX980"})
+	_, err := call[api.SimulateResponse](context.Background(), c, "/v1/simulate", api.SimulateRequest{App: "MM", Arch: "GTX980"})
 	if err == nil || !strings.Contains(err.Error(), "503") {
 		t.Fatalf("err = %v, want HTTP 503 (server busy)", err)
 	}
-	m, err := c.Metrics(context.Background())
+	m, err := call[api.MetricsResponse](context.Background(), c, "/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,21 +441,21 @@ func TestBadRequests(t *testing.T) {
 	c := newDaemon(t, server.Config{Workers: 1})
 	ctx := context.Background()
 
-	_, err := c.Simulate(ctx, api.SimulateRequest{App: "NOPE", Arch: "TeslaK40"})
+	_, err := call[api.SimulateResponse](ctx, c, "/v1/simulate", api.SimulateRequest{App: "NOPE", Arch: "TeslaK40"})
 	if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "known:") {
 		t.Fatalf("unknown app err = %v, want 400 listing known apps", err)
 	}
-	_, err = c.Simulate(ctx, api.SimulateRequest{App: "MM", Arch: "H100"})
+	_, err = call[api.SimulateResponse](ctx, c, "/v1/simulate", api.SimulateRequest{App: "MM", Arch: "H100"})
 	if err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("unknown arch err = %v, want 400", err)
 	}
 	// eval.TestSpecKernel pins the scheme validation messages; here
 	// they must surface as 400s.
-	_, err = c.Simulate(ctx, api.SimulateRequest{App: "MM", Arch: "TeslaK40", Scheme: "WAT"})
+	_, err = call[api.SimulateResponse](ctx, c, "/v1/simulate", api.SimulateRequest{App: "MM", Arch: "TeslaK40", Scheme: "WAT"})
 	if err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("unknown scheme err = %v, want 400", err)
 	}
-	_, err = c.Simulate(ctx, api.SimulateRequest{App: "MM", Arch: "TeslaK40", Scheme: "BSL", Agents: 2})
+	_, err = call[api.SimulateResponse](ctx, c, "/v1/simulate", api.SimulateRequest{App: "MM", Arch: "TeslaK40", Scheme: "BSL", Agents: 2})
 	if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "only apply to scheme CLU") {
 		t.Fatalf("agents-on-BSL err = %v, want 400", err)
 	}
@@ -421,19 +512,19 @@ func TestTablesHealthMetricsEndpoints(t *testing.T) {
 	c := newDaemon(t, server.Config{Workers: 1})
 	ctx := context.Background()
 
-	h, err := c.Health(ctx)
+	h, err := call[api.HealthResponse](ctx, c, "/healthz", nil)
 	if err != nil || h.Status != "ok" {
 		t.Fatalf("health = %+v, %v", h, err)
 	}
-	t1, err := c.Table1(ctx)
+	t1, err := call[api.TableResponse](ctx, c, "/v1/table1", nil)
 	if err != nil || len(t1.Rows) == 0 || !strings.Contains(t1.Title, "Table 1") {
 		t.Fatalf("table1 = %+v, %v", t1, err)
 	}
-	t2, err := c.Table2(ctx)
+	t2, err := call[api.TableResponse](ctx, c, "/v1/table2", nil)
 	if err != nil || len(t2.Rows) == 0 {
 		t.Fatalf("table2 = %+v, %v", t2, err)
 	}
-	m, err := c.Metrics(ctx)
+	m, err := call[api.MetricsResponse](ctx, c, "/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,11 +541,11 @@ func TestTablesHealthMetricsEndpoints(t *testing.T) {
 func TestSimulateSchemesDiffer(t *testing.T) {
 	c := newDaemon(t, server.Config{Workers: 2})
 	ctx := context.Background()
-	bsl, err := c.Simulate(ctx, api.SimulateRequest{App: "MM", Arch: "TeslaK40"})
+	bsl, err := call[api.SimulateResponse](ctx, c, "/v1/simulate", api.SimulateRequest{App: "MM", Arch: "TeslaK40"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clu, err := c.Simulate(ctx, api.SimulateRequest{App: "MM", Arch: "TeslaK40", Scheme: "CLU"})
+	clu, err := call[api.SimulateResponse](ctx, c, "/v1/simulate", api.SimulateRequest{App: "MM", Arch: "TeslaK40", Scheme: "CLU"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +555,7 @@ func TestSimulateSchemesDiffer(t *testing.T) {
 	if bsl.Cycles == clu.Cycles && bsl.L2ReadTransactions == clu.L2ReadTransactions {
 		t.Fatal("BSL and CLU produced identical results — key or kernel plumbing broken")
 	}
-	m, err := c.Metrics(ctx)
+	m, err := call[api.MetricsResponse](ctx, c, "/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,21 +568,21 @@ func TestSimulateSchemesDiffer(t *testing.T) {
 func TestOptimizeEndpoint(t *testing.T) {
 	c := newDaemon(t, server.Config{Workers: 1})
 	ctx := context.Background()
-	resp, err := c.Optimize(ctx, api.OptimizeRequest{App: "MM", Arch: "TeslaK40"})
+	resp, err := call[api.OptimizeResponse](ctx, c, "/v1/optimize", api.OptimizeRequest{App: "MM", Arch: "TeslaK40"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Speedup <= 0 || resp.Category == "" || resp.Optimized.Kernel == "" {
 		t.Fatalf("optimize response incomplete: %+v", resp)
 	}
-	again, err := c.Optimize(ctx, api.OptimizeRequest{App: "MM", Arch: "TeslaK40"})
+	again, err := call[api.OptimizeResponse](ctx, c, "/v1/optimize", api.OptimizeRequest{App: "MM", Arch: "TeslaK40"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(resp, again) {
 		t.Fatal("cached optimize response differs")
 	}
-	m, err := c.Metrics(ctx)
+	m, err := call[api.MetricsResponse](ctx, c, "/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +597,7 @@ func TestOptimizeEndpoint(t *testing.T) {
 func TestQuickSweepEndToEnd(t *testing.T) {
 	c := newDaemon(t, server.Config{Workers: 1, Parallelism: 4})
 	ctx := context.Background()
-	resp, err := c.Sweep(ctx, api.SweepRequest{Arch: "TeslaK40", Apps: []string{"MM", "KMN"}, Quick: true})
+	resp, err := call[api.SweepResponse](ctx, c, "/v1/sweep", api.SweepRequest{Arch: "TeslaK40", Apps: []string{"MM", "KMN"}, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +618,7 @@ func TestQuickSweepEndToEnd(t *testing.T) {
 	}
 
 	// Warm repeat is a cache hit with identical bytes.
-	raw1, d1, err := c.SweepRaw(ctx, api.SweepRequest{Arch: "TeslaK40", Apps: []string{"MM", "KMN"}, Quick: true})
+	raw1, d1, err := c.do(ctx, "/v1/sweep", api.SweepRequest{Arch: "TeslaK40", Apps: []string{"MM", "KMN"}, Quick: true})
 	if err != nil || d1 != "hit" {
 		t.Fatalf("warm sweep disposition = %q, %v", d1, err)
 	}
@@ -570,14 +661,14 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	req := api.SimulateRequest{App: "MM", Arch: "TeslaK40"}
 
 	c1 := newDaemon(t, server.Config{Workers: 2, CacheDir: dir})
-	cold, disp, err := c1.SimulateRaw(ctx, req)
+	cold, disp, err := c1.do(ctx, "/v1/simulate", req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if disp != "miss" {
 		t.Fatalf("cold disposition = %q, want miss", disp)
 	}
-	m, err := c1.Metrics(ctx)
+	m, err := call[api.MetricsResponse](ctx, c1, "/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +681,7 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 
 	// "Restart": a brand-new daemon (empty memory LRU) on the same dir.
 	c2 := newDaemon(t, server.Config{Workers: 2, CacheDir: dir})
-	warm, disp, err := c2.SimulateRaw(ctx, req)
+	warm, disp, err := c2.do(ctx, "/v1/simulate", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,7 +691,7 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	if !bytes.Equal(cold, warm) {
 		t.Fatalf("post-restart body differs:\ncold: %s\nwarm: %s", cold, warm)
 	}
-	m, err = c2.Metrics(ctx)
+	m, err = call[api.MetricsResponse](ctx, c2, "/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,10 +704,10 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 
 	// The disk hit was promoted to memory: a repeat on the same daemon
 	// is a memory hit, not another disk read.
-	if _, disp, err = c2.SimulateRaw(ctx, req); err != nil || disp != "hit" {
+	if _, disp, err = c2.do(ctx, "/v1/simulate", req); err != nil || disp != "hit" {
 		t.Fatalf("promoted repeat = %q, %v", disp, err)
 	}
-	m, err = c2.Metrics(ctx)
+	m, err = call[api.MetricsResponse](ctx, c2, "/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,7 +725,7 @@ func TestDiskCacheQuarantineServesMiss(t *testing.T) {
 	req := api.SimulateRequest{App: "KMN", Arch: "GTX570"}
 
 	c1 := newDaemon(t, server.Config{Workers: 1, CacheDir: dir})
-	cold, _, err := c1.SimulateRaw(ctx, req)
+	cold, _, err := c1.do(ctx, "/v1/simulate", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -662,7 +753,7 @@ func TestDiskCacheQuarantineServesMiss(t *testing.T) {
 	}
 
 	c2 := newDaemon(t, server.Config{Workers: 1, CacheDir: dir})
-	recomputed, disp, err := c2.SimulateRaw(ctx, req)
+	recomputed, disp, err := c2.do(ctx, "/v1/simulate", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,7 +763,7 @@ func TestDiskCacheQuarantineServesMiss(t *testing.T) {
 	if !bytes.Equal(cold, recomputed) {
 		t.Fatal("recomputed body differs from the original — determinism broken")
 	}
-	m, err := c2.Metrics(ctx)
+	m, err := call[api.MetricsResponse](ctx, c2, "/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -685,7 +776,7 @@ func TestDiskCacheQuarantineServesMiss(t *testing.T) {
 // labels and swizzle names, each sorted, matching the registries.
 func TestTransformsEndpoint(t *testing.T) {
 	c := newDaemon(t, server.Config{Workers: 1})
-	tr, err := c.Transforms(context.Background())
+	tr, err := call[api.TransformsResponse](context.Background(), c, "/v1/transforms", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -709,11 +800,11 @@ func TestSimulateSwizzleSeparatesCacheEntries(t *testing.T) {
 	c := newDaemon(t, server.Config{Workers: 2})
 	ctx := context.Background()
 
-	plain, err := c.Simulate(ctx, api.SimulateRequest{App: "MM", Arch: "TeslaK40"})
+	plain, err := call[api.SimulateResponse](ctx, c, "/v1/simulate", api.SimulateRequest{App: "MM", Arch: "TeslaK40"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, disp, err := c.SimulateRaw(ctx, api.SimulateRequest{App: "MM", Arch: "TeslaK40", Swizzle: "hilbert"})
+	cold, disp, err := c.do(ctx, "/v1/simulate", api.SimulateRequest{App: "MM", Arch: "TeslaK40", Swizzle: "hilbert"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -735,7 +826,7 @@ func TestSimulateSwizzleSeparatesCacheEntries(t *testing.T) {
 	}
 
 	// Case-insensitive spellings resolve to one canonical cache entry.
-	warm, disp, err := c.SimulateRaw(ctx, api.SimulateRequest{App: "MM", Arch: "TeslaK40", Swizzle: "HILBERT"})
+	warm, disp, err := c.do(ctx, "/v1/simulate", api.SimulateRequest{App: "MM", Arch: "TeslaK40", Swizzle: "HILBERT"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -746,7 +837,7 @@ func TestSimulateSwizzleSeparatesCacheEntries(t *testing.T) {
 		t.Fatal("case-variant swizzle served different bytes")
 	}
 
-	_, err = c.Simulate(ctx, api.SimulateRequest{App: "MM", Arch: "TeslaK40", Swizzle: "bogus"})
+	_, err = call[api.SimulateResponse](ctx, c, "/v1/simulate", api.SimulateRequest{App: "MM", Arch: "TeslaK40", Swizzle: "bogus"})
 	if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "unknown swizzle") {
 		t.Fatalf("unknown swizzle err = %v, want 400 unknown swizzle", err)
 	}
@@ -759,7 +850,7 @@ func TestSimulateSwizzleSeparatesCacheEntries(t *testing.T) {
 // it to requests that carry none, and the response says so.
 func TestDaemonDefaultSwizzle(t *testing.T) {
 	c := newDaemon(t, server.Config{Workers: 1, Swizzle: "xor"})
-	res, err := c.Simulate(context.Background(), api.SimulateRequest{App: "SGM", Arch: "TeslaK40"})
+	res, err := call[api.SimulateResponse](context.Background(), c, "/v1/simulate", api.SimulateRequest{App: "SGM", Arch: "TeslaK40"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,14 +188,3 @@ func Figure3() []*App {
 	}
 	return out
 }
-
-// ByCategory filters apps by locality category (BFS counts as Data).
-func ByCategory(apps []*App, c locality.Category) []*App {
-	var out []*App
-	for _, a := range apps {
-		if a.cat == c {
-			out = append(out, a)
-		}
-	}
-	return out
-}
