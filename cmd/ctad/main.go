@@ -21,7 +21,9 @@
 // default die count of the multi-chiplet architecture model
 // (arch.WithChiplets; requests carrying their own chiplets field
 // override it); also result-affecting — the derived descriptor's fields
-// enter every cache key.
+// enter every cache key. /v1/optimize has neither request field, so it
+// always analyzes the kernel under both defaults, as ctacluster -swizzle
+// -chiplet does.
 //
 // -cache-dir adds a durable content-addressed tier under the in-memory
 // LRU: every computed response is written atomically (tmp + fsync +

@@ -31,7 +31,8 @@
 // clustering-vs-swizzling-vs-both comparison per (app, arch) cell and
 // scores the L2 reuse analyzer's predicted-best swizzle against the
 // measured L2 read transactions; with -json it emits one
-// api.SwizzleCompareResponse document (the BENCH_swizzle.json schema).
+// api.SwizzleCompareResponse document whose comparisons are
+// eval.SwizzleComparison values (the BENCH_swizzle.json schema).
 //
 // -chiplet N splits every selected platform into N interposer-linked
 // dies (arch.WithChiplets, DESIGN.md §13) before any sweep or
@@ -40,8 +41,8 @@
 // -chiplet-compare (which requires -chiplet >= 2) it runs the four-way
 // placement study — BSL, CLU, SWZ(dieblock), CLU+SWZ(dieblock) — per
 // (app, arch) cell and reports cycles next to the interposer counters;
-// with -json that emits one api.ChipletCompareResponse document (the
-// BENCH_chiplet.json schema).
+// with -json that emits one api.ChipletCompareResponse document of
+// eval.ChipletComparison values (the BENCH_chiplet.json schema).
 //
 // -figure N prints Figure 2 or 3 and exits. Figure 2 runs the Listing-3
 // microbenchmark on each selected platform; Figure 3 quantifies the
@@ -50,10 +51,11 @@
 // table is also written to DIR. Every other flag is an error with
 // -figure, never silently ignored.
 //
-// -json renders the internal/api response structs the ctad daemon
-// serves, so scripts can consume CLI and HTTP output with one decoder:
-// the sweep becomes one api.SweepResponse document; -table1/-table2
-// become an array of api.TableResponse documents.
+// -json renders the response documents the ctad daemon serves, so
+// scripts can consume CLI and HTTP output with one decoder: the sweep
+// becomes one api.SweepResponse document (cells are eval.Cell);
+// -table1/-table2 become an array of report.Table documents, each the
+// body /v1/table1 or /v1/table2 serves.
 package main
 
 import (
@@ -100,12 +102,12 @@ func main() {
 
 	if *table1 || *table2 {
 		if *jsonOut {
-			var tables []api.TableResponse
+			var tables []*report.Table
 			if *table1 {
-				tables = append(tables, api.TableResponseFrom(report.Table1(arch.All())))
+				tables = append(tables, report.Table1(arch.All()))
 			}
 			if *table2 {
-				tables = append(tables, api.TableResponseFrom(report.Table2(workloads.Table2())))
+				tables = append(tables, report.Table2(workloads.Table2()))
 			}
 			if err := api.Encode(os.Stdout, tables); err != nil {
 				log.Fatal(err)
@@ -165,13 +167,13 @@ func main() {
 			log.Fatal(err)
 		}
 		if *jsonOut {
-			if err := api.Encode(os.Stdout, api.ChipletCompareResponseFrom(comparisons)); err != nil {
+			if err := api.Encode(os.Stdout, api.ChipletCompareResponse{Comparisons: comparisons}); err != nil {
 				log.Fatal(err)
 			}
 			return
 		}
 		for _, c := range comparisons {
-			fmt.Printf("%s on %s (%d dies): best %s\n", c.App.Name(), c.Arch.Name, c.Arch.Chiplets, c.Best)
+			fmt.Printf("%s on %s (%d dies): best %s\n", c.App, c.Arch, c.Chiplets, c.Best)
 			for _, cell := range c.Cells {
 				fmt.Printf("  %-18s %8d cycles  %.2fx  L2 txn %8d  remote %6d (%.0f%%)  interposer %8d B  L1 hit %.2f\n",
 					cell.Label, cell.Cycles, cell.Speedup, cell.L2Txn,
@@ -191,14 +193,14 @@ func main() {
 			log.Fatal(err)
 		}
 		if *jsonOut {
-			if err := api.Encode(os.Stdout, api.SwizzleCompareResponseFrom(comparisons)); err != nil {
+			if err := api.Encode(os.Stdout, api.SwizzleCompareResponse{Comparisons: comparisons}); err != nil {
 				log.Fatal(err)
 			}
 			return
 		}
 		for _, c := range comparisons {
 			fmt.Printf("%s on %s (window %d CTAs, %d-byte lines): predicted %s, measured %s",
-				c.App.Name(), c.Arch.Name, c.Window, c.LineBytes, c.PredictedBest, c.MeasuredBest)
+				c.App, c.Arch, c.Window, c.LineBytes, c.PredictedBest, c.MeasuredBest)
 			if c.PredictionHit {
 				fmt.Printf("  [hit]\n")
 			} else {
@@ -206,8 +208,8 @@ func main() {
 			}
 			for _, cell := range c.Cells {
 				pred := ""
-				if cell.Predicted != nil {
-					pred = fmt.Sprintf("  predicted fetches %d, shared %.2f", cell.Predicted.Fetches, cell.Predicted.SharedFraction())
+				if cell.PredictedFetches != 0 {
+					pred = fmt.Sprintf("  predicted fetches %d, shared %.2f", cell.PredictedFetches, cell.PredictedShared)
 				}
 				fmt.Printf("  %-18s %8d cycles  %.2fx  L2 txn %8d (%+.1f%%)  L1 hit %.2f%s\n",
 					cell.Label, cell.Cycles, cell.Speedup, cell.L2Txn, 100*cell.L2Delta, cell.L1Hit, pred)

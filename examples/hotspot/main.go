@@ -58,12 +58,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("manual scheme sweep:")
-	for _, s := range []string{"RD", "CLU", "CLU+TOT", "CLU+TOT+BPS", "PFH+TOT"} {
-		for sch, cell := range res.Cells {
-			if sch.String() == s {
-				fmt.Printf("  %-12s %.2fx (L2 txns %3.0f%%, agents %d)\n",
-					s, cell.Speedup, 100*cell.L2Norm, cell.Agents)
-			}
-		}
+	for _, cell := range res.Cells[1:] { // every scheme after BSL
+		fmt.Printf("  %-12s %.2fx (L2 txns %3.0f%%, agents %d)\n",
+			cell.Scheme, cell.Speedup, 100*cell.L2Norm, cell.Agents)
 	}
 }

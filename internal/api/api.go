@@ -5,11 +5,27 @@
 // other unchanged, and the daemon's byte-level response cache stays
 // sound (equal inputs → equal bytes).
 //
+// One type per result: a result that already has a type elsewhere
+// carries its own json tags there, and this package embeds it rather
+// than copying it field by field. The Figure 12/13 cell is eval.Cell,
+// a comparison-matrix element is eval.SwizzleComparison or
+// eval.ChipletComparison, a Table 1/Table 2 document is report.Table,
+// and the /metrics counters are rescache.Stats, rescache.DiskStats and
+// rescache.FlightStats. What this package owns is the request types,
+// the response envelopes around those results, the responses that have
+// no other home (simulate, optimize, queue, health, transforms, error)
+// and the canonical encoder.
+//
 // Paper mapping: the payloads are the wire form of the evaluation
 // artifacts — Table 1/Table 2 rows and the Figure 12/13 metric series
 // of Section 5; the schema itself is reproduction infrastructure beyond
 // the paper's scope.
 package api
+
+import (
+	"ctacluster/internal/eval"
+	"ctacluster/internal/rescache"
+)
 
 // SimulateRequest asks for one simulation: an application under one
 // scheme on one platform. The zero scheme is BSL; Agents, Bypass and
@@ -84,24 +100,11 @@ type SweepRequest struct {
 	Chiplets int `json:"chiplets,omitempty"`
 }
 
-// SweepCell is one scheme's outcome for one app (eval.Cell).
-type SweepCell struct {
-	Scheme             string  `json:"scheme"`
-	Cycles             int64   `json:"cycles"`
-	Speedup            float64 `json:"speedup"`
-	L2ReadTransactions uint64  `json:"l2_read_transactions"`
-	L2Norm             float64 `json:"l2_norm"`
-	L1HitRate          float64 `json:"l1_hit_rate"`
-	AchievedOccupancy  float64 `json:"achieved_occupancy"`
-	OccupancyNorm      float64 `json:"occupancy_norm"`
-	Agents             int     `json:"agents,omitempty"`
-}
-
 // SweepAppResult is one app's scheme row, cells in Figure 12 legend
 // order.
 type SweepAppResult struct {
 	App   string      `json:"app"`
-	Cells []SweepCell `json:"cells"`
+	Cells []eval.Cell `json:"cells"`
 }
 
 // SchemeGeoMean is a platform-level geometric-mean speedup for one
@@ -169,13 +172,6 @@ type OptimizeResponse struct {
 	L2Ratio     float64     `json:"l2_ratio"`
 }
 
-// TableResponse is a report table (Table 1/Table 2) in structured form.
-type TableResponse struct {
-	Title  string     `json:"title"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
-}
-
 // ErrorResponse is the uniform error body every endpoint returns on
 // failure.
 type ErrorResponse struct {
@@ -188,45 +184,12 @@ type ErrorResponse struct {
 // DiskCache is present only when the daemon runs with a persistent
 // cache tier (-cache-dir).
 type MetricsResponse struct {
-	UptimeSeconds float64         `json:"uptime_seconds"`
-	Cache         CacheStats      `json:"cache"`
-	DiskCache     *DiskCacheStats `json:"disk_cache,omitempty"`
-	Singleflight  FlightStats     `json:"singleflight"`
-	Queue         QueueStats      `json:"queue"`
-	ProfCounters  []string        `json:"prof_counters"`
-}
-
-// CacheStats mirrors rescache.Stats (kept here so clients need only
-// this package to decode /metrics).
-type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	MaxBytes  int64  `json:"max_bytes"`
-}
-
-// DiskCacheStats mirrors rescache.DiskStats: the persistent tier's
-// counters. Corruptions counts entries that failed verification on read
-// (each one quarantined and served as a miss); StaleTemps counts
-// crash-leftover temporary files swept when the tier was opened.
-type DiskCacheStats struct {
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Writes      uint64 `json:"writes"`
-	WriteErrors uint64 `json:"write_errors"`
-	Corruptions uint64 `json:"corruptions"`
-	Quarantined uint64 `json:"quarantined"`
-	StaleTemps  uint64 `json:"stale_temps"`
-	Entries     int    `json:"entries"`
-}
-
-// FlightStats mirrors rescache.FlightStats.
-type FlightStats struct {
-	Leaders  uint64 `json:"leaders"`
-	Joined   uint64 `json:"joined"`
-	Inflight int    `json:"inflight"`
+	UptimeSeconds float64              `json:"uptime_seconds"`
+	Cache         rescache.Stats       `json:"cache"`
+	DiskCache     *rescache.DiskStats  `json:"disk_cache,omitempty"`
+	Singleflight  rescache.FlightStats `json:"singleflight"`
+	Queue         QueueStats           `json:"queue"`
+	ProfCounters  []string             `json:"prof_counters"`
 }
 
 // QueueStats is the worker-pool view: Workers is the pool size, Active
@@ -260,93 +223,14 @@ type TransformsResponse struct {
 	Swizzles []string `json:"swizzles"`
 }
 
-// SwizzleCellResult is one mode of the clustering-vs-swizzling-vs-both
-// comparison on one (app, arch): its measured outcome next to the L2
-// reuse analyzer's windowed prediction for the same kernel.
-type SwizzleCellResult struct {
-	// Label identifies the mode: "BSL", "SWZ(<name>)", "CLU" or
-	// "CLU+SWZ(<name>)".
-	Label string `json:"label"`
-	// Swizzle is the swizzle name applied in this mode ("" for none).
-	Swizzle string `json:"swizzle,omitempty"`
-	// PredictedFetches / PredictedShared are the analyzer's
-	// window-compulsory L2 fetch count and cross-CTA shared-line
-	// fraction for the exact kernel this mode simulates (absent for
-	// clustered modes, whose placement-dependent traces the windowed
-	// analyzer does not model).
-	PredictedFetches uint64  `json:"predicted_fetches,omitempty"`
-	PredictedShared  float64 `json:"predicted_shared,omitempty"`
-	Cycles           int64   `json:"cycles"`
-	Speedup          float64 `json:"speedup"`
-	L2ReadTxn        uint64  `json:"l2_read_txn"`
-	// L2Delta is the measured L2-read-transaction change vs the BSL
-	// cell (negative = fewer transactions).
-	L2Delta   float64 `json:"l2_delta"`
-	L1HitRate float64 `json:"l1_hit_rate"`
-}
-
-// SwizzleComparison is the full three-way comparison for one
-// (app, arch) cell of the matrix.
-type SwizzleComparison struct {
-	App  string `json:"app"`
-	Arch string `json:"arch"`
-	// Window and LineBytes echo the analyzer's occupancy-derived
-	// co-residency window and line granularity.
-	Window    int                 `json:"window"`
-	LineBytes int                 `json:"line_bytes"`
-	Cells     []SwizzleCellResult `json:"cells"`
-	// PredictedBest / MeasuredBest name the swizzle the analyzer ranked
-	// first (largest cross-CTA reuse fraction, identity the tie-winning
-	// incumbent) and the one with the fewest
-	// measured L2 read transactions; PredictionHit is their agreement —
-	// the analyzer's score against internal/prof ground truth.
-	PredictedBest string `json:"predicted_best"`
-	MeasuredBest  string `json:"measured_best"`
-	PredictionHit bool   `json:"prediction_hit"`
-}
-
 // SwizzleCompareResponse is the matrix `evaluate -swizzle-compare`
 // emits (BENCH_swizzle.json), arch-major in request order.
 type SwizzleCompareResponse struct {
-	Comparisons []SwizzleComparison `json:"comparisons"`
-}
-
-// ChipletCellResult is one mode of the chiplet placement comparison on
-// one (app, chiplet-arch) cell: cycles next to the interposer counters
-// that show whether the mode kept sharers on one die.
-type ChipletCellResult struct {
-	// Label identifies the mode: "BSL", "CLU", "SWZ(dieblock)" or
-	// "CLU+SWZ(dieblock)".
-	Label     string  `json:"label"`
-	Cycles    int64   `json:"cycles"`
-	Speedup   float64 `json:"speedup"`
-	L2ReadTxn uint64  `json:"l2_read_txn"`
-	// RemoteL2Txn counts L2-slice read misses homed on another die's
-	// HBM stack; RemoteFrac normalizes by DRAM reads (0 = every miss
-	// die-local, (D-1)/D = placement-oblivious expectation on D dies).
-	RemoteL2Txn uint64  `json:"remote_l2_txn"`
-	RemoteFrac  float64 `json:"remote_frac"`
-	// InterposerBytes is the cross-die fill traffic.
-	InterposerBytes uint64  `json:"interposer_bytes"`
-	L1HitRate       float64 `json:"l1_hit_rate"`
-}
-
-// ChipletComparison is the four-way comparison for one
-// (app, chiplet-arch) cell of the matrix.
-type ChipletComparison struct {
-	App string `json:"app"`
-	// Arch is the derived chiplet descriptor name (e.g. "TeslaK40@2die")
-	// and Chiplets its die count.
-	Arch     string              `json:"arch"`
-	Chiplets int                 `json:"chiplets"`
-	Cells    []ChipletCellResult `json:"cells"`
-	// Best names the fastest cell (ties break toward BSL, so a dead
-	// heat reads as "clustering does not help here").
-	Best string `json:"best"`
+	Comparisons []*eval.SwizzleComparison `json:"comparisons"`
 }
 
 // ChipletCompareResponse is the matrix `evaluate -chiplet-compare`
 // emits (BENCH_chiplet.json), arch-major in request order.
 type ChipletCompareResponse struct {
-	Comparisons []ChipletComparison `json:"comparisons"`
+	Comparisons []*eval.ChipletComparison `json:"comparisons"`
 }

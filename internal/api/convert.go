@@ -5,7 +5,6 @@ import (
 	"ctacluster/internal/engine"
 	"ctacluster/internal/eval"
 	"ctacluster/internal/locality"
-	"ctacluster/internal/report"
 	"ctacluster/internal/workloads"
 )
 
@@ -30,21 +29,6 @@ func SimulateResponseFrom(app, archName, scheme, swizzle string, res *engine.Res
 	return out
 }
 
-// cellFrom converts one eval cell.
-func cellFrom(c eval.Cell) SweepCell {
-	return SweepCell{
-		Scheme:             c.Scheme.String(),
-		Cycles:             c.Cycles,
-		Speedup:            c.Speedup,
-		L2ReadTransactions: c.L2Txn,
-		L2Norm:             c.L2Norm,
-		L1HitRate:          c.L1Hit,
-		AchievedOccupancy:  c.AchOcc,
-		OccupancyNorm:      c.OccNorm,
-		Agents:             c.Agents,
-	}
-}
-
 // SweepResponseFrom converts the full evaluation matrix, cells in the
 // Figure 12 legend order and per-scheme geometric means computed the
 // way report.Figure12 does.
@@ -52,23 +36,15 @@ func SweepResponseFrom(platforms []eval.PlatformResult) SweepResponse {
 	out := SweepResponse{Platforms: make([]SweepPlatform, 0, len(platforms))}
 	for _, pr := range platforms {
 		p := SweepPlatform{Arch: pr.Arch.Name, Generation: pr.Arch.Gen.String()}
-		speedups := map[eval.Scheme][]float64{}
 		for _, r := range pr.Results {
-			ar := SweepAppResult{App: r.App.Name()}
-			for _, s := range eval.Schemes {
-				c, ok := r.Cells[s]
-				if !ok {
-					continue
-				}
-				ar.Cells = append(ar.Cells, cellFrom(c))
-				speedups[s] = append(speedups[s], c.Speedup)
-			}
-			p.Results = append(p.Results, ar)
+			p.Results = append(p.Results, SweepAppResult{App: r.App.Name(), Cells: r.Cells[:]})
 		}
+		speedups := make([]float64, len(pr.Results))
 		for _, s := range eval.Schemes {
-			if vs, ok := speedups[s]; ok {
-				p.GeoMean = append(p.GeoMean, SchemeGeoMean{Scheme: s.String(), Speedup: eval.GeoMean(vs)})
+			for i, r := range pr.Results {
+				speedups[i] = r.Cells[s].Speedup
 			}
+			p.GeoMean = append(p.GeoMean, SchemeGeoMean{Scheme: s.String(), Speedup: eval.GeoMean(speedups)})
 		}
 		out.Platforms = append(out.Platforms, p)
 	}
@@ -114,72 +90,4 @@ func runSummary(r *engine.Result) RunSummary {
 		L1HitRate:          r.L1.HitRate(),
 		L2ReadTransactions: r.L2ReadTransactions(),
 	}
-}
-
-// SwizzleCompareResponseFrom converts the clustering-vs-swizzling-vs-
-// both matrix into the BENCH_swizzle.json schema.
-func SwizzleCompareResponseFrom(comparisons []*eval.SwizzleComparison) SwizzleCompareResponse {
-	out := SwizzleCompareResponse{Comparisons: make([]SwizzleComparison, 0, len(comparisons))}
-	for _, c := range comparisons {
-		sc := SwizzleComparison{
-			App:           c.App.Name(),
-			Arch:          c.Arch.Name,
-			Window:        c.Window,
-			LineBytes:     c.LineBytes,
-			PredictedBest: c.PredictedBest,
-			MeasuredBest:  c.MeasuredBest,
-			PredictionHit: c.PredictionHit,
-		}
-		for _, cell := range c.Cells {
-			r := SwizzleCellResult{
-				Label:     cell.Label,
-				Swizzle:   cell.Swizzle,
-				Cycles:    cell.Cycles,
-				Speedup:   cell.Speedup,
-				L2ReadTxn: cell.L2Txn,
-				L2Delta:   cell.L2Delta,
-				L1HitRate: cell.L1Hit,
-			}
-			if cell.Predicted != nil {
-				r.PredictedFetches = cell.Predicted.Fetches
-				r.PredictedShared = cell.Predicted.SharedFraction()
-			}
-			sc.Cells = append(sc.Cells, r)
-		}
-		out.Comparisons = append(out.Comparisons, sc)
-	}
-	return out
-}
-
-// ChipletCompareResponseFrom converts the chiplet placement matrix
-// into the BENCH_chiplet.json schema.
-func ChipletCompareResponseFrom(comparisons []*eval.ChipletComparison) ChipletCompareResponse {
-	out := ChipletCompareResponse{Comparisons: make([]ChipletComparison, 0, len(comparisons))}
-	for _, c := range comparisons {
-		cc := ChipletComparison{
-			App:      c.App.Name(),
-			Arch:     c.Arch.Name,
-			Chiplets: c.Arch.Chiplets,
-			Best:     c.Best,
-		}
-		for _, cell := range c.Cells {
-			cc.Cells = append(cc.Cells, ChipletCellResult{
-				Label:           cell.Label,
-				Cycles:          cell.Cycles,
-				Speedup:         cell.Speedup,
-				L2ReadTxn:       cell.L2Txn,
-				RemoteL2Txn:     cell.RemoteTxn,
-				RemoteFrac:      cell.RemoteFrac,
-				InterposerBytes: cell.InterposerBytes,
-				L1HitRate:       cell.L1Hit,
-			})
-		}
-		out.Comparisons = append(out.Comparisons, cc)
-	}
-	return out
-}
-
-// TableResponseFrom converts a report table.
-func TableResponseFrom(t *report.Table) TableResponse {
-	return TableResponse{Title: t.Title, Header: t.Header, Rows: t.Rows}
 }

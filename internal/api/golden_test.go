@@ -99,12 +99,12 @@ func TestGoldenOptimizeResponse(t *testing.T) {
 }
 
 func TestGoldenTableResponses(t *testing.T) {
-	t1, err := api.Marshal(api.TableResponseFrom(report.Table1(arch.All())))
+	t1, err := api.Marshal(report.Table1(arch.All()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "table1.json", t1)
-	t2, err := api.Marshal(api.TableResponseFrom(report.Table2(workloads.Table2())))
+	t2, err := api.Marshal(report.Table2(workloads.Table2()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,4 +131,37 @@ func TestMarshalDeterministic(t *testing.T) {
 	if a, b := render(), render(); !bytes.Equal(a, b) {
 		t.Fatal("identical runs marshalled to different bytes")
 	}
+}
+
+// TestGoldenSwizzleCompareResponse pins the BENCH_swizzle.json element
+// schema on one quick cell, so a renamed or re-tagged field fails the
+// tier-1 suite rather than only the full-matrix cmp gate.
+func TestGoldenSwizzleCompareResponse(t *testing.T) {
+	m, err := eval.CompareSwizzleMatrix([]*arch.Arch{arch.TeslaK40()}, []*workloads.App{mustApp(t, "MM")}, eval.Options{Quick: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := api.Marshal(api.SwizzleCompareResponse{Comparisons: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "swizzle_compare_mm_teslak40.json", b)
+}
+
+// TestGoldenChipletCompareResponse pins the BENCH_chiplet.json element
+// schema on one 2-die cell.
+func TestGoldenChipletCompareResponse(t *testing.T) {
+	ar, err := arch.WithChiplets(arch.TeslaK40(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := eval.CompareChipletMatrix([]*arch.Arch{ar}, []*workloads.App{mustApp(t, "MM")}, eval.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := api.Marshal(api.ChipletCompareResponse{Comparisons: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "chiplet_compare_mm_teslak40_2die.json", b)
 }

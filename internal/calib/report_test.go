@@ -23,7 +23,7 @@ func syntheticSweep(ar *arch.Arch, matchAgents int) []eval.PlatformResult {
 		if i < matchAgents {
 			agents = app.OptAgents(ar.Gen)
 		}
-		results = append(results, &eval.AppResult{App: app, Arch: ar, Cells: map[eval.Scheme]eval.Cell{
+		results = append(results, &eval.AppResult{App: app, Arch: ar, Cells: [eval.PFHTOT + 1]eval.Cell{
 			eval.CLUTOT: {Scheme: eval.CLUTOT, Speedup: 2, L2Norm: 0.5, Agents: agents},
 		}})
 	}

@@ -18,37 +18,41 @@ import (
 	"ctacluster/internal/workloads"
 )
 
-// ChipletCell is one mode of the chiplet comparison.
+// ChipletCell is one mode of the chiplet comparison, an element of the
+// BENCH_chiplet.json schema.
 type ChipletCell struct {
 	// Label is "BSL", "CLU", "SWZ(dieblock)" or "CLU+SWZ(dieblock)".
-	Label   string
-	Cycles  int64
-	Speedup float64 // vs BSL on the same chiplet descriptor
-	L2Txn   uint64  // measured L2 read transactions
+	Label   string  `json:"label"`
+	Cycles  int64   `json:"cycles"`
+	Speedup float64 `json:"speedup"`     // vs BSL on the same chiplet descriptor
+	L2Txn   uint64  `json:"l2_read_txn"` // measured L2 read transactions
 	// RemoteTxn counts L2-slice read misses homed on another die's HBM
 	// stack (mem.Stats.RemoteL2Transactions); RemoteFrac normalizes by
 	// DRAM reads, so 0 means every miss stayed die-local and (D-1)/D is
 	// the placement-oblivious expectation on D dies.
-	RemoteTxn  uint64
-	RemoteFrac float64
+	RemoteTxn  uint64  `json:"remote_l2_txn"`
+	RemoteFrac float64 `json:"remote_frac"`
 	// InterposerBytes is the cross-die fill traffic (one L2 line per
 	// remote transaction).
-	InterposerBytes uint64
-	L1Hit           float64
+	InterposerBytes uint64  `json:"interposer_bytes"`
+	L1Hit           float64 `json:"l1_hit_rate"`
 }
 
 // ChipletComparison is the four-way comparison for one (app, arch)
-// cell. Arch is always a chiplet descriptor (Arch.IsChiplet).
+// cell: one element of the BENCH_chiplet.json document. Arch names a
+// chiplet descriptor (e.g. "TeslaK40@2die") and Chiplets is its die
+// count.
 type ChipletComparison struct {
-	App  *workloads.App
-	Arch *arch.Arch
+	App      string `json:"app"`
+	Arch     string `json:"arch"`
+	Chiplets int    `json:"chiplets"`
 	// Cells holds BSL, CLU, SWZ(dieblock), CLU+SWZ(dieblock) in that
 	// fixed order.
-	Cells []ChipletCell
+	Cells []ChipletCell `json:"cells"`
 	// Best is the label of the fastest cell (fewest cycles, first wins
 	// on ties in the fixed order above, so BSL wins a dead heat — an
 	// honest "clustering does not help here" answer).
-	Best string
+	Best string `json:"best"`
 }
 
 // compareChiplet runs the four-way comparison for one app on one
@@ -99,7 +103,7 @@ func compareChiplet(ar *arch.Arch, app *workloads.App, opt Options, rn *Runner) 
 		return c
 	}
 
-	out := &ChipletComparison{App: app, Arch: ar}
+	out := &ChipletComparison{App: app.Name(), Arch: ar.Name, Chiplets: ar.Chiplets}
 	for i, s := range sims {
 		out.Cells = append(out.Cells, cell(s.label, res[i]))
 	}

@@ -63,24 +63,42 @@ func (s Scheme) String() string {
 	}
 }
 
-// Cell is one scheme's outcome for one app on one architecture.
-type Cell struct {
-	Scheme  Scheme
-	Cycles  int64
-	Speedup float64 // vs BSL
-	L2Txn   uint64
-	L2Norm  float64 // vs BSL
-	L1Hit   float64
-	AchOcc  float64 // achieved occupancy (absolute)
-	OccNorm float64 // vs BSL
-	Agents  int     // active agents used (0 = n/a)
+// MarshalText renders the legend label, so a Cell's JSON names its
+// scheme the way Figure 12 does.
+func (s Scheme) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText parses a legend label back, so a decoded sweep carries
+// the Scheme values the evaluation produced.
+func (s *Scheme) UnmarshalText(b []byte) error {
+	for _, c := range Schemes {
+		if c.String() == string(b) {
+			*s = c
+			return nil
+		}
+	}
+	return fmt.Errorf("eval: unknown scheme %q", b)
 }
 
-// AppResult holds all scheme cells for one app/arch pair.
+// Cell is one scheme's outcome for one app on one architecture; its
+// JSON form is a cell of the sweep schema (api.SweepAppResult).
+type Cell struct {
+	Scheme  Scheme  `json:"scheme"`
+	Cycles  int64   `json:"cycles"`
+	Speedup float64 `json:"speedup"` // vs BSL
+	L2Txn   uint64  `json:"l2_read_transactions"`
+	L2Norm  float64 `json:"l2_norm"` // vs BSL
+	L1Hit   float64 `json:"l1_hit_rate"`
+	AchOcc  float64 `json:"achieved_occupancy"` // absolute
+	OccNorm float64 `json:"occupancy_norm"`     // vs BSL
+	Agents  int     `json:"agents,omitempty"`   // active agents used (0 = n/a)
+}
+
+// AppResult holds all scheme cells for one app/arch pair, indexed by
+// Scheme; the evaluation fills every one.
 type AppResult struct {
 	App   *workloads.App
 	Arch  *arch.Arch
-	Cells map[Scheme]Cell
+	Cells [PFHTOT + 1]Cell
 }
 
 // Best returns the best clustering-family speedup (the paper reports
@@ -88,7 +106,7 @@ type AppResult struct {
 func (r *AppResult) Best() Cell {
 	best := r.Cells[BSL]
 	for _, s := range []Scheme{CLU, CLUTOT, CLUTOTBPS} {
-		if c, ok := r.Cells[s]; ok && c.Speedup > best.Speedup {
+		if c := r.Cells[s]; c.Speedup > best.Speedup {
 			best = c
 		}
 	}
@@ -205,7 +223,7 @@ func evaluateApp(ar *arch.Arch, app *workloads.App, opt Options, rn *Runner) (*A
 	best := core.PickVote(votes)
 	bestAgents := cands[best]
 
-	out := &AppResult{App: app, Arch: ar, Cells: map[Scheme]Cell{}}
+	out := &AppResult{App: app, Arch: ar}
 	out.Cells[BSL] = cellFrom(BSL, base, base, 0)
 	out.Cells[RD] = cellFrom(RD, res[1], base, 0)
 	out.Cells[CLU] = cellFrom(CLU, res[2], base, cands[0])

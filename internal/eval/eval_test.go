@@ -86,9 +86,9 @@ func TestEvaluateAppQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range Schemes {
-		c, ok := res.Cells[s]
-		if !ok {
-			t.Fatalf("missing cell for %v", s)
+		c := res.Cells[s]
+		if c.Scheme != s {
+			t.Fatalf("cell %d carries scheme %v, want %v", s, c.Scheme, s)
 		}
 		if c.Cycles <= 0 {
 			t.Errorf("%v: cycles = %d", s, c.Cycles)
@@ -173,7 +173,7 @@ func TestFrameworkAccuracy(t *testing.T) {
 }
 
 func TestBestPicksTopClusteringScheme(t *testing.T) {
-	r := &AppResult{Cells: map[Scheme]Cell{
+	r := &AppResult{Cells: [PFHTOT + 1]Cell{
 		BSL:       {Scheme: BSL, Speedup: 1.0},
 		RD:        {Scheme: RD, Speedup: 3.0}, // RD is not in the clustering family
 		CLU:       {Scheme: CLU, Speedup: 1.2},
@@ -184,7 +184,7 @@ func TestBestPicksTopClusteringScheme(t *testing.T) {
 		t.Errorf("Best() = %v, want CLU+TOT", best.Scheme)
 	}
 	// All schemes below baseline: Best falls back to BSL.
-	worse := &AppResult{Cells: map[Scheme]Cell{
+	worse := &AppResult{Cells: [PFHTOT + 1]Cell{
 		BSL: {Scheme: BSL, Speedup: 1.0},
 		CLU: {Scheme: CLU, Speedup: 0.8},
 	}}

@@ -19,45 +19,50 @@ import (
 
 // SwizzleCell is one mode of the comparison: its measured outcome and,
 // for unclustered modes, the analyzer's windowed prediction for the
-// exact kernel simulated.
+// exact kernel simulated. It is an element of the BENCH_swizzle.json
+// schema.
 type SwizzleCell struct {
 	// Label is "BSL", "SWZ(<name>)", "CLU" or "CLU+SWZ(<name>)".
-	Label string
+	Label string `json:"label"`
 	// Swizzle is the applied swizzle name; "" for the plain modes. The
 	// BSL row is the identity rasterization, so its prediction is the
 	// analyzer's identity score.
-	Swizzle string
-	// Predicted is the analyzer's windowed quantification of the
-	// simulated kernel; nil for the clustered modes, whose
-	// placement-dependent dispatch the windowed analyzer does not model.
-	Predicted *swizzle.Quant
-	Cycles    int64
-	Speedup   float64 // vs BSL
-	L2Txn     uint64  // measured L2 read transactions
-	L2Delta   float64 // L2Txn / BSL's - 1 (negative = reduction)
-	L1Hit     float64
+	Swizzle string `json:"swizzle,omitempty"`
+	// PredictedFetches / PredictedShared are the analyzer's
+	// window-compulsory L2 fetch count and cross-CTA shared-line
+	// fraction for the simulated kernel; zero (and absent from the
+	// JSON) for the clustered modes, whose placement-dependent dispatch
+	// the windowed analyzer does not model.
+	PredictedFetches uint64  `json:"predicted_fetches,omitempty"`
+	PredictedShared  float64 `json:"predicted_shared,omitempty"`
+	Cycles           int64   `json:"cycles"`
+	Speedup          float64 `json:"speedup"`     // vs BSL
+	L2Txn            uint64  `json:"l2_read_txn"` // measured L2 read transactions
+	L2Delta          float64 `json:"l2_delta"`    // L2Txn / BSL's - 1 (negative = reduction)
+	L1Hit            float64 `json:"l1_hit_rate"`
 }
 
 // SwizzleComparison is the full three-way comparison for one
-// (app, arch) cell.
+// (app, arch) cell: one element of the BENCH_swizzle.json document.
 type SwizzleComparison struct {
-	App  *workloads.App
-	Arch *arch.Arch
+	App  string `json:"app"`
+	Arch string `json:"arch"`
 	// Window and LineBytes are the analyzer's occupancy-derived
 	// co-residency window and line granularity for this cell.
-	Window    int
-	LineBytes int
+	Window    int `json:"window"`
+	LineBytes int `json:"line_bytes"`
 	// Cells holds BSL, one SWZ row per non-identity variant in sorted
 	// order, CLU, and CLU over the predicted-best swizzle.
-	Cells []SwizzleCell
+	Cells []SwizzleCell `json:"cells"`
 	// PredictedBest is the analyzer's choice (largest cross-CTA reuse
 	// fraction, identity the tie-winning incumbent);
 	// MeasuredBest is the variant with the
 	// fewest measured L2 read transactions (BSL standing in for
-	// identity). PredictionHit reports their agreement.
-	PredictedBest string
-	MeasuredBest  string
-	PredictionHit bool
+	// identity). PredictionHit reports their agreement — the analyzer's
+	// score against internal/prof ground truth.
+	PredictedBest string `json:"predicted_best"`
+	MeasuredBest  string `json:"measured_best"`
+	PredictionHit bool   `json:"prediction_hit"`
 }
 
 // compareSwizzle runs the three-way comparison for one app on one
@@ -106,10 +111,13 @@ func compareSwizzle(ar *arch.Arch, app *workloads.App, opt Options, rn *Runner) 
 
 	cell := func(label, swz string, q *swizzle.Quant, res *engine.Result) SwizzleCell {
 		c := SwizzleCell{
-			Label: label, Swizzle: swz, Predicted: q,
+			Label: label, Swizzle: swz,
 			Cycles: res.Cycles,
 			L2Txn:  res.L2ReadTransactions(),
 			L1Hit:  res.L1.HitRate(),
+		}
+		if q != nil {
+			c.PredictedFetches, c.PredictedShared = q.Fetches, q.SharedFraction()
 		}
 		if res.Cycles > 0 {
 			c.Speedup = float64(base.Cycles) / float64(res.Cycles)
@@ -122,7 +130,7 @@ func compareSwizzle(ar *arch.Arch, app *workloads.App, opt Options, rn *Runner) 
 
 	idQuant := quants["identity"]
 	out := &SwizzleComparison{
-		App: app, Arch: ar,
+		App: app.Name(), Arch: ar.Name,
 		Window:        idQuant.Window,
 		LineBytes:     idQuant.LineBytes,
 		PredictedBest: pred.Best,

@@ -39,10 +39,10 @@ func TestCompareSwizzleMM(t *testing.T) {
 	}
 	for _, cell := range c.Cells {
 		clustered := strings.HasPrefix(cell.Label, "CLU")
-		if clustered && cell.Predicted != nil {
+		if clustered && (cell.PredictedFetches != 0 || cell.PredictedShared != 0) {
 			t.Errorf("%s: clustered modes must not carry a windowed prediction", cell.Label)
 		}
-		if !clustered && cell.Predicted == nil {
+		if !clustered && cell.PredictedFetches == 0 {
 			t.Errorf("%s: unclustered modes must carry the analyzer's prediction", cell.Label)
 		}
 		if cell.Cycles <= 0 || cell.L2Txn == 0 {

@@ -16,11 +16,12 @@ import (
 	"ctacluster/internal/workloads"
 )
 
-// Table is a simple aligned text table.
+// Table is a simple aligned text table; its JSON form is the
+// /v1/table1 and /v1/table2 document.
 type Table struct {
-	Title  string
-	Header []string
-	Rows   [][]string
+	Title  string     `json:"title"`
+	Header []string   `json:"header"`
+	Rows   [][]string `json:"rows"`
 }
 
 // Add appends a row.

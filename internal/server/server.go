@@ -186,20 +186,22 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, "", body)
 }
 
-// failFor maps an error to its transport status: bad input is 400,
-// shed load 503, an expired deadline 504, everything else 500.
-func (s *Server) failFor(w http.ResponseWriter, err error) {
+// failFor maps an error to its transport status — shed load 503, an
+// expired deadline 504, everything else 500 — writes the error body and
+// returns the status.
+func (s *Server) failFor(w http.ResponseWriter, err error) int {
+	status := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, errBusy):
-		s.fail(w, http.StatusServiceUnavailable, err)
+		status = http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
-		s.fail(w, http.StatusGatewayTimeout, err)
+		status = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		// The client is gone; the status is for the log's benefit.
-		s.fail(w, http.StatusServiceUnavailable, err)
-	default:
-		s.fail(w, http.StatusInternalServerError, err)
+		status = http.StatusServiceUnavailable
 	}
+	s.fail(w, status, err)
+	return status
 }
 
 // maxBodyBytes bounds a request body. Real requests are under 1 KB;
@@ -239,11 +241,12 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 // request waits under its own context bounded by its effective
 // deadline; fn runs under the flight's context, which ends only when
 // every request waiting on it has left, and must return canonical
-// bytes.
-func (s *Server) compute(w http.ResponseWriter, r *http.Request, key string, timeoutMS int64, fn func(ctx context.Context) ([]byte, error)) {
+// bytes. It returns the status it wrote and the cache disposition
+// ("hit", "miss", "dedup", or "-" for an error) for the request log.
+func (s *Server) compute(w http.ResponseWriter, r *http.Request, key string, timeoutMS int64, fn func(ctx context.Context) ([]byte, error)) (status int, disposition string) {
 	if body, ok := s.cache.Get(key); ok {
 		writeJSON(w, http.StatusOK, "hit", body)
-		return
+		return http.StatusOK, "hit"
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(timeoutMS))
 	defer cancel()
@@ -260,15 +263,15 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, key string, tim
 		return out, runErr
 	})
 	if err != nil {
-		s.failFor(w, err)
-		return
+		return s.failFor(w, err), "-"
 	}
 	s.cache.Put(key, body)
-	disposition := "miss"
+	disposition = "miss"
 	if shared {
 		disposition = "dedup"
 	}
 	writeJSON(w, http.StatusOK, disposition, body)
+	return http.StatusOK, disposition
 }
 
 // swizzleFor resolves a request's swizzle, falling back to the daemon's
@@ -337,14 +340,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	key := rescache.ConfigKey(kernelID, swz, cfg)
 
 	start := time.Now()
-	s.compute(w, r, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
+	status, disposition := s.compute(w, r, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
 		res, err := engine.RunContext(ctx, cfg, k)
 		if err != nil {
 			return nil, err
 		}
 		return api.Marshal(api.SimulateResponseFrom(app.Name(), ar.Name, scheme, swz, res))
 	})
-	s.logf("simulate %s swizzle=%q in %v", kernelID, swz, time.Since(start))
+	s.logf("simulate %s swizzle=%q status=%d cache=%s in %v", kernelID, swz, status, disposition, time.Since(start))
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -394,7 +397,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	key := kb.Sum()
 
 	start := time.Now()
-	s.compute(w, r, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
+	status, disposition := s.compute(w, r, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
 		opt := eval.Options{
 			Ctx:         ctx,
 			Seed:        req.Seed,
@@ -408,7 +411,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		return api.Marshal(api.SweepResponseFrom(sweep))
 	})
-	s.logf("sweep %d platforms x %d apps in %v", len(platforms), len(apps), time.Since(start))
+	s.logf("sweep %d platforms x %d apps status=%d cache=%s in %v", len(platforms), len(apps), status, disposition, time.Since(start))
 }
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
@@ -426,25 +429,45 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	key := rescache.NewKey("optimize/v1").Str(app.Name()).Arch(ar).Sum()
+	// The daemon's default chiplet model and swizzle apply here as to
+	// every other kernel it simulates, wrapped the way the ctacluster
+	// CLI wraps them. The derived descriptor enters the key through
+	// Key.Arch; the swizzle is its own key field.
+	ars, err := s.chipletFor(0, []*arch.Arch{ar})
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
+	ar = ars[0]
+	swz, err := s.swizzleFor("")
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
+	k, _, err := eval.Spec{Swizzle: swz}.Kernel(app, ar)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
+	key := rescache.NewKey("optimize/v1").Str(app.Name()).Arch(ar).Str(swz).Sum()
 
 	start := time.Now()
-	s.compute(w, r, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
-		plan, err := locality.Optimize(ctx, app, ar)
+	status, disposition := s.compute(w, r, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
+		plan, err := locality.Optimize(ctx, k, ar)
 		if err != nil {
 			return nil, err
 		}
 		return api.Marshal(api.OptimizeResponseFrom(app, ar, plan))
 	})
-	s.logf("optimize %s on %s in %v", app.Name(), ar.Name, time.Since(start))
+	s.logf("optimize %s on %s swizzle=%q status=%d cache=%s in %v", app.Name(), ar.Name, swz, status, disposition, time.Since(start))
 }
 
 func (s *Server) handleTable1(w http.ResponseWriter, r *http.Request) {
-	s.serveStatic(w, api.TableResponseFrom(report.Table1(arch.All())))
+	s.serveStatic(w, report.Table1(arch.All()))
 }
 
 func (s *Server) handleTable2(w http.ResponseWriter, r *http.Request) {
-	s.serveStatic(w, api.TableResponseFrom(report.Table2(workloads.Table2())))
+	s.serveStatic(w, report.Table2(workloads.Table2()))
 }
 
 // handleTransforms lists the transform vocabulary: scheme labels and
@@ -476,26 +499,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	cs := s.cache.Mem().Stats()
-	fs := s.flights.Stats()
 	resp := api.MetricsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Cache: api.CacheStats{
-			Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions,
-			Entries: cs.Entries, Bytes: cs.Bytes, MaxBytes: cs.MaxBytes,
-		},
-		Singleflight: api.FlightStats{Leaders: fs.Leaders, Joined: fs.Joined, Inflight: fs.Inflight},
-		Queue:        s.queue.stats(),
-		ProfCounters: prof.CounterNames(),
+		Cache:         s.cache.Mem().Stats(),
+		Singleflight:  s.flights.Stats(),
+		Queue:         s.queue.stats(),
+		ProfCounters:  prof.CounterNames(),
 	}
 	if disk := s.cache.Disk(); disk != nil {
 		ds := disk.Stats()
-		resp.DiskCache = &api.DiskCacheStats{
-			Hits: ds.Hits, Misses: ds.Misses, Writes: ds.Writes,
-			WriteErrors: ds.WriteErrors, Corruptions: ds.Corruptions,
-			Quarantined: ds.Quarantined, StaleTemps: ds.StaleTemps,
-			Entries: ds.Entries,
-		}
+		resp.DiskCache = &ds
 	}
 	s.serveStatic(w, resp)
 }

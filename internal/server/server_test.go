@@ -29,7 +29,9 @@ import (
 	"ctacluster/internal/api"
 	"ctacluster/internal/arch"
 	"ctacluster/internal/eval"
+	"ctacluster/internal/locality"
 	"ctacluster/internal/prof"
+	"ctacluster/internal/report"
 	"ctacluster/internal/server"
 	"ctacluster/internal/swizzle"
 	"ctacluster/internal/workloads"
@@ -516,11 +518,11 @@ func TestTablesHealthMetricsEndpoints(t *testing.T) {
 	if err != nil || h.Status != "ok" {
 		t.Fatalf("health = %+v, %v", h, err)
 	}
-	t1, err := call[api.TableResponse](ctx, c, "/v1/table1", nil)
+	t1, err := call[report.Table](ctx, c, "/v1/table1", nil)
 	if err != nil || len(t1.Rows) == 0 || !strings.Contains(t1.Title, "Table 1") {
 		t.Fatalf("table1 = %+v, %v", t1, err)
 	}
-	t2, err := call[api.TableResponse](ctx, c, "/v1/table2", nil)
+	t2, err := call[report.Table](ctx, c, "/v1/table2", nil)
 	if err != nil || len(t2.Rows) == 0 {
 		t.Fatalf("table2 = %+v, %v", t2, err)
 	}
@@ -609,7 +611,7 @@ func TestQuickSweepEndToEnd(t *testing.T) {
 		t.Fatalf("platform = %+v", p)
 	}
 	for _, r := range p.Results {
-		if len(r.Cells) == 0 || r.Cells[0].Scheme != "BSL" || r.Cells[0].Speedup != 1 {
+		if len(r.Cells) == 0 || r.Cells[0].Scheme != eval.BSL || r.Cells[0].Speedup != 1 {
 			t.Fatalf("result %s cells = %+v", r.App, r.Cells)
 		}
 	}
@@ -856,5 +858,139 @@ func TestDaemonDefaultSwizzle(t *testing.T) {
 	}
 	if res.Swizzle != "xor" {
 		t.Fatalf("response swizzle = %q, want the daemon default xor", res.Swizzle)
+	}
+}
+
+// TestMetricsKeySets pins the /metrics counter schema field by field:
+// the exact JSON keys of the memory tier, the disk tier and the
+// singleflight group, so a renamed or re-tagged counter fails here
+// rather than in a dashboard.
+func TestMetricsKeySets(t *testing.T) {
+	c := newDaemon(t, server.Config{Workers: 1, CacheDir: t.TempDir()})
+	raw, _, err := c.do(context.Background(), "/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &top); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{
+		"cache":        {"bytes", "entries", "evictions", "hits", "max_bytes", "misses"},
+		"disk_cache":   {"corruptions", "entries", "hits", "misses", "quarantined", "stale_temps", "write_errors", "writes"},
+		"singleflight": {"inflight", "joined", "leaders"},
+	}
+	for field, keys := range want {
+		var obj map[string]json.RawMessage
+		if err := json.Unmarshal(top[field], &obj); err != nil {
+			t.Fatalf("%s: %v (raw %s)", field, err, top[field])
+		}
+		var got []string
+		for k := range obj {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, keys) {
+			t.Errorf("%s keys = %v, want %v", field, got, keys)
+		}
+	}
+}
+
+// TestRequestLogStatusAndCache: each request's log line says how it
+// ended — the status the daemon wrote and the cache disposition — so a
+// 200, a 504 and a cache hit are told apart in the log alone.
+func TestRequestLogStatusAndCache(t *testing.T) {
+	logged := make(chan string, 3) // one line per request the test sends
+	c := newDaemon(t, server.Config{Workers: 1, Logf: func(format string, args ...any) {
+		logged <- fmt.Sprintf(format, args...)
+	}})
+	expectLine := func(want string) {
+		t.Helper()
+		select {
+		case line := <-logged:
+			if !strings.Contains(line, want) {
+				t.Errorf("log line %q lacks %q", line, want)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("timed out waiting for a log line with %q", want)
+		}
+	}
+	ctx := context.Background()
+
+	_, _, err := c.do(ctx, "/v1/simulate", api.SimulateRequest{App: "MM", Arch: "TeslaK40", TimeoutMS: 1})
+	if err == nil || !strings.Contains(err.Error(), "504") {
+		t.Fatalf("expired request: err = %v, want HTTP 504", err)
+	}
+	expectLine("status=504 cache=-")
+
+	req := api.SimulateRequest{App: "NN", Arch: "TeslaK40"}
+	for _, want := range []string{"status=200 cache=miss", "status=200 cache=hit"} {
+		if _, _, err := c.do(ctx, "/v1/simulate", req); err != nil {
+			t.Fatal(err)
+		}
+		expectLine(want)
+	}
+}
+
+// TestOptimizeDaemonDefaults: the daemon's default swizzle and chiplet
+// model apply to /v1/optimize as to every kernel it simulates, and the
+// bytes equal the in-process framework run on the same kernel and
+// descriptor. A default daemon still answers the committed golden.
+func TestOptimizeDaemonDefaults(t *testing.T) {
+	ctx := context.Background()
+	app, err := workloads.New("MM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inProcess := func(swz string, dies int) []byte {
+		t.Helper()
+		ar, err := arch.WithChiplets(arch.TeslaK40(), dies)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, _, err := eval.Spec{Swizzle: swz}.Kernel(app, ar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := locality.Optimize(ctx, k, ar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := api.Marshal(api.OptimizeResponseFrom(app, ar, plan))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	golden, err := os.ReadFile(filepath.Join("..", "api", "testdata", "optimize_mm_teslak40.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		cfg      server.Config
+		wantArch string
+		want     func() []byte
+	}{
+		{"default", server.Config{Workers: 1}, "TeslaK40", func() []byte { return golden }},
+		{"chiplets", server.Config{Workers: 1, Chiplets: 2}, "TeslaK40@2die", func() []byte { return inProcess("", 2) }},
+		{"swizzle", server.Config{Workers: 1, Swizzle: "xor"}, "TeslaK40", func() []byte { return inProcess("xor", 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, _, err := newDaemon(t, tc.cfg).do(ctx, "/v1/optimize", api.OptimizeRequest{App: "MM", Arch: "TeslaK40"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var resp api.OptimizeResponse
+			if err := json.Unmarshal(got, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Arch != tc.wantArch {
+				t.Errorf("arch = %q, want %q", resp.Arch, tc.wantArch)
+			}
+			if want := tc.want(); !bytes.Equal(got, want) {
+				t.Errorf("daemon bytes differ from the in-process run:\ndaemon: %s\nwant:   %s", got, want)
+			}
+		})
 	}
 }
