@@ -72,8 +72,8 @@ server:
 # compared).
 swizzle-smoke:
 	$(GO) test -race ./internal/swizzle ./internal/eval -run 'Swizzle'
-	$(GO) run -race ./cmd/evaluate -swizzle-compare -apps MM,SGM -arch TeslaK40 -quick > /dev/null
-	$(GO) run -race ./cmd/evaluate -swizzle-compare -apps MM,SGM -arch GTX980 -quick -json > /dev/null
+	$(GO) run -race ./cmd/evaluate -swizzle-compare -apps MM,SGM -arch TeslaK40 > /dev/null
+	$(GO) run -race ./cmd/evaluate -swizzle-compare -apps MM,SGM -arch GTX980 -json > /dev/null
 	$(GO) run ./cmd/evaluate -swizzle-compare -json | jq .comparisons > /tmp/swizzle-bench.json
 	jq .comparisons BENCH_swizzle.json | cmp - /tmp/swizzle-bench.json
 

@@ -33,11 +33,13 @@
 // measured L2 read transactions; with -json it emits one
 // api.SwizzleCompareResponse document whose comparisons are
 // eval.SwizzleComparison values (the BENCH_swizzle.json schema).
+// Neither comparison runs a throttle sweep, so both reject -quick.
 //
 // -chiplet N splits every selected platform into N interposer-linked
 // dies (arch.WithChiplets, DESIGN.md §13) before any sweep or
-// comparison; 0 (the default) keeps the monolithic Table 1 models,
-// byte-identical to an engine without the chiplet code. With
+// comparison; 0 (the default) keeps the monolithic Table 1 models, which
+// the memory model builds as one die (internal/mem), pinned by the
+// apps.csv, prof, api and eval-determinism goldens. With
 // -chiplet-compare (which requires -chiplet >= 2) it runs the four-way
 // placement study — BSL, CLU, SWZ(dieblock), CLU+SWZ(dieblock) — per
 // (app, arch) cell and reports cycles next to the interposer counters;

@@ -134,10 +134,10 @@ func TestMarshalDeterministic(t *testing.T) {
 }
 
 // TestGoldenSwizzleCompareResponse pins the BENCH_swizzle.json element
-// schema on one quick cell, so a renamed or re-tagged field fails the
+// schema on one cell, so a renamed or re-tagged field fails the
 // tier-1 suite rather than only the full-matrix cmp gate.
 func TestGoldenSwizzleCompareResponse(t *testing.T) {
-	m, err := eval.CompareSwizzleMatrix([]*arch.Arch{arch.TeslaK40()}, []*workloads.App{mustApp(t, "MM")}, eval.Options{Quick: true}, nil)
+	m, err := eval.CompareSwizzleMatrix([]*arch.Arch{arch.TeslaK40()}, []*workloads.App{mustApp(t, "MM")}, eval.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,12 +34,12 @@ func RegisterSwizzleFlag() *string {
 
 // RegisterChipletFlag registers -chiplet, the die count of the
 // multi-chiplet architecture model (arch.WithChiplets): 0 — the default
-// — is the monolithic Table 1 model, byte-identical to an engine
-// without the chiplet code; >= 2 splits every selected platform into
-// that many dies with derived interposer penalties (DESIGN.md §13).
-// Result-affecting like -swizzle: the derived descriptor enters
-// result-cache keys through its arch fields. Resolve the parsed value
-// with Chiplet.
+// — is the monolithic Table 1 model, which internal/mem builds as one
+// die (pinned by its script goldens and internal/calib's apps.csv);
+// >= 2 splits every selected platform into that many dies with derived
+// interposer penalties (DESIGN.md §13). Result-affecting like -swizzle:
+// the derived descriptor enters result-cache keys through its arch
+// fields. Resolve the parsed value with Chiplet.
 func RegisterChipletFlag() *int {
 	return flag.Int("chiplet", 0, "split each platform into N interposer-linked dies (0 = monolithic, 2-8 = chiplet model)")
 }

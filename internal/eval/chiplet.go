@@ -68,6 +68,9 @@ func compareChiplet(ar *arch.Arch, app *workloads.App, opt Options, rn *Runner) 
 	if opt.Swizzle != "" {
 		return nil, fmt.Errorf("eval: CompareChipletMatrix applies the die-aware swizzle itself; Options.Swizzle must be empty, got %q", opt.Swizzle)
 	}
+	if opt.Quick {
+		return nil, fmt.Errorf("eval: CompareChipletMatrix runs no throttle sweep; Options.Quick must be false")
+	}
 	cfg := opt.config(ar)
 
 	// All four modes are mutually independent: one wave. Selection below

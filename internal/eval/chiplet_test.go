@@ -90,6 +90,25 @@ func TestCompareChipletRejections(t *testing.T) {
 	}
 }
 
+// TestCompareChipletRejectsQuick: the comparison runs no throttle
+// sweep for Quick to skip, so a set Options.Quick would be silently
+// ignored; it is rejected instead.
+func TestCompareChipletRejectsQuick(t *testing.T) {
+	ar, err := arch.WithChiplets(arch.TeslaK40(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := workloads.New("MM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := compareChipletOne(ar, app, Options{Quick: true}); err == nil {
+		t.Fatal("CompareChipletMatrix accepted Options.Quick")
+	} else if !strings.Contains(err.Error(), "Quick") {
+		t.Errorf("quick rejection = %q, want it to name Options.Quick", err)
+	}
+}
+
 // TestCompareChipletParallelDeterministic pins the byte-invisibility of
 // the cell-internal fan-out: 1 worker and 8 workers must produce
 // deep-equal comparisons.

@@ -71,6 +71,9 @@ func compareSwizzle(ar *arch.Arch, app *workloads.App, opt Options, rn *Runner) 
 	if opt.Swizzle != "" {
 		return nil, fmt.Errorf("eval: CompareSwizzleMatrix sweeps every swizzle itself; Options.Swizzle must be empty, got %q", opt.Swizzle)
 	}
+	if opt.Quick {
+		return nil, fmt.Errorf("eval: CompareSwizzleMatrix runs no throttle sweep; Options.Quick must be false")
+	}
 	cfg := opt.config(ar)
 
 	// Analyzer predictions first: cheap, serial, deterministic.

@@ -122,6 +122,21 @@ func TestCompareSwizzleRejectsOptionsSwizzle(t *testing.T) {
 	}
 }
 
+// TestCompareSwizzleRejectsQuick: the comparison runs no throttle
+// sweep for Quick to skip, so a set Options.Quick would be silently
+// ignored; it is rejected instead.
+func TestCompareSwizzleRejectsQuick(t *testing.T) {
+	app, err := workloads.New("MM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := compareSwizzleOne(arch.TeslaK40(), app, Options{Quick: true}); err == nil {
+		t.Fatal("CompareSwizzleMatrix accepted Options.Quick")
+	} else if !strings.Contains(err.Error(), "Quick") {
+		t.Errorf("quick rejection = %q, want it to name Options.Quick", err)
+	}
+}
+
 // TestEvaluateAppWithSwizzle: Options.Swizzle rebases the whole scheme
 // sweep onto the swizzled rasterization — BSL still normalizes to 1.0
 // against the swizzled baseline, and the kernel names carry the suffix.

@@ -4,18 +4,21 @@
 // count — the metric the paper uses as its primary cache-performance
 // indicator (Figure 13, Section 5.2-(5)).
 //
-// When the architecture is a chiplet descriptor (arch.Arch.Chiplets > 1,
-// the multi-die regime of arXiv 2606.11716) the monolithic L2 becomes
-// per-die slices of L2Size/Chiplets bytes, each caching the requests of
-// its own die's SMs — so a line shared by CTAs on one die is fetched
-// once, while sharers spread across D dies duplicate it D times and
-// shrink effective capacity. HBM is placed page-interleaved across the
-// dies (homeDie); a slice miss whose home stack is another die crosses
-// the interposer — it occupies the source die's egress link for
-// InterposerInterval cycles and completes RemoteHopLatency later
-// (DESIGN.md §13). The monolithic path (Chiplets <= 1) is untouched
-// code, byte-identical to the pre-chiplet engine; internal/engine's
-// equivalence matrix pins that.
+// The hierarchy is built as D dies, D = max(arch.Arch.Chiplets, 1): the
+// L2 is D slices of L2Size/D bytes, each caching the requests of its own
+// die's SMs, with die-major bank and DRAM-channel pools — so a line
+// shared by CTAs on one die is fetched once, while sharers spread across
+// D dies duplicate it D times and shrink effective capacity (the
+// multi-die regime of arXiv 2606.11716). HBM is placed page-interleaved
+// across the dies (homeDie); a slice miss whose home stack is another
+// die crosses the interposer — it occupies the source die's egress link
+// for InterposerInterval cycles and completes RemoteHopLatency later
+// (DESIGN.md §13). A monolithic GPU is the one-die case: one slice of
+// the whole L2, bank idx%L2Banks, channel idx%channels, and every fill
+// homed locally, so the chiplet counters stay zero. The mem script
+// goldens (testdata/script_*.txt) pin this package call by call;
+// internal/calib's apps.csv, the prof, api and eval-determinism goldens
+// and the BENCH_*.json gates pin the whole engine on top of it.
 package mem
 
 import (
@@ -26,8 +29,8 @@ import (
 )
 
 // Stats aggregates memory-system counters. The two chiplet counters
-// stay zero on monolithic descriptors (Chiplets <= 1): no code path
-// increments them there, which is part of the byte-identity contract.
+// stay zero on monolithic descriptors (Chiplets <= 1): on one die every
+// fill is homed locally, so nothing increments them.
 type Stats struct {
 	ReadTransactions   uint64 // 32B read transactions arriving at L2
 	WriteTransactions  uint64 // 32B write transactions arriving at L2
@@ -100,22 +103,20 @@ func (k TxnKind) String() string {
 // observer costs one branch per transaction.
 type TxnObserver func(at int64, smID int, addr uint64, kind TxnKind, l2Hit, remote bool)
 
-// System is the shared memory hierarchy below L1.
+// System is the shared memory hierarchy below L1, built as
+// max(Chiplets, 1) dies.
 type System struct {
-	ar       *arch.Arch
-	l2       *cache.Cache // monolithic L2; nil when dies > 1
-	bankFree []int64      // next cycle each L2 bank can start a transaction
-	dramFree []int64      // next cycle each DRAM channel can start a transfer
-	ports    []port       // per-SM NoC injection ports
-	stats    Stats
-	obs      TxnObserver // nil unless a profiler is attached
-
-	// Chiplet state (arXiv 2606.11716 regime); unused when dies <= 1.
-	dies        int            // ar.Chiplets, cached
+	ar          *arch.Arch
+	dies        int            // max(ar.Chiplets, 1)
 	banksPerDie int            // bankFree is die-major: dies*banksPerDie entries
 	chansPerDie int            // dramFree is die-major: dies*chansPerDie entries
 	slices      []*cache.Cache // per-die L2 slices caching their own SMs' requests
+	bankFree    []int64        // next cycle each L2 bank can start a transaction
+	dramFree    []int64        // next cycle each DRAM channel can start a transfer
 	linkFree    []int64        // next cycle each die's interposer egress link is free
+	ports       []port         // per-SM NoC injection ports
+	stats       Stats
+	obs         TxnObserver // nil unless a profiler is attached
 }
 
 // port tracks how many transactions an SM has injected in a cycle so the
@@ -125,48 +126,35 @@ type port struct {
 	used  int
 }
 
-// New builds the memory system for an architecture. A chiplet
-// descriptor (Chiplets > 1) gets die-local L2 slices with die-major
-// bank/channel pools and per-die interposer links; anything else gets
-// the original monolithic hierarchy, allocation for allocation.
+// New builds the memory system for an architecture: max(Chiplets, 1)
+// die-local L2 slices of L2Size/dies bytes, the L2 banks and DRAM
+// channels split evenly into die-major pools, and one interposer egress
+// link per die (never used on one die).
 func New(ar *arch.Arch) *System {
 	channels := ar.DRAMChannels
 	if channels <= 0 {
 		channels = 8
 	}
-	s := &System{ar: ar, ports: make([]port, ar.SMs)}
-	if ar.Chiplets > 1 {
-		s.dies = ar.Chiplets
-		s.banksPerDie = ar.L2Banks / s.dies
-		if s.banksPerDie < 1 {
-			s.banksPerDie = 1
-		}
-		s.chansPerDie = channels / s.dies
-		if s.chansPerDie < 1 {
-			s.chansPerDie = 1
-		}
-		s.slices = make([]*cache.Cache, s.dies)
-		for d := range s.slices {
-			s.slices[d] = cache.New(cache.Config{
-				Size:   ar.L2Size / s.dies,
-				Line:   ar.L2Line,
-				Assoc:  ar.L2Assoc,
-				Policy: cache.WriteBackAllocate,
-			})
-		}
-		s.bankFree = make([]int64, s.dies*s.banksPerDie)
-		s.dramFree = make([]int64, s.dies*s.chansPerDie)
-		s.linkFree = make([]int64, s.dies)
-		return s
+	dies := max(ar.Chiplets, 1)
+	s := &System{
+		ar:          ar,
+		dies:        dies,
+		banksPerDie: max(ar.L2Banks/dies, 1),
+		chansPerDie: max(channels/dies, 1),
+		slices:      make([]*cache.Cache, dies),
+		linkFree:    make([]int64, dies),
+		ports:       make([]port, ar.SMs),
 	}
-	s.l2 = cache.New(cache.Config{
-		Size:   ar.L2Size,
-		Line:   ar.L2Line,
-		Assoc:  ar.L2Assoc,
-		Policy: cache.WriteBackAllocate,
-	})
-	s.bankFree = make([]int64, ar.L2Banks)
-	s.dramFree = make([]int64, channels)
+	for d := range s.slices {
+		s.slices[d] = cache.New(cache.Config{
+			Size:   ar.L2Size / dies,
+			Line:   ar.L2Line,
+			Assoc:  ar.L2Assoc,
+			Policy: cache.WriteBackAllocate,
+		})
+	}
+	s.bankFree = make([]int64, dies*s.banksPerDie)
+	s.dramFree = make([]int64, dies*s.chansPerDie)
 	return s
 }
 
@@ -177,29 +165,13 @@ func (s *System) SetObserver(fn TxnObserver) { s.obs = fn }
 // Stats returns a snapshot of the counters.
 func (s *System) Stats() Stats { return s.stats }
 
-// L2Stats returns the L2 cache counters (summed over the die-local
-// slices on a chiplet descriptor).
+// L2Stats returns the L2 cache counters, summed over the die slices.
 func (s *System) L2Stats() cache.Stats {
-	if s.dies > 1 {
-		var st cache.Stats
-		for _, sl := range s.slices {
-			st.Add(sl.Stats())
-		}
-		return st
+	var st cache.Stats
+	for _, sl := range s.slices {
+		st.Add(sl.Stats())
 	}
-	return s.l2.Stats()
-}
-
-// ResetStats zeroes all counters without touching cache contents.
-func (s *System) ResetStats() {
-	s.stats = Stats{}
-	if s.dies > 1 {
-		for _, sl := range s.slices {
-			sl.ResetStats()
-		}
-		return
-	}
-	s.l2.ResetStats()
+	return st
 }
 
 // DieHomePage is the HBM placement granularity on chiplet descriptors:
@@ -213,45 +185,30 @@ const DieHomePage = 4096
 // homeDie is the HBM placement rule (DESIGN.md §13): 4KB pages are
 // interleaved across the dies' stacks round-robin, so a slice miss
 // fills from die homeDie's stack — locally, or over the interposer.
+// On one die every page is homed locally.
 func (s *System) homeDie(addr uint64) int {
-	return int(addr/DieHomePage) % s.dies
+	return int(addr / DieHomePage % uint64(s.dies))
 }
 
-// bankFor maps a transaction to its L2 bank: the monolithic
-// line-interleave, or — on a chiplet descriptor — a line-interleaved
-// bank within the *requesting* SM's die group, because each die's
-// slice caches its own SMs' requests.
-func (s *System) bankFor(smID int, addr uint64) int {
+// bankFor maps a transaction from an SM on die to its L2 bank: a
+// line-interleaved bank within that die's group, because each die's
+// slice caches its own SMs' requests (idx % L2Banks on one die).
+func (s *System) bankFor(die int, addr uint64) int {
 	idx := addr / uint64(s.ar.L2Line)
-	if s.dies > 1 {
-		return s.ar.DieOf(smID)*s.banksPerDie + int(idx)%s.banksPerDie
-	}
-	return int(idx) % len(s.bankFree)
+	return die*s.banksPerDie + int(idx%uint64(s.banksPerDie))
 }
 
 // dramAt reserves a DRAM channel slot for the 32B transfer of addr that
 // became ready at svc, returning when the transfer starts. Channel
-// occupancy is what throttles over-subscribed streaming kernels. On a
-// chiplet descriptor the channel comes from the home die's group: a
-// slice miss fills from the HBM stack the page lives on, wherever the
-// requester sits.
-func (s *System) dramAt(svc int64, addr uint64) int64 {
-	var ch int
-	if s.dies > 1 {
-		idx := addr / uint64(s.ar.L2Line)
-		ch = s.homeDie(addr)*s.chansPerDie + int(idx)%s.chansPerDie
-	} else {
-		ch = int(addr/uint64(s.ar.L2Line)) % len(s.dramFree)
-	}
-	start := svc
-	if s.dramFree[ch] > start {
-		start = s.dramFree[ch]
-	}
-	interval := int64(s.ar.DRAMInterval)
-	if interval < 1 {
-		interval = 1
-	}
-	s.dramFree[ch] = start + interval
+// occupancy is what throttles over-subscribed streaming kernels. The
+// channel comes from the group of home, the die whose HBM stack the
+// page lives on, wherever the requester sits; it is idx % channels on
+// one die.
+func (s *System) dramAt(svc int64, home int, addr uint64) int64 {
+	idx := addr / uint64(s.ar.L2Line)
+	ch := home*s.chansPerDie + int(idx%uint64(s.chansPerDie))
+	start := max(svc, s.dramFree[ch])
+	s.dramFree[ch] = start + max(int64(s.ar.DRAMInterval), 1)
 	return start
 }
 
@@ -279,59 +236,60 @@ func (s *System) injectAt(now int64, smID int) int64 {
 	return inject
 }
 
-// serviceAt computes when a transaction injected by smID at time now is
-// serviced by its L2 bank, advancing port and bank reservations.
-func (s *System) serviceAt(now int64, smID int, addr uint64) int64 {
+// route resolves one transaction injected by smID at time now: the
+// SM's die, whose slice services it, and the cycle svc its L2 bank
+// services it, advancing port and bank reservations.
+func (s *System) route(now int64, smID int, addr uint64) (svc int64, die int) {
+	die = s.ar.DieOf(smID)
 	inject := s.injectAt(now, smID)
-	b := s.bankFor(smID, addr)
-	svc := inject
-	if s.bankFree[b] > svc {
-		svc = s.bankFree[b]
-	}
+	b := s.bankFor(die, addr)
+	svc = max(inject, s.bankFree[b])
 	s.bankFree[b] = svc + 1 // one transaction per bank per cycle
-	return svc
+	return svc, die
 }
 
-// route resolves one transaction against the hierarchy topology: when
-// it is serviced (svc) and which L2 structure services it — the shared
-// monolithic L2, or on a chiplet descriptor the requesting SM's
-// die-local slice. On monolithic descriptors this is exactly the
-// pre-chiplet serviceAt + s.l2 path.
-func (s *System) route(now int64, smID int, addr uint64) (svc int64, c *cache.Cache) {
-	svc = s.serviceAt(now, smID, addr)
-	if s.dies <= 1 {
-		return svc, s.l2
+// fill services the L2 miss of a transaction from die serviced at svc:
+// it counts the DRAM read, installs the line in die's slice, and fetches
+// it from its home HBM stack. A remote home counts the remote
+// transaction and the L2Line of interposer volume and occupies die's
+// egress link for InterposerInterval cycles before the DRAM channel is
+// reserved; the RemoteHopLatency is added to the returned arrival,
+// which includes the DRAM latency.
+func (s *System) fill(die int, svc int64, addr uint64) (at int64, remote bool) {
+	s.stats.DRAMReads++
+	s.slices[die].Fill(addr, 0)
+	start, home := svc, s.homeDie(addr)
+	if home != die {
+		remote = true
+		s.stats.RemoteL2Transactions++
+		s.stats.InterposerBytes += uint64(s.ar.L2Line)
+		start = max(start, s.linkFree[die])
+		s.linkFree[die] = start + max(int64(s.ar.InterposerInterval), 1)
 	}
-	return svc, s.slices[s.ar.DieOf(smID)]
+	at = s.dramAt(start, home, addr) + int64(s.ar.DRAMLatency)
+	if remote {
+		at += int64(s.ar.RemoteHopLatency)
+	}
+	return at, remote
 }
 
-// fillFrom resolves where a slice miss at svc fills from: the die's own
-// HBM stack (start == svc, remote == false), or a remote die's stack
-// over the interposer — which counts the remote transaction, adds the
-// L2Line to the interposer volume, and occupies the requesting die's
-// egress link for InterposerInterval cycles (the bandwidth half of the
-// penalty; the RemoteHopLatency half is added by the caller to the
-// completion). Monolithic descriptors always fill locally.
-func (s *System) fillFrom(svc int64, smID int, addr uint64) (start int64, remote bool) {
-	if s.dies <= 1 {
-		return svc, false
+// load services a read-type transaction — a load, or an atomic's read
+// half — at its L2 bank: a slice hit completes after the L2 latency, a
+// miss when its fill arrives. It reports the transaction to the
+// observer as kind.
+func (s *System) load(now int64, smID int, addr uint64, kind TxnKind) (svc int64, die int, done int64) {
+	svc, die = s.route(now, smID, addr)
+	hit, remote := true, false
+	if res, _ := s.slices[die].Read(addr, 0, svc); res == cache.Miss {
+		hit = false
+		done, remote = s.fill(die, svc, addr)
+	} else {
+		done = svc + int64(s.ar.L2Latency)
 	}
-	src := s.ar.DieOf(smID)
-	if s.homeDie(addr) == src {
-		return svc, false
+	if s.obs != nil {
+		s.obs(svc, smID, addr, kind, hit, remote)
 	}
-	s.stats.RemoteL2Transactions++
-	s.stats.InterposerBytes += uint64(s.ar.L2Line)
-	start = svc
-	if s.linkFree[src] > start {
-		start = s.linkFree[src]
-	}
-	interval := int64(s.ar.InterposerInterval)
-	if interval < 1 {
-		interval = 1
-	}
-	s.linkFree[src] = start + interval
-	return start, true
+	return svc, die, done
 }
 
 // Read requests nbytes starting at base (an L1 miss fill or a bypassed
@@ -345,28 +303,8 @@ func (s *System) Read(now int64, smID int, base uint64, nbytes int) int64 {
 	end := base + uint64(nbytes)
 	for addr := base / line * line; addr < end; addr += line {
 		s.stats.ReadTransactions++
-		svc, c := s.route(now, smID, addr)
-		var t int64
-		hit, remote := true, false
-		if res, _ := c.Read(addr, 0, svc); res == cache.Miss {
-			hit = false
-			s.stats.DRAMReads++
-			c.Fill(addr, 0)
-			var start int64
-			start, remote = s.fillFrom(svc, smID, addr)
-			t = s.dramAt(start, addr) + int64(s.ar.DRAMLatency)
-			if remote {
-				t += int64(s.ar.RemoteHopLatency)
-			}
-		} else {
-			t = svc + int64(s.ar.L2Latency)
-		}
-		if s.obs != nil {
-			s.obs(svc, smID, addr, TxnRead, hit, remote)
-		}
-		if t > done {
-			done = t
-		}
+		_, _, t := s.load(now, smID, addr, TxnRead)
+		done = max(done, t)
 	}
 	return done
 }
@@ -380,7 +318,8 @@ func (s *System) Write(now int64, smID int, base uint64, nbytes int) int64 {
 	end := base + uint64(nbytes)
 	for addr := base / line * line; addr < end; addr += line {
 		s.stats.WriteTransactions++
-		svc, c := s.route(now, smID, addr)
+		svc, die := s.route(now, smID, addr)
+		c := s.slices[die]
 		hit, remote := true, false
 		if res := c.Write(addr, 0, svc); res == cache.Miss {
 			// Write-allocate fill from DRAM; the store itself completes
@@ -388,11 +327,7 @@ func (s *System) Write(now int64, smID int, base uint64, nbytes int) int64 {
 			// way — but the fill occupies a channel, and the interposer
 			// when the page is homed remotely.
 			hit = false
-			s.stats.DRAMReads++
-			c.Fill(addr, 0)
-			var start int64
-			start, remote = s.fillFrom(svc, smID, addr)
-			s.dramAt(start, addr)
+			_, remote = s.fill(die, svc, addr)
 			// Dirty the allocated line. This second access counts one more
 			// L2 write and write hit per write-allocate miss, which is why
 			// L2.Writes = WriteTransactions + AtomicTransactions +
@@ -403,9 +338,7 @@ func (s *System) Write(now int64, smID int, base uint64, nbytes int) int64 {
 		if s.obs != nil {
 			s.obs(svc, smID, addr, TxnWrite, hit, remote)
 		}
-		if t := svc + int64(s.ar.L2Latency)/2; t > done {
-			done = t
-		}
+		done = max(done, svc+int64(s.ar.L2Latency)/2)
 	}
 	return done
 }
@@ -415,42 +348,18 @@ func (s *System) Write(now int64, smID int, base uint64, nbytes int) int64 {
 // round trip.
 func (s *System) Atomic(now int64, smID int, addr uint64) int64 {
 	s.stats.AtomicTransactions++
-	svc, c := s.route(now, smID, addr)
-	var done int64
-	hit, remote := true, false
-	if res, _ := c.Read(addr, 0, svc); res == cache.Miss {
-		hit = false
-		s.stats.DRAMReads++
-		c.Fill(addr, 0)
-		var start int64
-		start, remote = s.fillFrom(svc, smID, addr)
-		done = s.dramAt(start, addr) + int64(s.ar.DRAMLatency)
-		if remote {
-			done += int64(s.ar.RemoteHopLatency)
-		}
-	} else {
-		done = svc + int64(s.ar.L2Latency)
-	}
-	if s.obs != nil {
-		s.obs(svc, smID, addr, TxnAtomic, hit, remote)
-	}
-	_ = c.Write(addr, 0, svc)
+	svc, die, done := s.load(now, smID, addr, TxnAtomic)
+	_ = s.slices[die].Write(addr, 0, svc)
 	// Hold the bank a few extra cycles for the RMW.
-	b := s.bankFor(smID, addr)
-	if s.bankFree[b] < svc+4 {
-		s.bankFree[b] = svc + 4
-	}
+	b := s.bankFor(die, addr)
+	s.bankFree[b] = max(s.bankFree[b], svc+4)
 	return done
 }
 
-// Drain flushes the L2 (every die-local slice on a chiplet descriptor),
-// accounting dirty writebacks as DRAM writes.
+// Drain flushes every L2 slice, accounting dirty writebacks as DRAM
+// writes.
 func (s *System) Drain() {
-	if s.dies > 1 {
-		for _, sl := range s.slices {
-			s.stats.DRAMWrites += sl.Flush()
-		}
-		return
+	for _, sl := range s.slices {
+		s.stats.DRAMWrites += sl.Flush()
 	}
-	s.stats.DRAMWrites += s.l2.Flush()
 }

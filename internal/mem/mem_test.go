@@ -33,7 +33,7 @@ func TestReadTransactionCounting(t *testing.T) {
 		t.Errorf("read transactions = %d, want 4", got)
 	}
 	// Unaligned spans still cover every byte.
-	s.ResetStats()
+	s = New(ar)
 	s.Read(0, 0, 0x3010, 64) // crosses three 32B lines? 0x3010..0x3050: lines 0x3000,0x3020,0x3040
 	if got := s.Stats().ReadTransactions; got != 3 {
 		t.Errorf("unaligned read transactions = %d, want 3", got)
@@ -137,15 +137,5 @@ func TestDrainWritebacks(t *testing.T) {
 	s.Drain()
 	if s.Stats().DRAMWrites == 0 {
 		t.Error("drain should write back the dirty line")
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	ar := arch.TeslaK40()
-	s := New(ar)
-	s.Read(0, 0, 0x1000, 32)
-	s.ResetStats()
-	if s.Stats().ReadTransactions != 0 || s.L2Stats().Accesses() != 0 {
-		t.Error("ResetStats should zero everything")
 	}
 }
