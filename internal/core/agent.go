@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"ctacluster/internal/arch"
 	"ctacluster/internal/kernel"
@@ -59,8 +58,9 @@ type AgentKernel struct {
 	active    int
 	counters  []int // per-SM dynamic agent-id counters (%smid-indexed)
 
-	// Work scratch, reused across calls: each warp's length before the
-	// current task, and prefetchOps' successor trace and preamble.
+	// Task-loop scratch, reused across calls and agents: each warp's
+	// length before the current task, and prefetchOps' successor trace
+	// and preamble.
 	start []int
 	pfBuf [][]kernel.Op
 	pre   []kernel.Op
@@ -177,9 +177,11 @@ func (k *AgentKernel) Tasks(sm, agentID int) []int {
 	return out
 }
 
-// Work binds the agent to its SM's cluster and appends its task loop to
-// l.Buf: the binding preamble, then per task an index op and the task's
-// trace, which the original kernel appends in place.
+// Work binds the agent to its SM's cluster and appends the binding
+// preamble and its first task to l.Buf. The rest of the task loop comes
+// one task per call from the returned CTAWork.More, which appends to
+// the traces it is given: the agent runs its tasks one after another,
+// as Listing 5's loop does.
 func (k *AgentKernel) Work(l kernel.Launch) kernel.CTAWork {
 	sm := l.SM
 	if sm < 0 || sm >= k.part.M {
@@ -220,39 +222,48 @@ func (k *AgentKernel) Work(l kernel.Launch) kernel.CTAWork {
 	}
 
 	tasks := k.Tasks(sm, agentID)
-	idx := kernel.Compute(indexCost(k.cfg.Indexing) + taskLoopCost)
-	inner := l
-	for ti, target := range tasks {
+	if len(tasks) == 0 {
+		return kernel.CTAWork{Warps: out}
+	}
+	l.Buf = nil // the continuation is handed its traces on each call
+	next := 0
+	more := func(buf [][]kernel.Op) ([][]kernel.Op, bool) {
+		buf = k.appendTask(l, tasks, next, buf)
+		next++
+		return buf, next < len(tasks)
+	}
+	out, ok := more(out)
+	if !ok {
+		return kernel.CTAWork{Warps: out}
+	}
+	return kernel.CTAWork{Warps: out, More: more}
+}
+
+// appendTask appends task ti of tasks to the agent's warp traces out:
+// an index op and the task's trace, which the original kernel appends
+// in place, with its streaming reads bypassed under BPS and, under PFH,
+// the successor task's prefetch ops after it.
+func (k *AgentKernel) appendTask(l kernel.Launch, tasks []int, ti int, out [][]kernel.Op) [][]kernel.Op {
+	for w, ops := range out {
+		k.start[w] = len(ops)
+	}
+	l.CTA, l.Buf = tasks[ti], out
+	out = kernel.Drain(kernel.WorkAfter(k.orig, l, kernel.Compute(indexCost(k.cfg.Indexing)+taskLoopCost))).Warps
+	if k.cfg.Bypass {
 		for w, ops := range out {
-			k.start[w] = len(ops)
-		}
-		inner.CTA, inner.Buf = target, out
-		out = kernel.WorkAfter(k.orig, inner, idx).Warps
-		if len(out) != len(k.start) {
-			panic(fmt.Sprintf("core: kernel %s produced %d warps, want %d", k.orig.Name(), len(out), len(k.start)))
-		}
-		if k.cfg.Bypass {
-			for w, ops := range out {
-				for i := k.start[w]; i < len(ops); i++ {
-					if m := &ops[i].Mem; ops[i].Kind == kernel.OpMem && m.Streaming && !m.Write {
-						m.Bypass = true
-					}
+			for i := k.start[w]; i < len(ops); i++ {
+				if m := &ops[i].Mem; ops[i].Kind == kernel.OpMem && m.Streaming && !m.Write {
+					m.Bypass = true
 				}
 			}
 		}
-		// Preload the successor task's first lines before the current
-		// task expires (Section 4.3-III).
-		if k.cfg.Prefetch && ti+1 < len(tasks) {
-			out[0] = append(out[0], k.prefetchOps(l, tasks[ti+1])...)
-		}
-		if ti == 0 {
-			// Capacity hint: the remaining tasks at this one's length.
-			for w, ops := range out {
-				out[w] = slices.Grow(ops, (len(ops)-k.start[w])*(len(tasks)-1))
-			}
-		}
 	}
-	return kernel.CTAWork{Warps: out}
+	// Preload the successor task's first lines before the current task
+	// expires (Section 4.3-III).
+	if k.cfg.Prefetch && ti+1 < len(tasks) {
+		out[0] = append(out[0], k.prefetchOps(l, tasks[ti+1])...)
+	}
+	return out
 }
 
 // prefetchOps derives the prefetch preamble for the successor task:

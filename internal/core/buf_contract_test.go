@@ -71,15 +71,15 @@ func reset(k kernel.Kernel) {
 
 // checkAppends runs k.Work(l) with a nil Buf and again with a Buf whose
 // warps hold sentinel prefixes of different lengths (with junk in their
-// spare capacity, like a recycled trace), and fails unless both calls
-// return WarpsPerCTA warps and the second returns exactly each prefix
-// followed by the first call's ops.
+// spare capacity, like a recycled trace), drains both continuations,
+// and fails unless both calls return WarpsPerCTA warps and the second
+// returns exactly each prefix followed by the first call's ops.
 func checkAppends(t *testing.T, k kernel.Kernel, l kernel.Launch) {
 	t.Helper()
 	n := k.WarpsPerCTA()
 	reset(k)
 	l.Buf = nil
-	want := k.Work(l)
+	want := kernel.Drain(k.Work(l))
 	if want.Skip || len(want.Warps) != n {
 		t.Fatalf("%s CTA %d: nil-Buf Work gave %d warps (skip %v), want %d", k.Name(), l.CTA, len(want.Warps), want.Skip, n)
 	}
@@ -98,7 +98,7 @@ func checkAppends(t *testing.T, k kernel.Kernel, l kernel.Launch) {
 	}
 	reset(k)
 	l.Buf = buf
-	got := k.Work(l)
+	got := kernel.Drain(k.Work(l))
 	if len(got.Warps) != n {
 		t.Fatalf("%s CTA %d: seeded Work gave %d warps, want %d", k.Name(), l.CTA, len(got.Warps), n)
 	}
@@ -173,7 +173,8 @@ func TestWorkBufContract(t *testing.T) {
 // TestAgentMatchesCopyingReference pins the in-place agent loop to the
 // copying one it replaced (RefWork, export_test.go): for every app and
 // scheme, every agent of the launched grid, dispatched in first-wave
-// order through one recycled Buf, gets exactly the reference's trace.
+// order through one recycled Buf and drained task by task through its
+// continuation, gets exactly the reference's trace.
 func TestAgentMatchesCopyingReference(t *testing.T) {
 	for _, ar := range contractArchs {
 		for _, name := range workloads.Names() {
@@ -202,7 +203,7 @@ func TestAgentMatchesCopyingReference(t *testing.T) {
 						buf[w] = buf[w][:0]
 					}
 					l.Buf = buf
-					got := k.Work(l)
+					got := kernel.Drain(k.Work(l))
 					if got.Skip != want.Skip || len(got.Warps) != len(want.Warps) {
 						t.Fatalf("%s %s on %s agent %d: skip %v with %d warps, reference skip %v with %d",
 							name, sc.name, ar.Name, u, got.Skip, len(got.Warps), want.Skip, len(want.Warps))
@@ -268,7 +269,7 @@ func TestEngineToleratesBufIgnoringKernel(t *testing.T) {
 // transform the engine runs: plain, swizzled, redirected and
 // agent-clustered with each of TOT, BPS and PFH alone and together. PFH
 // copies a successor task's gathers into the prefetch preamble and the
-// agent loop concatenates tasks in place, so both must carry each
+// agent's continuation appends tasks in place, so both must carry each
 // gather's lane ops along with its head.
 func TestTracesWellFormedUnderTransforms(t *testing.T) {
 	for _, ar := range contractArchs {
@@ -302,7 +303,7 @@ func TestTracesWellFormedUnderTransforms(t *testing.T) {
 					for w := range buf {
 						buf[w] = buf[w][:0]
 					}
-					work := k.Work(kernel.Launch{CTA: u, SM: u % ar.SMs, Slot: u / ar.SMs, Buf: buf})
+					work := kernel.Drain(k.Work(kernel.Launch{CTA: u, SM: u % ar.SMs, Slot: u / ar.SMs, Buf: buf}))
 					if work.Skip {
 						continue
 					}

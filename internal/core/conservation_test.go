@@ -39,7 +39,7 @@ func kernelFootprint(t *testing.T, k kernel.Kernel, launches []kernel.Launch) ma
 	t.Helper()
 	out := map[[2]uint64]int{}
 	for _, l := range launches {
-		for key, n := range memFootprint(t, k.Work(l)) {
+		for key, n := range memFootprint(t, kernel.Drain(k.Work(l))) {
 			out[key] += n
 		}
 	}

@@ -10,8 +10,8 @@ import (
 // appended in place: it builds every warp's task loop by copying each
 // task's freshly generated trace, and prefetchOps regenerates the
 // successor's whole trace into new storage. It is kept verbatim as the
-// reference the in-place Work must match op for op
-// (buf_contract_test.go); it ignores Launch.Buf.
+// reference the in-place Work, drained through its continuation, must
+// match op for op (buf_contract_test.go); it ignores Launch.Buf.
 func (k *AgentKernel) RefWork(l kernel.Launch) kernel.CTAWork {
 	sm := l.SM
 	if sm < 0 || sm >= k.part.M {

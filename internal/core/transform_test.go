@@ -197,7 +197,7 @@ func TestAgentWorkExecutesItsTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	work := ag.Work(kernel.Launch{CTA: 0, SM: 3, Slot: 1})
+	work := kernel.Drain(ag.Work(kernel.Launch{CTA: 0, SM: 3, Slot: 1}))
 	want := ag.Tasks(3, 1)
 	got := tagsOf(work.Warps[0])
 	if len(got) != len(want) {
@@ -272,7 +272,7 @@ func TestAgentBypassRewritesStreamingOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	work := ag.Work(kernel.Launch{SM: 0, Slot: 0})
+	work := kernel.Drain(ag.Work(kernel.Launch{SM: 0, Slot: 0}))
 	var streaming, bypassed int
 	for _, op := range work.Warps[0] {
 		if op.Kind == kernel.OpMem && op.Mem.Streaming {
@@ -294,7 +294,7 @@ func TestAgentPrefetchAddsPrefetchOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	work := ag.Work(kernel.Launch{SM: 0, Slot: 0})
+	work := kernel.Drain(ag.Work(kernel.Launch{SM: 0, Slot: 0}))
 	prefetches := 0
 	for _, op := range work.Warps[0] {
 		if op.Kind == kernel.OpMem && op.Mem.Prefetch {

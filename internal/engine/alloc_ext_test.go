@@ -27,14 +27,18 @@ import (
 // warm-up run); profiled rows include the Trace's own event-buffer
 // growth, which amortized doubling keeps to a few dozen allocations.
 // The byte budgets guard trace recycling and the 32-byte op: a
-// transform that goes back to copying traces, an engine that stops
-// recycling its per-slot buffers, a capacity hint that under- or
-// over-reserves, or a fatter kernel.Op multiplies the CLU or BSL bytes.
-// Measured values: MM 2352 allocs / 7.23 MB bare, 2396 profiled, MM+CLU
-// 4503 / 15.71 MB, SGM 1751 / 2.05 MB bare, 1782 profiled, MM 2-die
-// 2353 / 6.86 MB (per-slot trace buffers: one trace allocation per warp
-// of every CTA slot instead of per warp of every CTA; one pooled node
-// slab for the event queue instead of a growing slice per bucket).
+// transform that goes back to copying traces or materializing the
+// agent's whole task loop at dispatch, an engine that stops recycling
+// its per-slot buffers, or a fatter kernel.Op multiplies the CLU or BSL
+// bytes; TestAllocationBudgets also holds each CLU row to cluBSLRatio
+// times its BSL row's bytes.
+// Measured values: MM 2356 allocs / 7.23 MB bare, 2399 profiled, MM+CLU
+// 3606 / 6.72 MB, KMN 1644 / 3.58 MB, KMN+CLU 3985 / 3.91 MB, S2K 1416
+// / 3.58 MB, S2K+CLU 3170 / 2.96 MB, SGM 1754 / 2.05 MB bare, 1785
+// profiled, MM 2-die 2354 / 6.86 MB (per-slot trace buffers: one trace
+// allocation per warp of every CTA slot instead of per warp of every
+// CTA; agents emit one task at a time into them; one pooled node slab
+// for the event queue instead of a growing slice per bucket).
 var allocBudgets = []struct {
 	app      string
 	clu      bool // run the agent-based clustering transform of app
@@ -45,7 +49,11 @@ var allocBudgets = []struct {
 }{
 	{app: "MM", budget: 2470, mb: 7.59},
 	{app: "MM", profiled: true, budget: 2516},
-	{app: "MM", clu: true, budget: 4729, mb: 16.50},
+	{app: "MM", clu: true, budget: 3787, mb: 7.06},
+	{app: "KMN", budget: 1727, mb: 3.77},
+	{app: "KMN", clu: true, budget: 4185, mb: 4.11},
+	{app: "S2K", budget: 1487, mb: 3.77},
+	{app: "S2K", clu: true, budget: 3329, mb: 3.11},
 	{app: "SGM", budget: 1839, mb: 2.15},
 	{app: "SGM", profiled: true, budget: 1871},
 	// The chiplet path: per-die slices replace the monolithic L2, and
@@ -53,6 +61,12 @@ var allocBudgets = []struct {
 	// table are setup-time allocations, not per-event ones.
 	{app: "MM", chiplets: 2, budget: 2471, mb: 7.20},
 }
+
+// cluBSLRatio bounds a bare monolithic CLU row's bytes by those of the
+// BSL row listed before it: an agent holds about one task's trace at a
+// time in its slot's buffer, so clustering must not multiply the bytes
+// a run allocates.
+const cluBSLRatio = 1.2
 
 // perRun returns the allocations and bytes one call of f makes, averaged
 // over runs calls after a warm-up call, measured like testing.AllocsPerRun
@@ -74,6 +88,7 @@ func TestAllocationBudgets(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("allocation counts are only meaningful uninstrumented")
 	}
+	bslMB := map[string]float64{} // app -> bare monolithic BSL MB, from the rows before its CLU row
 	for _, c := range allocBudgets {
 		ar := arch.TeslaK40()
 		name := c.app
@@ -126,6 +141,14 @@ func TestAllocationBudgets(t *testing.T) {
 			if c.mb > 0 && mb > c.mb {
 				t.Errorf("%s allocates %.2f MB per run, budget %.2f MB (+5%% over the measurement) — trace recycling regressed",
 					name, mb, c.mb)
+			}
+			if c.chiplets > 0 || c.profiled {
+				return
+			}
+			if !c.clu {
+				bslMB[c.app] = mb
+			} else if bsl, ok := bslMB[c.app]; ok && mb > cluBSLRatio*bsl {
+				t.Errorf("%s allocates %.2f MB per run, more than %.1f× BSL's %.2f MB", name, mb, cluBSLRatio, bsl)
 			}
 		})
 	}

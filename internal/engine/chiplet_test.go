@@ -4,9 +4,9 @@ package engine_test
 //
 //  1. Zero-die descriptor — arch.WithChiplets(ar, 0) must return a
 //     verbatim copy of the descriptor, so it shares the original's
-//     rescache key, Results and profiler stream. Both runs go through
-//     the same one-die memory model; what pins that model's numbers is
-//     the mem script goldens and the apps.csv, prof and api goldens.
+//     rescache key, Results and profiler stream. Both would run the
+//     same one-die memory model; what pins that model's numbers is the
+//     mem script goldens and the apps.csv, prof and api goldens.
 //
 //  2. Chiplet queue determinism — on a real chiplet descriptor the
 //     timing wheel must reproduce the reference heap's Result and prof
@@ -40,50 +40,14 @@ func chipletOf(t *testing.T, base *arch.Arch, dies int) *arch.Arch {
 }
 
 // TestChipletZeroMonolithicEquivalence checks that WithChiplets(ar, 0)
-// returns a verbatim copy of ar with an equal rescache key, and that
-// the copy's Result and full-mask profiler stream equal the original's.
-// It does not compare two memory models: both runs build the same
-// one-die hierarchy.
+// returns a verbatim copy of ar with an equal rescache key. That is the
+// whole contract: Run reads nothing but the descriptor, so an equal
+// descriptor cannot give a different Result or profiler stream.
 func TestChipletZeroMonolithicEquivalence(t *testing.T) {
-	apps := []string{"MM", "ATX"}
-	arches := []*arch.Arch{arch.TeslaK40(), arch.GTX980()}
-	if raceEnabled || testing.Short() {
-		apps = apps[:1]
-		arches = arches[:1]
-	}
-	for _, ar := range arches {
+	for _, ar := range []*arch.Arch{arch.TeslaK40(), arch.GTX980()} {
 		zero := chipletOf(t, ar, 0)
 		if *zero != *ar {
 			t.Fatalf("%s: WithChiplets(_, 0) changed the descriptor", ar.Name)
-		}
-		for _, name := range apps {
-			app, err := workloads.New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := func(a *arch.Arch) (*engine.Result, *prof.Trace) {
-				tr := prof.NewTrace(prof.TraceConfig{
-					Kernel: name, Arch: a.Name, SMs: a.SMs,
-					Events: prof.MaskAll, SampleInterval: 5000,
-				})
-				cfg := engine.DefaultConfig(a)
-				cfg.Profiler = tr
-				res, err := engine.Run(cfg, app)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", name, a.Name, err)
-				}
-				return res, tr
-			}
-			base, baseTr := run(ar)
-			got, gotTr := run(zero)
-			if !reflect.DeepEqual(base, got) {
-				t.Errorf("%s/%s: Chiplets=0 result differs from monolithic (cycles %d vs %d)",
-					name, ar.Name, base.Cycles, got.Cycles)
-			}
-			if !reflect.DeepEqual(baseTr.Events(), gotTr.Events()) ||
-				!reflect.DeepEqual(baseTr.Snapshots(), gotTr.Snapshots()) {
-				t.Errorf("%s/%s: Chiplets=0 prof stream differs from monolithic", name, ar.Name)
-			}
 		}
 		cfg := engine.DefaultConfig(ar)
 		zcfg := engine.DefaultConfig(zero)

@@ -7,7 +7,9 @@
 // The engine executes kernel.Kernel values. Because CTA work is
 // requested at dispatch time with the physical placement (SM, slot) in
 // the Launch context, both ordinary kernels and the clustered kernels
-// produced by internal/core run unmodified.
+// produced by internal/core run unmodified. A CTA's trace may come in
+// chunks (kernel.CTAWork.More, one per agent task): the engine appends
+// the next chunk to the slot's traces when a warp runs out of ops.
 //
 // A run is one serial event loop over a single (cycle, seq)-ordered
 // queue. Independent runs parallelize outside the engine (eval's worker
@@ -151,6 +153,12 @@ type smState struct {
 	slots     []*ctaState     // fixed-capacity CTA slots; nil = free
 	bufs      [][][]kernel.Op // per slot: its last CTA's warp traces, recycled as Launch.Buf
 	resident  int             // resident warps (occupancy tracking)
+
+	// more holds, per slot, the resident CTA's continuation
+	// (kernel.CTAWork.More) until its last chunk is in bufs; nil = none.
+	// It lives here rather than in ctaState, which the run allocates
+	// once per CTA of the grid.
+	more []func([][]kernel.Op) ([][]kernel.Op, bool)
 }
 
 // sim is the run state.
@@ -287,6 +295,7 @@ func simulate(ctx context.Context, cfg Config, k kernel.Kernel, refQueue bool) (
 		ctaSlab:     make([]ctaState, 0, total),
 	}
 	s.sms = make([]*smState, ar.SMs)
+	more := make([]func([][]kernel.Op) ([][]kernel.Op, bool), ar.SMs*occ.CTAsPerSM)
 	for i := range s.sms {
 		sectors := 1
 		if ar.L1Sectored {
@@ -303,6 +312,7 @@ func simulate(ctx context.Context, cfg Config, k kernel.Kernel, refQueue bool) (
 			}),
 			slots: make([]*ctaState, occ.CTAsPerSM),
 			bufs:  make([][][]kernel.Op, occ.CTAsPerSM),
+			more:  more[i*occ.CTAsPerSM : (i+1)*occ.CTAsPerSM],
 		}
 	}
 	s.q = newScheduler(refQueue, ar.SMs*occ.CTAsPerSM*warpsPerCTA)

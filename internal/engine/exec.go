@@ -40,6 +40,9 @@ func (s *sim) step(w *warpState) {
 	}
 	cta := w.cta
 	sm := cta.sm
+	for w.pc >= len(w.ops) && sm.more[cta.rec.Slot] != nil {
+		s.refill(cta)
+	}
 	if w.pc >= len(w.ops) {
 		// Drain outstanding loads before the warp can finish.
 		if w.pendDone > s.now {
@@ -147,6 +150,31 @@ func (s *sim) step(w *warpState) {
 			s.emitMemOp(w, prof.MemAtomic, op.Mem.Base, issue, done, true)
 		}
 		s.q.schedule(done, w)
+	}
+}
+
+// refill extends the traces of cta's warps with the next chunk of its
+// continuation, when one of them has run out of ops. Each warp's
+// consumed prefix is dropped from the slot's buffer first, so the
+// buffer holds only the ops not yet executed, and a warp that lags
+// behind keeps them in front of the new chunk. The warps see the same
+// op sequence as if the whole trace had been generated at dispatch,
+// and the step goes on at once: a chunk boundary costs no cycle and no
+// drain of the load window.
+func (s *sim) refill(cta *ctaState) {
+	sm, slot := cta.sm, cta.rec.Slot
+	buf := sm.bufs[slot]
+	for _, w := range cta.warps {
+		buf[w.id] = w.ops[:copy(w.ops, w.ops[w.pc:])]
+		w.pc = 0
+	}
+	buf, ok := sm.more[slot](buf)
+	if !ok {
+		sm.more[slot] = nil
+	}
+	sm.bufs[slot] = buf
+	for _, w := range cta.warps {
+		w.ops = buf[w.id]
 	}
 }
 

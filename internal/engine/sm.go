@@ -133,7 +133,7 @@ func (s *sim) dispatchTo(sm *smState, slot int, at int64) {
 	}
 
 	sm.slots[slot] = cta
-	sm.bufs[slot] = work.Warps
+	sm.bufs[slot], sm.more[slot] = work.Warps, work.More
 	cta.warps = make([]*warpState, len(work.Warps))
 	cta.live = len(work.Warps)
 	for i, ops := range work.Warps {

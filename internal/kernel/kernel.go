@@ -402,9 +402,10 @@ type Launch struct {
 
 	// Buf is the storage Work appends the CTA's warp traces to: nil, or
 	// exactly WarpsPerCTA traces whose contents (possibly a non-empty
-	// prefix) Work keeps. The engine recycles one Buf per CTA slot; the
-	// transforms pass their accumulated traces so an inner kernel
-	// appends in place instead of being copied.
+	// prefix) Work keeps. The engine recycles one Buf per CTA slot, and
+	// hands the same storage to the CTA's CTAWork.More; the transforms
+	// pass their accumulated traces so an inner kernel appends in place
+	// instead of being copied.
 	Buf [][]Op
 }
 
@@ -420,9 +421,10 @@ func (l Launch) WarpBufs(n int) [][]Op {
 // WorkAfter is how a CTA transform runs the kernel it wraps, in place:
 // it appends pre to each of l's warp traces (fresh ones when l.Buf is
 // nil), then has k append the ops of CTA l.CTA after it. A Skip result
-// is returned as is. It panics if k returns the wrong number of warps
-// or a warp shorter than the prefix it was given, the usual sign of a
-// kernel that ignores Launch.Buf.
+// is returned as is, and k's continuation (CTAWork.More) is passed
+// through. It panics if k returns the wrong number of warps or a warp
+// shorter than the prefix it was given, the usual sign of a kernel that
+// ignores Launch.Buf.
 func WorkAfter(k Kernel, l Launch, pre Op) CTAWork {
 	var stack [32]int // CUDA caps a CTA at 32 warps; more spill to the heap
 	prefix := stack[:0]
@@ -447,13 +449,37 @@ func WorkAfter(k Kernel, l Launch, pre Op) CTAWork {
 	return work
 }
 
-// CTAWork is everything a dispatched CTA will execute.
+// CTAWork is everything a dispatched CTA will execute: Warps, then
+// whatever More appends.
 type CTAWork struct {
 	// Warps holds one op trace per warp of the CTA.
 	Warps [][]Op
+	// More, when non-nil, is the CTA's continuation: it appends the
+	// CTA's next chunk of ops to each warp trace in buf (one trace per
+	// warp, whose contents it keeps, as Work does with Launch.Buf) and
+	// returns the extended traces, and whether a further chunk follows.
+	// The CTA's ops are Warps followed by every chunk in call order. Only
+	// the agent-based clustering transform sets it, one task per chunk;
+	// the engine calls it when a warp runs out of ops (DESIGN §4), and
+	// every other consumer takes the whole trace through Drain.
+	More func(buf [][]Op) ([][]Op, bool)
 	// Skip makes the CTA retire immediately without occupying its slot
 	// beyond dispatch; used by agent throttling (agent_id >= ACTIVE_AGENTS).
 	Skip bool
+}
+
+// Drain returns w with every chunk of its continuation appended to its
+// warp traces and More cleared: the CTA's whole trace, for callers that
+// read it at once instead of executing it.
+func Drain(w CTAWork) CTAWork {
+	for more := w.More; more != nil; {
+		var ok bool
+		if w.Warps, ok = more(w.Warps); !ok {
+			more = nil
+		}
+	}
+	w.More = nil
+	return w
 }
 
 // Kernel is the executable unit the engine dispatches and the clustering
@@ -475,9 +501,11 @@ type Kernel interface {
 	// Work produces the op traces for the CTA described by l: it
 	// appends warp w's ops to l.Buf[w] (l.WarpBufs does the nil case),
 	// keeping any prefix already there, and returns the extended slices.
-	// The returned slices belong to the caller, which may truncate them
-	// and pass them back as a later Buf, so Work must never return
-	// storage it keeps for itself.
+	// It may return only the first chunk of the trace and the rest
+	// through CTAWork.More, which must then depend on l alone, not on
+	// when it is called. The returned slices belong to the caller, which
+	// may truncate them and pass them back as a later Buf (or to More),
+	// so Work must never return storage it keeps for itself.
 	Work(l Launch) CTAWork
 }
 

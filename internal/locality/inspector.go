@@ -126,7 +126,7 @@ func OverlapScore(k kernel.Kernel, order []int, lineBytes int) int {
 // k reads.
 func readFootprint(k kernel.Kernel, cta, lineBytes int) map[uint64]struct{} {
 	set := make(map[uint64]struct{})
-	for _, warp := range k.Work(kernel.Launch{CTA: cta}).Warps {
+	for _, warp := range kernel.Drain(k.Work(kernel.Launch{CTA: cta})).Warps {
 		for i, op := range warp {
 			if op.Kind != kernel.OpMem || op.Mem.Write {
 				continue

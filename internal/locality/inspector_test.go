@@ -1,9 +1,11 @@
 package locality
 
 import (
+	"reflect"
 	"testing"
 
 	"ctacluster/internal/arch"
+	"ctacluster/internal/core"
 	"ctacluster/internal/kernel"
 )
 
@@ -86,5 +88,37 @@ func TestOverlapScoreEdges(t *testing.T) {
 	}
 	if OverlapScore(k, []int{3}, 32) != 0 {
 		t.Error("single-element order should score 0")
+	}
+}
+
+// TestTraceReadersDrainAgentKernels hands an agent-clustered kernel to
+// the trace readers. Its Work returns the first task and the rest
+// through a continuation, so a reader that stops at Work's traces sees
+// one task per agent. With one active agent per SM and static binding,
+// every placement-free launch is agent 0 of SM 0, which runs all of
+// SM 0's cluster.
+func TestTraceReadersDrainAgentKernels(t *testing.T) {
+	k := &patKernel{ctas: 64, ops: func(cta int) []kernel.Op {
+		return []kernel.Op{kernel.Load(uint64(0x1000+cta*256), 4, 32, 4)}
+	}}
+	ag, err := core.NewAgent(k, core.AgentConfig{Arch: arch.GTX570(), Indexing: kernel.RowMajor, ActiveAgents: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := ag.Tasks(0, 0)
+	if len(tasks) < 2 {
+		t.Fatalf("agent 0 of SM 0 has %d tasks; the test needs several", len(tasks))
+	}
+	want := map[uint64]struct{}{}
+	for _, task := range tasks {
+		for a := range readFootprint(k, task, 32) {
+			want[a] = struct{}{}
+		}
+	}
+	if got := readFootprint(ag, 0, 32); !reflect.DeepEqual(got, want) {
+		t.Errorf("readFootprint saw %d lines of the agent's loop, want %d over its %d tasks", len(got), len(want), len(tasks))
+	}
+	if q, n := Quantify(ag, 32), uint64(ag.GridDim().Count()*len(tasks)); q.ReadOps != n {
+		t.Errorf("Quantify counted %d reads over %d agents, want %d (%d tasks each)", q.ReadOps, ag.GridDim().Count(), n, len(tasks))
 	}
 }

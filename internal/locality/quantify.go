@@ -106,7 +106,7 @@ func Quantify(k kernel.Kernel, lineBytes int) Quant {
 
 	var idealSum, actualSum float64
 	for cta := 0; cta < total; cta++ {
-		work := k.Work(kernel.Launch{CTA: cta})
+		work := kernel.Drain(k.Work(kernel.Launch{CTA: cta}))
 		for _, warp := range work.Warps {
 			for i, op := range warp {
 				if op.Kind != kernel.OpMem && op.Kind != kernel.OpAtomic {

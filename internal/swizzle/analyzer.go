@@ -116,7 +116,7 @@ func (a *Analyzer) AnalyzeWindow(k kernel.Kernel, lineBytes, window int) Quant {
 			clear(a.lines)
 			q.Windows++
 		}
-		work := k.Work(kernel.Launch{CTA: u})
+		work := kernel.Drain(k.Work(kernel.Launch{CTA: u}))
 		if work.Skip {
 			continue
 		}

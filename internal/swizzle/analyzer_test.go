@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ctacluster/internal/arch"
+	"ctacluster/internal/core"
 	"ctacluster/internal/kernel"
 	"ctacluster/internal/workloads"
 )
@@ -240,5 +241,26 @@ func TestMMSwizzleOrdering(t *testing.T) {
 	}
 	if !reflect.DeepEqual(pred, again) {
 		t.Error("PredictBest is not deterministic")
+	}
+}
+
+// TestAnalyzerDrainsAgentKernels hands the analyzer an agent-clustered
+// kernel, whose Work returns the first task and the rest through a
+// continuation. With one active agent per SM and static binding, every
+// placement-free launch is agent 0 of SM 0 and runs its whole cluster:
+// tagKernel's 128-byte load is four 32-byte segments per task.
+func TestAnalyzerDrainsAgentKernels(t *testing.T) {
+	k := &tagKernel{grid: kernel.Dim2(8, 8), warps: 1}
+	ag, err := core.NewAgent(k, core.AgentConfig{Arch: arch.GTX570(), Indexing: kernel.RowMajor, ActiveAgents: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := len(ag.Tasks(0, 0))
+	if tasks < 2 {
+		t.Fatalf("agent 0 of SM 0 has %d tasks; the test needs several", tasks)
+	}
+	q := NewAnalyzer().AnalyzeWindow(ag, 32, 1)
+	if want := uint64(ag.GridDim().Count() * tasks * 4); q.Accesses != want {
+		t.Errorf("analyzer counted %d accesses over %d agents, want %d (%d tasks each)", q.Accesses, ag.GridDim().Count(), want, tasks)
 	}
 }

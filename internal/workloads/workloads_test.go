@@ -141,7 +141,7 @@ func TestWorkDeterministic(t *testing.T) {
 // array escaping to the heap), and into a trace with no spare capacity
 // must allocate once per warp (an under-reserving hint reallocates
 // again mid-loop). Under the agent transform either miss costs a copy
-// of the whole accumulated task loop.
+// of everything the agent's slot buffer holds.
 func TestCapacityHintsExact(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are only meaningful uninstrumented")
