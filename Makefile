@@ -48,7 +48,7 @@ bench:
 # Pipe two runs through `benchstat` locally if you want significance
 # on the ns/op column; the alloc columns are deterministic.
 bench-alloc:
-	$(GO) test -run='TestAllocationBudgets|TestEventQueueSchedulePopZeroAlloc|TestAppendTransactionsZeroAlloc|TestAnalyzerZeroAlloc|TestAnalyzerAllocationBudgets' -count=1 -v ./internal/engine ./internal/kernel ./internal/swizzle | grep -v '^=== RUN'
+	$(GO) test -run='TestAllocationBudgets|TestEventQueueSchedulePopZeroAlloc|TestAppendTransactionsZeroAlloc|TestEachLineZeroAlloc|TestAnalyzerZeroAlloc|TestAnalyzerAllocationBudgets' -count=1 -v ./internal/engine ./internal/kernel ./internal/swizzle | grep -v '^=== RUN'
 	$(GO) test -run='^$$' -bench='^BenchmarkRun$$' -benchtime=3x -benchmem ./internal/engine
 
 # The daemon gate the CI enforces: the ctad end-to-end suite (cold/warm

@@ -13,35 +13,26 @@ import (
 // write) pairs — no matter how it rebinds, reorders or throttles CTAs.
 // Only compute/barrier/binding overhead may differ.
 
-// memFootprint sums a kernel's demand accesses as a multiset keyed by
-// (address, write); ignores prefetches (duplicates by design).
-func memFootprint(t *testing.T, work kernel.CTAWork) map[[2]uint64]int {
+// kernelFootprint sums a kernel's demand accesses over launches as a
+// multiset keyed by (address, write), walked at 1-byte lines so every
+// byte a lane touches counts; ignores prefetches (duplicates by design).
+func kernelFootprint(t *testing.T, k kernel.Kernel, launches []kernel.Launch) map[[2]uint64]int {
 	t.Helper()
 	out := map[[2]uint64]int{}
-	for _, warp := range work.Warps {
-		for i, op := range warp {
+	var scratch []uint64
+	for _, l := range launches {
+		scratch = kernel.EachLine(k.Work(l), 1, scratch, func(op *kernel.Op, lines []uint64) {
 			if op.Kind != kernel.OpMem || op.Mem.Prefetch {
-				continue
+				return
 			}
 			w := uint64(0)
 			if op.Mem.Write {
 				w = 1
 			}
-			for _, a := range op.Mem.LaneAddrs(warp[i+1:]) {
+			for _, a := range lines {
 				out[[2]uint64{a, w}]++
 			}
-		}
-	}
-	return out
-}
-
-func kernelFootprint(t *testing.T, k kernel.Kernel, launches []kernel.Launch) map[[2]uint64]int {
-	t.Helper()
-	out := map[[2]uint64]int{}
-	for _, l := range launches {
-		for key, n := range memFootprint(t, kernel.Drain(k.Work(l))) {
-			out[key] += n
-		}
+		})
 	}
 	return out
 }

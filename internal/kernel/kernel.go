@@ -256,20 +256,14 @@ func (m MemOp) LaneAddrs(lanes []Op) []uint64 {
 	return out
 }
 
-// Transactions coalesces the access into the set of distinct
+// AppendTransactions coalesces the access into the set of distinct
 // segment-aligned transactions of segBytes bytes, the job the SM's
-// load-store unit coalescer performs before the request reaches L1. The
-// result is sorted and deduplicated. lanes is the trace after the op,
-// read only for a gather or scatter.
-func (m MemOp) Transactions(lanes []Op, segBytes int) []uint64 {
-	return m.AppendTransactions(nil, lanes, segBytes)
-}
-
-// AppendTransactions is Transactions for hot paths: it appends the
-// sorted, deduplicated segment bases to dst and returns the extended
-// slice, allocating only when dst lacks capacity. A caller reusing one
-// scratch buffer per lane (the engine does) coalesces with zero
-// steady-state allocations.
+// load-store unit coalescer performs before the request reaches L1.
+// lanes is the trace after the op, read only for a gather or scatter.
+// It appends the sorted, deduplicated segment bases to dst and returns
+// the extended slice, allocating only when dst lacks capacity. A caller
+// reusing one scratch buffer per lane (the engine does) coalesces with
+// zero steady-state allocations.
 //
 // A regular access is coalesced in closed form: its lanes are walked in
 // ascending address order (backwards for a negative Stride), so the
@@ -480,6 +474,37 @@ func Drain(w CTAWork) CTAWork {
 	}
 	w.More = nil
 	return w
+}
+
+// DefaultLineBytes is the line granularity EachLine walks at when given
+// lineBytes <= 0: the 32-byte L2 sector of every Table 1 platform.
+const DefaultLineBytes = 32
+
+// EachLine is the one reader that turns a CTA's trace into line
+// footprints for analysis. It drains w and calls fn once per OpMem or
+// OpAtomic head, in trace order, with that instruction's sorted,
+// distinct lineBytes-aligned lines; a gather's or scatter's lane ops are
+// read with their head and never passed on their own. A Skip CTA yields
+// nothing. The lines are coalesced into scratch, which fn must not keep,
+// and the grown scratch is returned for the caller's next CTA.
+func EachLine(w CTAWork, lineBytes int, scratch []uint64, fn func(op *Op, lines []uint64)) []uint64 {
+	if w.Skip {
+		return scratch
+	}
+	if lineBytes <= 0 {
+		lineBytes = DefaultLineBytes
+	}
+	for _, ops := range Drain(w).Warps {
+		for i := range ops {
+			op := &ops[i]
+			if op.Kind != OpMem && op.Kind != OpAtomic {
+				continue
+			}
+			scratch = op.Mem.AppendTransactions(scratch[:0], ops[i+1:], lineBytes)
+			fn(op, scratch)
+		}
+	}
+	return scratch
 }
 
 // Kernel is the executable unit the engine dispatches and the clustering

@@ -208,16 +208,16 @@ func TestOpLayout(t *testing.T) {
 func TestTransactionsCoalesced(t *testing.T) {
 	// 32 lanes x 4B contiguous from a 128B boundary: one 128B segment.
 	m := MemOp{Base: 0x1000, Stride: 4, Lanes: 32, Size: 4}
-	if txs := m.Transactions(nil, 128); len(txs) != 1 || txs[0] != 0x1000 {
+	if txs := m.AppendTransactions(nil, nil, 128); len(txs) != 1 || txs[0] != 0x1000 {
 		t.Errorf("coalesced: %v", txs)
 	}
 	// Same access at 32B granularity: four segments.
-	if txs := m.Transactions(nil, 32); len(txs) != 4 {
+	if txs := m.AppendTransactions(nil, nil, 32); len(txs) != 4 {
 		t.Errorf("32B segments: %v", txs)
 	}
 	// Misaligned by 4 bytes: spills into a second 128B line.
 	m.Base = 0x1000 + 4
-	if txs := m.Transactions(nil, 128); len(txs) != 2 {
+	if txs := m.AppendTransactions(nil, nil, 128); len(txs) != 2 {
 		t.Errorf("misaligned: %v", txs)
 	}
 }
@@ -225,12 +225,12 @@ func TestTransactionsCoalesced(t *testing.T) {
 func TestTransactionsStrided(t *testing.T) {
 	// Row-stride access: 8 lanes, 1KB apart -> 8 distinct 128B lines.
 	m := MemOp{Base: 0, Stride: 1024, Lanes: 8, Size: 4}
-	if txs := m.Transactions(nil, 128); len(txs) != 8 {
+	if txs := m.AppendTransactions(nil, nil, 128); len(txs) != 8 {
 		t.Errorf("strided: got %d transactions", len(txs))
 	}
 	// Broadcast (stride 0): one line regardless of lanes.
 	m = MemOp{Base: 0x500, Stride: 0, Lanes: 32, Size: 4}
-	if txs := m.Transactions(nil, 128); len(txs) != 1 {
+	if txs := m.AppendTransactions(nil, nil, 128); len(txs) != 1 {
 		t.Errorf("broadcast: %v", txs)
 	}
 }
@@ -243,7 +243,7 @@ func TestTransactionsSortedUniqueProperty(t *testing.T) {
 			Lanes:  lanes%32 + 1,
 			Size:   size%16 + 1,
 		}
-		txs := m.Transactions(nil, 32)
+		txs := m.AppendTransactions(nil, nil, 32)
 		if len(txs) == 0 {
 			return false
 		}
@@ -350,8 +350,8 @@ func checkAgainstReference(m MemOp, addrs []uint64, segBytes int) error {
 	if !slices.Equal(got[len(prefix):], want) {
 		return fmt.Errorf("%+v seg %d: got %v, want %v", m, segBytes, got[len(prefix):], want)
 	}
-	if again := m.Transactions(lanes, segBytes); !slices.Equal(again, want) {
-		return fmt.Errorf("%+v seg %d: Transactions %v, want %v", m, segBytes, again, want)
+	if again := m.AppendTransactions(nil, lanes, segBytes); !slices.Equal(again, want) {
+		return fmt.Errorf("%+v seg %d: nil-dst AppendTransactions %v, want %v", m, segBytes, again, want)
 	}
 	return nil
 }
@@ -476,7 +476,7 @@ func TestTransactionsPanicsOnBadSegment(t *testing.T) {
 			t.Error("expected panic for segment size 0")
 		}
 	}()
-	MemOp{Base: 0, Lanes: 1, Size: 4}.Transactions(nil, 0)
+	MemOp{Base: 0, Lanes: 1, Size: 4}.AppendTransactions(nil, nil, 0)
 }
 
 func TestIndexingRoundTrip(t *testing.T) {

@@ -24,9 +24,6 @@ import (
 // The cost is one trace enumeration — the software analogue of the
 // "lightweight inspector kernel" of [38, 39] cited by the paper.
 func InspectorPermutation(k kernel.Kernel, lineBytes int) []int {
-	if lineBytes <= 0 {
-		lineBytes = 32
-	}
 	total := k.GridDim().Count()
 	perm := make([]int, 0, total)
 	if total <= 0 {
@@ -102,9 +99,6 @@ func InspectorPermutation(k kernel.Kernel, lineBytes int) []int {
 // consecutive pair. Higher is better; the inspector's permutation should
 // score at least as high as the natural order for irregular kernels.
 func OverlapScore(k kernel.Kernel, order []int, lineBytes int) int {
-	if lineBytes <= 0 {
-		lineBytes = 32
-	}
 	score := 0
 	if len(order) == 0 {
 		return 0
@@ -123,18 +117,16 @@ func OverlapScore(k kernel.Kernel, order []int, lineBytes int) int {
 }
 
 // readFootprint returns the distinct lineBytes-aligned lines CTA cta of
-// k reads.
+// k reads (lineBytes <= 0 means kernel.DefaultLineBytes).
 func readFootprint(k kernel.Kernel, cta, lineBytes int) map[uint64]struct{} {
 	set := make(map[uint64]struct{})
-	for _, warp := range kernel.Drain(k.Work(kernel.Launch{CTA: cta})).Warps {
-		for i, op := range warp {
-			if op.Kind != kernel.OpMem || op.Mem.Write {
-				continue
-			}
-			for _, a := range op.Mem.Transactions(warp[i+1:], lineBytes) {
-				set[a] = struct{}{}
-			}
+	kernel.EachLine(k.Work(kernel.Launch{CTA: cta}), lineBytes, nil, func(op *kernel.Op, lines []uint64) {
+		if op.Kind != kernel.OpMem || op.Mem.Write {
+			return
 		}
-	}
+		for _, a := range lines {
+			set[a] = struct{}{}
+		}
+	})
 	return set
 }

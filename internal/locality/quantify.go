@@ -98,76 +98,70 @@ type lineInfo struct {
 // intra-CTA reuse or inter-CTA reuse.
 func Quantify(k kernel.Kernel, lineBytes int) Quant {
 	if lineBytes <= 0 {
-		lineBytes = 32
+		lineBytes = kernel.DefaultLineBytes
 	}
 	q := Quant{LineBytes: lineBytes}
 	lines := make(map[uint64]*lineInfo)
 	total := k.GridDim().Count()
 
 	var idealSum, actualSum float64
+	var scratch []uint64
 	for cta := 0; cta < total; cta++ {
-		work := kernel.Drain(k.Work(kernel.Launch{CTA: cta}))
-		for _, warp := range work.Warps {
-			for i, op := range warp {
-				if op.Kind != kernel.OpMem && op.Kind != kernel.OpAtomic {
-					continue
+		scratch = kernel.EachLine(k.Work(kernel.Launch{CTA: cta}), lineBytes, scratch, func(op *kernel.Op, txs []uint64) {
+			m := &op.Mem
+			if !m.Write {
+				q.ReadOps++
+				if m.Gather {
+					q.GatherOps++
 				}
-				m := op.Mem
-				txs := m.Transactions(warp[i+1:], lineBytes)
-				if !m.Write {
-					q.ReadOps++
-					if m.Gather {
-						q.GatherOps++
-					}
-					lanes := int(m.Lanes)
-					if lanes == 0 {
-						lanes = 1
-					}
-					size := int(m.Size)
-					if size == 0 {
-						size = 4
-					}
-					ideal := (lanes*size + lineBytes - 1) / lineBytes
-					if ideal < 1 {
-						ideal = 1
-					}
-					idealSum += float64(ideal)
-					actualSum += float64(len(txs))
+				lanes := int(m.Lanes)
+				if lanes == 0 {
+					lanes = 1
 				}
-				for _, a := range txs {
-					li := lines[a]
-					if li == nil {
-						li = &lineInfo{firstCTA: int32(cta)}
-						lines[a] = li
-					}
-					if m.Write {
-						if li.written && li.writer != int32(cta) {
-							li.multi = true
-						}
-						li.written = true
-						li.writer = int32(cta)
-						continue
-					}
-					q.Accesses++
-					li.reads++
+				size := int(m.Size)
+				if size == 0 {
+					size = 4
+				}
+				ideal := (lanes*size + lineBytes - 1) / lineBytes
+				if ideal < 1 {
+					ideal = 1
+				}
+				idealSum += float64(ideal)
+				actualSum += float64(len(txs))
+			}
+			for _, a := range txs {
+				li := lines[a]
+				if li == nil {
+					li = &lineInfo{firstCTA: int32(cta)}
+					lines[a] = li
+				}
+				if m.Write {
 					if li.written && li.writer != int32(cta) {
-						li.rwCross = true
-					}
-					if li.touched {
-						q.Reuses++
-						if li.multi || li.firstCTA != int32(cta) {
-							q.InterCTA++
-						} else {
-							q.IntraCTA++
-						}
-					}
-					if li.touched && li.firstCTA != int32(cta) {
 						li.multi = true
 					}
-					li.touched = true
+					li.written = true
+					li.writer = int32(cta)
+					continue
 				}
+				q.Accesses++
+				li.reads++
+				if li.written && li.writer != int32(cta) {
+					li.rwCross = true
+				}
+				if li.touched {
+					q.Reuses++
+					if li.multi || li.firstCTA != int32(cta) {
+						q.InterCTA++
+					} else {
+						q.IntraCTA++
+					}
+				}
+				if li.touched && li.firstCTA != int32(cta) {
+					li.multi = true
+				}
+				li.touched = true
 			}
-		}
+		})
 	}
 
 	for _, li := range lines {

@@ -16,11 +16,6 @@ import (
 	"ctacluster/internal/kernel"
 )
 
-// DefaultLineBytes is the line granularity assumed when the caller
-// passes lineBytes <= 0, matching locality.Quantify's convention and
-// the 32-byte L2 sector size of every Table 1 platform.
-const DefaultLineBytes = 32
-
 // Quant is the result of one windowed L2 reuse analysis.
 type Quant struct {
 	// LineBytes is the line granularity analyzed. Any positive value is
@@ -75,8 +70,8 @@ type Analyzer struct {
 	scratch []uint64
 }
 
-// NewAnalyzer returns an Analyzer with warm scratch for the given
-// expected footprint (lines may be 0 for a default).
+// NewAnalyzer returns an Analyzer with a pre-sized line map and
+// coalescing scratch.
 func NewAnalyzer() *Analyzer {
 	return &Analyzer{lines: make(map[uint64]lineState, 1024), scratch: make([]uint64, 0, 64)}
 }
@@ -92,15 +87,15 @@ func (a *Analyzer) Analyze(k kernel.Kernel, ar *arch.Arch) Quant {
 }
 
 // AnalyzeWindow is Analyze with an explicit line granularity and window
-// width (both clamped to at least 1 CTA / DefaultLineBytes). It walks
-// the dispatch order u = 0..N-1 in consecutive windows of the given
-// width, counting line-granular reads against the lines the current
-// window has already fetched. CTAs are launched placement-free
+// width (both clamped to at least 1 CTA / kernel.DefaultLineBytes). It
+// walks the dispatch order u = 0..N-1 in consecutive windows of the
+// given width, counting line-granular reads against the lines the
+// current window has already fetched. CTAs are launched placement-free
 // (Launch{CTA: u} only); kernels whose Work reads SM/Slot bindings
 // (agent-clustered kernels) should be analyzed before that transform.
 func (a *Analyzer) AnalyzeWindow(k kernel.Kernel, lineBytes, window int) Quant {
 	if lineBytes <= 0 {
-		lineBytes = DefaultLineBytes
+		lineBytes = kernel.DefaultLineBytes
 	}
 	if window < 1 {
 		window = 1
@@ -116,36 +111,28 @@ func (a *Analyzer) AnalyzeWindow(k kernel.Kernel, lineBytes, window int) Quant {
 			clear(a.lines)
 			q.Windows++
 		}
-		work := kernel.Drain(k.Work(kernel.Launch{CTA: u}))
-		if work.Skip {
-			continue
-		}
-		for _, ops := range work.Warps {
-			for i := range ops {
-				op := &ops[i]
-				if op.Kind != kernel.OpMem || op.Mem.Write {
+		a.scratch = kernel.EachLine(k.Work(kernel.Launch{CTA: u}), lineBytes, a.scratch, func(op *kernel.Op, lines []uint64) {
+			if op.Kind != kernel.OpMem || op.Mem.Write {
+				return
+			}
+			for _, seg := range lines {
+				q.Accesses++
+				st, ok := a.lines[seg]
+				if !ok {
+					q.Fetches++
+					a.lines[seg] = lineState{firstCTA: int32(u)}
 					continue
 				}
-				a.scratch = op.Mem.AppendTransactions(a.scratch[:0], ops[i+1:], lineBytes)
-				for _, seg := range a.scratch {
-					q.Accesses++
-					st, ok := a.lines[seg]
-					if !ok {
-						q.Fetches++
-						a.lines[seg] = lineState{firstCTA: int32(u)}
-						continue
-					}
-					if st.firstCTA != int32(u) {
-						q.CrossReuses++
-						if !st.shared {
-							st.shared = true
-							a.lines[seg] = st
-							q.SharedLines++
-						}
+				if st.firstCTA != int32(u) {
+					q.CrossReuses++
+					if !st.shared {
+						st.shared = true
+						a.lines[seg] = st
+						q.SharedLines++
 					}
 				}
 			}
-		}
+		})
 	}
 	return q
 }

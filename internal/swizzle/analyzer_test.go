@@ -77,8 +77,8 @@ func TestAnalyzerDefaults(t *testing.T) {
 	k := &pairKernel{n: 4}
 	a := NewAnalyzer()
 	got := a.AnalyzeWindow(k, 0, 0)
-	if got.LineBytes != DefaultLineBytes || got.Window != 1 {
-		t.Errorf("defaults: LineBytes=%d Window=%d, want %d and 1", got.LineBytes, got.Window, DefaultLineBytes)
+	if got.LineBytes != kernel.DefaultLineBytes || got.Window != 1 {
+		t.Errorf("defaults: LineBytes=%d Window=%d, want %d and 1", got.LineBytes, got.Window, kernel.DefaultLineBytes)
 	}
 }
 

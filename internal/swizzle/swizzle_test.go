@@ -39,27 +39,25 @@ func (k *tagKernel) Work(l kernel.Launch) kernel.CTAWork {
 }
 
 // footprint sums a kernel's demand accesses over its whole grid as a
-// multiset keyed by (address, write).
+// multiset keyed by (address, write), walked at 1-byte lines so every
+// byte a lane touches counts; ignores prefetches.
 func footprint(t *testing.T, k kernel.Kernel) map[[2]uint64]int {
 	t.Helper()
 	out := map[[2]uint64]int{}
-	n := k.GridDim().Count()
-	for u := 0; u < n; u++ {
-		work := k.Work(kernel.Launch{CTA: u})
-		for _, warp := range work.Warps {
-			for i, op := range warp {
-				if op.Kind != kernel.OpMem || op.Mem.Prefetch {
-					continue
-				}
-				w := uint64(0)
-				if op.Mem.Write {
-					w = 1
-				}
-				for _, a := range op.Mem.LaneAddrs(warp[i+1:]) {
-					out[[2]uint64{a, w}]++
-				}
+	var scratch []uint64
+	for u := 0; u < k.GridDim().Count(); u++ {
+		scratch = kernel.EachLine(k.Work(kernel.Launch{CTA: u}), 1, scratch, func(op *kernel.Op, lines []uint64) {
+			if op.Kind != kernel.OpMem || op.Mem.Prefetch {
+				return
 			}
-		}
+			w := uint64(0)
+			if op.Mem.Write {
+				w = 1
+			}
+			for _, a := range lines {
+				out[[2]uint64{a, w}]++
+			}
+		})
 	}
 	return out
 }
